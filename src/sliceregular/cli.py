@@ -1,7 +1,8 @@
 """Command-line front end: evaluate, find zeros, classify, verify, plot data.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 domain error, 4 degenerate input.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+(malformed or non-finite input included), 3 domain error, 4 degenerate
+input.
 """
 
 from __future__ import annotations
@@ -10,9 +11,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .errors import DomainError, OutsideRadius, ZeroPolynomial
 from .parabola import (ParabolaPoint, discriminant_D, fiber_intersections,
@@ -29,39 +30,38 @@ EXIT_DOMAIN = 3
 EXIT_DEGENERATE = 4
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    samples: int | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
-    out: str | None = None
-    format: str = "json"
+def _read_json(load, text: str | bytes):
+    """load(json.loads(text)); malformed JSON or non-finite values raise ParseError."""
+    try:
+        return load(json.loads(text))
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise ParseError(f"malformed JSON input: {exc}") from None
 
 
 def _load_polynomial(text: str) -> RegularSeries:
     """A polynomial given as a JSON file path, inline JSON, or an expression."""
     if os.path.isfile(text):
-        with open(text) as fh:
-            return RegularSeries.from_json(json.load(fh))
+        with open(text, "rb") as fh:
+            return _read_json(RegularSeries.from_json, fh.read())
     stripped = text.strip()
     if stripped.startswith("{"):
-        return RegularSeries.from_json(json.loads(stripped))
+        return _read_json(RegularSeries.from_json, stripped)
     return parse_polynomial(stripped)
 
 
 def _load_quaternion(text: str) -> Quaternion:
     stripped = text.strip()
     if stripped.startswith("["):
-        return Quaternion.from_json(json.loads(stripped))
+        return _read_json(Quaternion.from_json, stripped)
     series = parse_polynomial(stripped)
     if series.degree > 0:
         raise ParseError(f"{text!r} is not a constant")
     return series.coeff(0)
 
 
-def _emit(config: RunConfig, text: str):
-    if config.out:
-        with open(config.out, "w", newline="") as fh:
+def _emit(args, text: str):
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -73,11 +73,11 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def cmd_eval(args, config: RunConfig) -> int:
+def cmd_eval(args) -> int:
     try:
         f = _load_polynomial(args.poly)
         q = _load_quaternion(args.point)
-    except (ParseError, json.JSONDecodeError, OSError, KeyError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -85,14 +85,14 @@ def cmd_eval(args, config: RunConfig) -> int:
     except OutsideRadius as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(config, _json_dump(value.to_json()))
+    _emit(args, _json_dump(value.to_json()))
     return EXIT_OK
 
 
-def cmd_zeros(args, config: RunConfig) -> int:
+def cmd_zeros(args) -> int:
     try:
         f = _load_polynomial(args.poly)
-    except (ParseError, json.JSONDecodeError, OSError, KeyError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -103,12 +103,17 @@ def cmd_zeros(args, config: RunConfig) -> int:
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(config, _json_dump(zs.to_json()))
+    _emit(args, _json_dump(zs.to_json()))
     return EXIT_OK
 
 
-def cmd_classify(args, config: RunConfig) -> int:
-    c = ParabolaPoint(args.x0, args.x1, args.x2, args.x3)
+def cmd_classify(args) -> int:
+    coords = (args.x0, args.x1, args.x2, args.x3)
+    if not all(map(math.isfinite, coords)):
+        print(f"parse error: coordinates must be finite, got {coords}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    c = ParabolaPoint(*coords)
     fc = fiber_intersections(c)
     report = {
         "class": fc.kind.value,
@@ -122,26 +127,26 @@ def cmd_classify(args, config: RunConfig) -> int:
         report["j_minus"] = j_minus(c).unit.to_json()
     except DomainError:
         pass
-    _emit(config, _json_dump(report))
+    _emit(args, _json_dump(report))
     return EXIT_OK
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; available: "
               + ", ".join(sorted(SUITES)), file=sys.stderr)
         return EXIT_USAGE
-    result = run_suite(args.suite, seed=config.seed, samples=config.samples)
-    _emit(config, result.summary())
+    result = run_suite(args.suite, seed=args.seed, samples=args.samples)
+    _emit(args, result.summary())
     return EXIT_OK if result.passed else EXIT_VERIFY_FAIL
 
 
-def cmd_figure(args, config: RunConfig) -> int:
+def cmd_figure(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if args.name == "fig1":
         writer.writerow(["x", "y", "z", "label"])
-        for row in figure1_rows(config.samples or 200):
+        for row in figure1_rows(args.samples or 200):
             writer.writerow([f"{row[0]:.9g}", f"{row[1]:.9g}",
                              f"{row[2]:.9g}", row[3]])
     elif args.name == "fig2":
@@ -151,19 +156,8 @@ def cmd_figure(args, config: RunConfig) -> int:
     else:
         print(f"unknown figure {args.name!r}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(config, buf.getvalue())
+    _emit(args, buf.getvalue())
     return EXIT_OK
-
-
-def _parse_tol(pairs) -> dict[str, float]:
-    out = {}
-    for item in pairs or []:
-        name, _, value = item.partition("=")
-        if not name or not value:
-            raise argparse.ArgumentTypeError(
-                f"tolerance override must look like NAME=VALUE, got {item!r}")
-        out[name] = float(value)
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,10 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "twistor-geometry verification.")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--tol", action="append", metavar="NAME=VAL",
-                        help="named tolerance override (recorded in RunConfig)")
     parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a polynomial at a quaternion")
@@ -208,18 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        config = RunConfig(seed=args.seed, samples=args.samples,
-                           tolerances=_parse_tol(args.tol), out=args.out,
-                           format=args.format)
-    except argparse.ArgumentTypeError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit:
-        raise
-    return args.fn(args, config)
+    args = build_parser().parse_args(argv)
+    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, NotOnSurface
 from .ocs import OCSValue
 from .quat_core import I as QI, Quaternion, imag_unit
-from .regular_fn import RegularSeries, eval_series, zeros
+from .regular_fn import RegularSeries, zeros
 from .twistor import ProjectivePoint3
 
 GEOM_TOL = 1e-10
@@ -194,23 +194,6 @@ _EXTRA_CUSPS = [ProjectivePoint3.of(0.0, 1.0, 0.0, 0.25),
                 ProjectivePoint3.of(1.0, 0.0, 0.25, 0.0)]
 
 
-def hessian_minor(Z: ProjectivePoint3) -> complex:
-    """The classifying 2x2 Hessian minor along the double lines.
-
-    On the line Z0 = Z2 = 0 it equals 4 Z1^3 (4 Z3 - Z1); on Z1 = Z3 = 0
-    it equals 4 Z0^3 (4 Z2 - Z0); on Z0 = Z1 = 0 all minors vanish.
-    """
-    tol = 1e-9
-    z0, z1, z2, z3 = (Z[k] for k in range(4))
-    if abs(z0) <= tol and abs(z1) <= tol:
-        return 0j
-    if abs(z0) <= tol and abs(z2) <= tol:
-        return 4.0 * z1 ** 3 * (4.0 * z3 - z1)
-    if abs(z1) <= tol and abs(z3) <= tol:
-        return 4.0 * z0 ** 3 * (4.0 * z2 - z0)
-    raise NotOnSurface(f"{Z} is not on the singular locus")
-
-
 def singular_locus_class(Z: ProjectivePoint3, tol: float = 1e-9) -> SurfaceClass:
     """Stratum of the quartic at Z: smooth, double curve, cusp or pinch point."""
     if abs(quartic_K(Z)) > tol:
@@ -375,13 +358,3 @@ def figure2_cells(grid: int = 60, extent: float = 2.0
     idx = np.argwhere(crossing)
     return [(float(centers[ix]), float(centers[iy]), float(centers[iz]))
             for ix, iy, iz in idx]
-
-
-def classification_rows(points) -> list[tuple[float, float, float, float, str]]:
-    """CSV rows x0, x1, x2, x3, class for a batch of target points."""
-    rows = []
-    for c in points:
-        p = _as_point(c)
-        fc = fiber_intersections(p)
-        rows.append((p.x0, p.x1, p.x2, p.x3, fc.kind.value))
-    return rows

@@ -3,17 +3,24 @@
 Accepted atoms are numbers, the variable q and the units i, j, k;
 operators are +, -, * (the star product), ^ and parentheses.  Products
 associate left-to-right and juxtaposition ("qi") is shorthand for *.
+A number is digits with an optional decimal point and an optional
+exponent, as in 2, 0.5, .5, 1e-3 or 2.5E+4; it must be finite.
 """
 
 from __future__ import annotations
 
-from .quat_core import I, J, K, ONE, Quaternion
+import math
+import re
+
+from .quat_core import I, J, K, ONE
 from .regular_fn import RegularSeries, star_mul, star_power
 
 
 class ParseError(ValueError):
     """The polynomial expression does not conform to the grammar."""
 
+
+_NUMBER = re.compile(r"[\d.]+(?:[eE][+-]?\d+)?")
 
 _ATOMS = {
     "q": RegularSeries.identity(),
@@ -37,10 +44,9 @@ def _tokenize(text: str) -> list[str]:
             tokens.append(ch)
             pos += 1
         elif ch.isdigit() or ch == ".":
-            start = pos
-            while pos < len(text) and (text[pos].isdigit() or text[pos] == "."):
-                pos += 1
-            tokens.append(text[start:pos])
+            number = _NUMBER.match(text, pos)
+            tokens.append(number.group())
+            pos = number.end()
         else:
             raise ParseError(f"unexpected character {ch!r} at position {pos}")
     return tokens
@@ -119,6 +125,8 @@ class _Parser:
             value = float(tok)
         except ValueError:
             raise ParseError(f"unexpected token {tok!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"number {tok!r} is not finite")
         return RegularSeries.constant(value * ONE)
 
 

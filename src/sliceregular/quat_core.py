@@ -39,8 +39,13 @@ class Quaternion:
 
     @staticmethod
     def from_json(data) -> "Quaternion":
-        w, x, y, z = data
-        return Quaternion(float(w), float(x), float(y), float(z))
+        """[w, x, y, z]; raises ValueError unless these are four finite numbers."""
+        if len(data) != 4:
+            raise ValueError(f"a quaternion has four components, got {data!r}")
+        w, x, y, z = (float(t) for t in data)
+        if not all(map(math.isfinite, (w, x, y, z))):
+            raise ValueError(f"non-finite quaternion component in {data!r}")
+        return Quaternion(w, x, y, z)
 
     def to_json(self) -> list:
         return [self.w, self.x, self.y, self.z]
@@ -48,12 +53,6 @@ class Quaternion:
     def complex_pair(self) -> tuple[complex, complex]:
         """The splitting q = w1 + w2 j."""
         return complex(self.w, self.x), complex(self.y, self.z)
-
-    def to_complex(self, tol: float = 1e-9) -> complex:
-        """Read q off the slice L_i; fails if q has j or k components."""
-        if math.hypot(self.y, self.z) > tol * max(1.0, abs(self)):
-            raise ValueError(f"{self} does not lie in L_i")
-        return complex(self.w, self.x)
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w + other.w, self.x + other.x,
@@ -109,9 +108,6 @@ class Quaternion:
         return (self.w * other.w + self.x * other.x
                 + self.y * other.y + self.z * other.z)
 
-    def is_real(self, tol: float = REAL_EPS) -> bool:
-        return self.im_norm() <= tol * max(1.0, abs(self))
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return abs(self) <= tol
 
@@ -159,11 +155,6 @@ class Sphere:
         s = max(1.0, abs(q), abs(self.x) + self.y)
         return (abs(q.re() - self.x) <= tol * s
                 and abs(q.im_norm() - self.y) <= tol * s)
-
-    def point(self, unit: Quaternion | None = None) -> Quaternion:
-        """A point x + y*I of the sphere; defaults to I = i."""
-        u = I if unit is None else unit
-        return Quaternion(self.x) + self.y * u
 
     def sample(self, count: int) -> list[Quaternion]:
         """Points of the sphere at evenly rotated imaginary units."""

@@ -58,8 +58,14 @@ class RegularSeries:
 
     @staticmethod
     def from_json(data) -> "RegularSeries":
+        """{"coeffs": [[w, x, y, z], ...], "radius": r}; raises ValueError or
+        TypeError unless every coefficient is four finite numbers and r > 0."""
+        if not isinstance(data, dict) or "coeffs" not in data:
+            raise ValueError(f'a series is an object with "coeffs", got {data!r}')
         radius = data.get("radius", "inf")
         r = math.inf if radius in ("inf", None) else float(radius)
+        if not r > 0.0:
+            raise ValueError(f"radius must be positive, got {radius!r}")
         return RegularSeries(tuple(Quaternion.from_json(c) for c in data["coeffs"]), r)
 
     def to_json(self) -> dict:

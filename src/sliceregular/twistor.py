@@ -10,12 +10,12 @@ which f can be reconstructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import FitError, NotReal, OutsideRadius, PoleDetected
+from .errors import FitError, OutsideRadius, PoleDetected
 from .quat_core import Quaternion
 from .regular_fn import RegularSeries
 
@@ -72,10 +72,6 @@ class HP1Point:
     q2: Quaternion
 
     @staticmethod
-    def affine(q: Quaternion) -> "HP1Point":
-        return HP1Point(Quaternion(1.0), q)
-
-    @staticmethod
     def infinity() -> "HP1Point":
         return HP1Point(Quaternion(), Quaternion(1.0))
 
@@ -121,15 +117,6 @@ class KleinPoint:
         z = self.coords
         scale = max(1.0, abs(z[0] * z[5]) + abs(z[1] * z[4]) + abs(z[2] * z[3]))
         return abs(self.klein_form()) <= tol * scale
-
-    def on_null_quadric(self, tol: float = 1e-9) -> bool:
-        """Membership in the real quadric x1 x6 - x2^2 - x3^2 - x4^2 - x5^2 = 0
-        cut out on sigma-fixed points."""
-        x = self.coords.real
-        if float(np.max(np.abs(self.coords.imag))) > tol * float(np.max(np.abs(x))):
-            return False
-        val = x[0] * x[5] - x[1] ** 2 - x[2] ** 2 - x[3] ** 2 - x[4] ** 2
-        return abs(val) <= tol * max(1.0, float(np.max(np.abs(x))) ** 2)
 
     def equals(self, other: "KleinPoint", tol: float = PROJ_TOL) -> bool:
         return _projectively_equal(self.coords, other.coords, tol)
@@ -196,27 +183,12 @@ class SplitPair:
     def h_hat(self) -> np.ndarray:
         return np.conj(self.h) if self.hhat is None else self.hhat
 
-    def _check(self, v: complex):
+    def values(self, v: complex) -> tuple[complex, complex, complex, complex]:
+        """(g(v), h(v), g^(v), h^(v)); raises OutsideRadius for |v| >= radius."""
         if not math.isinf(self.radius) and abs(v) >= self.radius:
             raise OutsideRadius(f"|v| = {abs(v)} >= radius {self.radius}")
-
-    def eval_g(self, v: complex) -> complex:
-        self._check(v)
-        return complex(npoly.polyval(v, self.g)) if len(self.g) else 0j
-
-    def eval_h(self, v: complex) -> complex:
-        self._check(v)
-        return complex(npoly.polyval(v, self.h)) if len(self.h) else 0j
-
-    def eval_g_hat(self, v: complex) -> complex:
-        self._check(v)
-        gh = self.g_hat
-        return complex(npoly.polyval(v, gh)) if len(gh) else 0j
-
-    def eval_h_hat(self, v: complex) -> complex:
-        self._check(v)
-        hh = self.h_hat
-        return complex(npoly.polyval(v, hh)) if len(hh) else 0j
+        return tuple(complex(npoly.polyval(v, c)) if len(c) else 0j
+                     for c in (self.g, self.h, self.g_hat, self.h_hat))
 
     def to_series(self) -> RegularSeries:
         """Rebuild the quaternionic coefficients a_n = b_n + c_n j."""
@@ -250,17 +222,7 @@ def star_product_split(p1: SplitPair, p2: SplitPair) -> SplitPair:
 
 def lift(f: RegularSeries, u: complex | None, v: complex) -> ProjectivePoint3:
     """Twistor lift of f at chart point (u, v); u = None marks u at infinity."""
-    p = split(f)
-    gv, hv = p.eval_g(v), p.eval_h(v)
-    ghv, hhv = p.eval_g_hat(v), p.eval_h_hat(v)
-    if u is None:
-        return ProjectivePoint3.of(0.0, 1.0, -hhv, ghv)
-    return ProjectivePoint3.of(1.0, u, gv - u * hhv, hv + u * ghv)
-
-
-def lift_split(p: SplitPair, u: complex | None, v: complex) -> ProjectivePoint3:
-    gv, hv = p.eval_g(v), p.eval_h(v)
-    ghv, hhv = p.eval_g_hat(v), p.eval_h_hat(v)
+    gv, hv, ghv, hhv = split(f).values(v)
     if u is None:
         return ProjectivePoint3.of(0.0, 1.0, -hhv, ghv)
     return ProjectivePoint3.of(1.0, u, gv - u * hhv, hv + u * ghv)
@@ -268,13 +230,7 @@ def lift_split(p: SplitPair, u: complex | None, v: complex) -> ProjectivePoint3:
 
 def twistor_transform(f: RegularSeries, v: complex) -> KleinPoint:
     """The curve [g g^ + h^ h, h, -g, g^, h^, 1] at v."""
-    p = split(f)
-    return transform_split(p, v)
-
-
-def transform_split(p: SplitPair, v: complex) -> KleinPoint:
-    gv, hv = p.eval_g(v), p.eval_h(v)
-    ghv, hhv = p.eval_g_hat(v), p.eval_h_hat(v)
+    gv, hv, ghv, hhv = split(f).values(v)
     return KleinPoint.of(gv * ghv + hhv * hv, hv, -gv, ghv, hhv, 1.0)
 
 
@@ -300,14 +256,6 @@ def fiber_plucker(qtilde: Quaternion | None) -> KleinPoint:
                          np.conj(w1), np.conj(w2), 1.0)
 
 
-def fiber_axis_points(qtilde: Quaternion) -> tuple[ProjectivePoint3, ProjectivePoint3]:
-    """The two points of the fiber with Z0 = 0 and with Z1 = 0."""
-    w1, w2 = qtilde.complex_pair()
-    z0 = ProjectivePoint3.of(0.0, 1.0, -np.conj(w2), np.conj(w1))
-    z1 = ProjectivePoint3.of(1.0, 0.0, w1, w2)
-    return z0, z1
-
-
 def line_plucker(p: SplitPair, v: complex) -> KleinPoint:
     """Plucker coordinates of the image line, by wedging the plane normals.
 
@@ -315,8 +263,9 @@ def line_plucker(p: SplitPair, v: complex) -> KleinPoint:
     by [g, -h^, -1, 0] and [h, g^, 0, -1]; their exterior product gives
     the same Klein point as the transform, computed independently.
     """
-    r1 = np.array([p.eval_g(v), -p.eval_h_hat(v), -1.0, 0.0], dtype=complex)
-    r2 = np.array([p.eval_h(v), p.eval_g_hat(v), 0.0, -1.0], dtype=complex)
+    gv, hv, ghv, hhv = p.values(v)
+    r1 = np.array([gv, -hhv, -1.0, 0.0], dtype=complex)
+    r2 = np.array([hv, ghv, 0.0, -1.0], dtype=complex)
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     zeta = [r1[i] * r2[j] - r1[j] * r2[i] for i, j in pairs]
     return KleinPoint.of(*zeta)
@@ -326,12 +275,6 @@ def line_plucker(p: SplitPair, v: complex) -> KleinPoint:
 class CurveSample:
     v: complex
     zeta: KleinPoint
-
-    @staticmethod
-    def from_json(data) -> "CurveSample":
-        v = complex(data["v"][0], data["v"][1])
-        zeta = KleinPoint.of(*(complex(re, im) for re, im in data["zeta"]))
-        return CurveSample(v, zeta)
 
 
 POLE_TOL = 1e-10

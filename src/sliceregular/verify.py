@@ -17,8 +17,8 @@ from .differential import Rank, differential_at, is_singular, rank_classify
 from .errors import PoleDetected
 from .parabola import (F_PAR, FiberKind, ParabolaPoint, SurfaceClass,
                        discriminant_D, f_par, fiber_intersections,
-                       fiber_polynomial, grad_K, j_minus, j_plus, on_parabola,
-                       on_paraboloid, preimages, quartic_K,
+                       fiber_polynomial, grad_K, in_solid, j_minus, j_plus,
+                       on_parabola, on_paraboloid, preimages, quartic_K,
                        singular_locus_class)
 from .ocs import OCSValue
 from .quat_core import I as QI, ChartPoint, Quaternion, imag_unit, phi
@@ -331,7 +331,7 @@ def suite_jjjj(rng, samples: int = 100) -> SuiteResult:
         c = random_quaternion(rng, 2.0)
         if abs(c.y) < 0.1 and abs(c.z) < 0.1:
             continue
-        if on_parabola(c) or (abs(c.x) < 1e-6 and in_solid_like(c)):
+        if on_parabola(c) or in_solid(c):
             continue
         found += 1
         units = [j_plus(c).unit, j_minus(c).unit]
@@ -340,10 +340,6 @@ def suite_jjjj(rng, samples: int = 100) -> SuiteResult:
                        for a in range(4) for b in range(a + 1, 4))
         res.check(distinct, f"distinctness at sample {found}")
     return res
-
-
-def in_solid_like(c: Quaternion) -> bool:
-    return c.w <= 0.25 - c.y ** 2 - c.z ** 2 + 1e-9
 
 
 def sylvester_resultant_quartic(coeffs: np.ndarray) -> float:

@@ -39,8 +39,19 @@ def test_parse_juxtaposition_is_star():
     assert parse_polynomial("ji").coeff(0) == -K
 
 
+def test_parse_scientific_notation():
+    f = parse_polynomial("1e-3*q+1")
+    assert f.coeff(1) == 1e-3 * ONE
+    assert f.coeff(0) == ONE
+    assert parse_polynomial("2.5E+4").coeff(0) == 25000.0 * ONE
+    g = parse_polynomial(".5e1q^2 - 3E2k")
+    assert g.coeff(2) == 5.0 * ONE
+    assert g.coeff(0) == -300.0 * K
+
+
 def test_parse_errors():
-    for bad in ("", "q +", "(q", "q^i", "x+1"):
+    for bad in ("", "q +", "(q", "q^i", "x+1", "2e", "1e+", "1.2.3", "1e400",
+                "q^1e2"):
         with pytest.raises(ParseError):
             parse_polynomial(bad)
 
@@ -105,6 +116,32 @@ def test_zeros_point_case(tmp_path):
     report = read_json(out)
     assert not report["spheres"]
     assert report["points"][0]["multiplicity"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", '{"coeffs":[[1,2]]}'],
+    ["zeros", '{"coeffs":5}'],
+    ["eval", "q^2", '["a",0,0,0]'],
+    ["classify", "nan", "0", "0", "0"],
+    ["classify", "1", "0", "inf", "0"],
+    ["eval", "q^2", "[NaN,0,0,0]"],
+    ["zeros", '{"coeffs":[[NaN,0,0,0],[1,0,0,0]]}'],
+    ["zeros", '{"coeffs":' + "[" * 100000],
+], ids=["short-coefficient", "coeffs-not-a-list", "string-component",
+        "classify-nan", "classify-inf", "nan-point", "nan-coefficient",
+        "deeply-nested"])
+def test_malformed_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_undecodable_json_file_exits_2(tmp_path):
+    poly = tmp_path / "poly.json"
+    poly.write_bytes(b"\xff\xfe{")
+    assert main(["zeros", str(poly)]) == 2
 
 
 def test_zeros_degenerate_exits_4():

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from sliceregular import (ChartPoint, CurveSample, HP1Point, KleinPoint,
-                          PoleDetected, ProjectivePoint3, Quaternion,
-                          RegularSeries, eval_series, fiber_plucker,
+                          OutsideRadius, PoleDetected, ProjectivePoint3,
+                          Quaternion, RegularSeries, eval_series, fiber_plucker,
                           in_q_plus, j_involution, lift, line_plucker,
                           on_quadric, phi, reconstruct, sigma, split,
                           star_mul, star_product_split, twistor_project,
                           twistor_transform)
 from sliceregular.parsing import parse_polynomial
-from sliceregular.twistor import (SplitPair, lift_split,
-                                  normalized_curve_values, transform_split)
+from sliceregular.quat_core import ONE
+from sliceregular.twistor import SplitPair, normalized_curve_values
 
 F = parse_polynomial("q^2+qi")
 
@@ -125,11 +125,28 @@ def test_transform_contains_lift():
     pair = split(f)
     for u in (0j, 1 + 1j, None):
         v = 0.4 + 0.9j
-        Z = lift_split(pair, u, v)
-        g, h = pair.eval_g(v), pair.eval_h(v)
-        gh, hh = pair.eval_g_hat(v), pair.eval_h_hat(v)
+        Z = lift(f, u, v)
+        g, h, gh, hh = pair.values(v)
         assert abs(Z[2] - (g * Z[0] - hh * Z[1])) <= 1e-9
         assert abs(Z[3] - (h * Z[0] + gh * Z[1])) <= 1e-9
+
+
+def test_non_symmetric_pair_values_use_supplied_hats():
+    pair = SplitPair([1, 2j], [3], ghat=np.array([5, 0, 1]),
+                     hhat=np.array([7, 1j]), symmetric=False)
+    v = 0.5 + 0.25j
+    assert pair.values(v) == (1 + 2j * v, 3, 5 + v * v, 7 + 1j * v)
+
+
+def test_lift_outside_radius():
+    f = RegularSeries((ONE, ONE), radius=1.0)
+    assert on_quadric(lift(f, 1j, 0.6 + 0.7j))
+    for v in (1.0, 0.6 + 0.8j, 2j):
+        for u in (0j, None):
+            with pytest.raises(OutsideRadius):
+                lift(f, u, v)
+        with pytest.raises(OutsideRadius):
+            twistor_transform(f, v)
 
 
 def test_sigma_is_involution_preserving_klein():
