@@ -1,8 +1,8 @@
 """Command-line front end: evaluate, find zeros, classify, verify, plot data.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(malformed or non-finite input included), 3 domain error, 4 degenerate
-input.
+(malformed or non-finite input included), 3 domain error (an answer that
+overflows float64 included), 4 degenerate input.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 from .errors import DomainError, OutsideRadius, ZeroPolynomial
-from .parabola import (ParabolaPoint, discriminant_D, fiber_intersections,
-                       figure1_rows, figure2_cells, j_minus, j_plus)
+from .parabola import (discriminant_D, fiber_intersections, figure1_rows,
+                       figure2_cells, j_minus, j_plus)
 from .parsing import ParseError, parse_polynomial
 from .quat_core import Quaternion
 from .regular_fn import RegularSeries, eval_series, zeros
@@ -69,8 +70,15 @@ def _emit(args, text: str):
             sys.stdout.write("\n")
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _emit_json(args, obj) -> int:
+    """Emit obj as JSON; an answer with a non-finite number exits 3 instead."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        print("domain error: the answer overflows float64", file=sys.stderr)
+        return EXIT_DOMAIN
+    _emit(args, text)
+    return EXIT_OK
 
 
 def cmd_eval(args) -> int:
@@ -85,8 +93,7 @@ def cmd_eval(args) -> int:
     except OutsideRadius as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(args, _json_dump(value.to_json()))
-    return EXIT_OK
+    return _emit_json(args, value.to_json())
 
 
 def cmd_zeros(args) -> int:
@@ -103,8 +110,7 @@ def cmd_zeros(args) -> int:
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(args, _json_dump(zs.to_json()))
-    return EXIT_OK
+    return _emit_json(args, zs.to_json())
 
 
 def cmd_classify(args) -> int:
@@ -113,7 +119,12 @@ def cmd_classify(args) -> int:
         print(f"parse error: coordinates must be finite, got {coords}",
               file=sys.stderr)
         return EXIT_USAGE
-    c = ParabolaPoint(*coords)
+    c = Quaternion(*coords)
+    n = c.norm_sq()
+    if not math.isfinite(n * n * n):
+        print(f"domain error: |c|^6 overflows float64 at c = {coords}",
+              file=sys.stderr)
+        return EXIT_DOMAIN
     fc = fiber_intersections(c)
     report = {
         "class": fc.kind.value,
@@ -127,8 +138,7 @@ def cmd_classify(args) -> int:
         report["j_minus"] = j_minus(c).unit.to_json()
     except DomainError:
         pass
-    _emit(args, _json_dump(report))
-    return EXIT_OK
+    return _emit_json(args, report)
 
 
 def cmd_verify(args) -> int:
@@ -180,6 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("classify", help="classify a target point of q^2+qi")
+    # read "-1e-05" as a number, not an option (argparse's own pattern
+    # admits no exponent)
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("x0", type=float)
     p.add_argument("x1", type=float)
     p.add_argument("x2", type=float)

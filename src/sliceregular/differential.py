@@ -15,12 +15,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConditioningWarning
-from .quat_core import ONE, Quaternion, Sphere, imag_unit, sphere_of
+from .quat_core import (I, J, K, ONE, Quaternion, Sphere, imag_unit, is_real,
+                        sphere_of)
 from .regular_fn import (RegularSeries, divide_linear, eval_series,
                          spherical_expansion, slice_values)
-
-_BASIS = (Quaternion(1.0), Quaternion(0.0, 1.0),
-          Quaternion(0.0, 0.0, 1.0), Quaternion(0.0, 0.0, 0.0, 1.0))
 
 NEAR_REAL_BAND = 1e-6
 
@@ -81,12 +79,12 @@ def _matrix_from(a1: Quaternion, a2: Quaternion, q0: Quaternion,
     if non_real:
         unit = imag_unit(q0)
         factor = a1 + (2.0 * q0.im()) * a2
-        for e in _BASIS:
-            u = e.dot(_BASIS[0]) * _BASIS[0] + e.dot(unit) * unit
+        for e in (ONE, I, J, K):
+            u = e.dot(ONE) * ONE + e.dot(unit) * unit
             w = e - u
             cols.append(u * factor + w * a1)
     else:
-        for e in _BASIS:
+        for e in (ONE, I, J, K):
             cols.append(e * a1)
     return np.array([[c.w, c.x, c.y, c.z] for c in cols]).T
 
@@ -94,16 +92,15 @@ def _matrix_from(a1: Quaternion, a2: Quaternion, q0: Quaternion,
 def differential_at(f: RegularSeries, q0: Quaternion) -> RealLinearMap4:
     """The 4x4 real matrix of the differential of f at q0.
 
-    On the real axis the map degenerates to v -> v A1.  In the band
-    0 < |Im q0| < 1e-6 both the non-real and the real-limit formulas are
-    evaluated and a ConditioningWarning is emitted if they disagree.
+    On the real axis (is_real) the map degenerates to v -> v A1.  Off it
+    but within |Im q0| < 1e-6 both the non-real and the real-limit formulas
+    are evaluated and a ConditioningWarning is emitted if they disagree.
     """
     a1, a2 = _expansion_pair(f, q0)
-    im = q0.im_norm()
-    if im <= 1e-14 * max(1.0, abs(q0)):
+    if is_real(q0):
         return RealLinearMap4(_matrix_from(a1, a2, q0, non_real=False))
     m = _matrix_from(a1, a2, q0, non_real=True)
-    if im < NEAR_REAL_BAND:
+    if q0.im_norm() < NEAR_REAL_BAND:
         m_real = _matrix_from(a1, a2, q0, non_real=False)
         gap = float(np.max(np.abs(m - m_real)))
         if gap > 1e-6 * max(1.0, float(np.max(np.abs(m)))):
@@ -118,7 +115,7 @@ def rank_classify(f: RegularSeries, q0: Quaternion) -> RankClass:
     a1, a2 = _expansion_pair(f, q0)
     scale = max(1.0, f.coefficient_scale())
     tol = 1e-10 * scale
-    if q0.im_norm() <= 1e-14 * max(1.0, abs(q0)):
+    if is_real(q0):
         rank = Rank.RANK0 if abs(a1) <= tol else Rank.RANK4
         return RankClass(rank, a1, a2)
     if abs(a1) <= tol:
@@ -150,7 +147,7 @@ def is_singular(f: RegularSeries, q0: Quaternion) -> SingularityCertificate:
     g, _ = divide_linear(shifted, q0)
     if g.is_zero:
         return SingularityCertificate(False, None)
-    if q0.im_norm() <= 1e-14 * max(1.0, abs(q0)):
+    if is_real(q0):
         # real point: singular iff (q - x0)^2 divides f - f(q0)
         r = eval_series(g, q0)
         if abs(r) <= 1e-8 * scale:

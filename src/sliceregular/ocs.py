@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleHit, SingularPoint
-from .quat_core import Quaternion, conj_by_unit, imag_unit
+from .quat_core import I, J, K, ONE, Quaternion, conj_by_unit, imag_unit
 from .regular_fn import RegularSeries, eval_series
 from .differential import is_singular
 
@@ -34,8 +34,7 @@ class OCSValue:
 
     def matrix(self) -> np.ndarray:
         """Left-multiplication matrix in the basis 1, i, j, k."""
-        cols = [self.apply(e) for e in (Quaternion(1.0), Quaternion(0, 1),
-                                        Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1))]
+        cols = [self.apply(e) for e in (ONE, I, J, K)]
         return np.array([[c.w, c.x, c.y, c.z] for c in cols]).T
 
     def close_to(self, other: "OCSValue", tol: float = 1e-9) -> bool:

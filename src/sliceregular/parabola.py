@@ -15,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NotOnSurface
-from .ocs import OCSValue
-from .quat_core import I as QI, Quaternion, imag_unit
+from .ocs import OCSValue, j_standard
+from .quat_core import I as QI, Quaternion
 from .regular_fn import RegularSeries, zeros
 from .twistor import ProjectivePoint3
 
@@ -27,40 +27,9 @@ MAP_TOL = 1e-9
 F_PAR = RegularSeries.polynomial(Quaternion(), QI, Quaternion(1.0))
 
 
-@dataclass(frozen=True)
-class ParabolaPoint:
-    """A target point x0 + i x1 + j x2 + k x3 = w1 + w2 j."""
-
-    x0: float
-    x1: float
-    x2: float
-    x3: float
-
-    @staticmethod
-    def from_quaternion(q: Quaternion) -> "ParabolaPoint":
-        return ParabolaPoint(q.w, q.x, q.y, q.z)
-
-    def to_quaternion(self) -> Quaternion:
-        return Quaternion(self.x0, self.x1, self.x2, self.x3)
-
-    @property
-    def w1(self) -> complex:
-        return complex(self.x0, self.x1)
-
-    @property
-    def w2(self) -> complex:
-        return complex(self.x2, self.x3)
-
-    @property
-    def c_norm(self) -> float:
-        """C = x0^2 + x1^2 + x2^2 + x3^2."""
-        return self.x0 ** 2 + self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2
-
-
-def _as_point(c) -> ParabolaPoint:
-    if isinstance(c, ParabolaPoint):
-        return c
-    return ParabolaPoint.from_quaternion(c)
+# A target is a plain quaternion; the benchmark harness builds targets
+# under this name.
+ParabolaPoint = Quaternion
 
 
 def f_par(q: Quaternion) -> Quaternion:
@@ -68,26 +37,27 @@ def f_par(q: Quaternion) -> Quaternion:
     return q * q + q * QI
 
 
-def on_parabola(c, tol: float = MAP_TOL) -> bool:
+def on_parabola(c: Quaternion, tol: float = MAP_TOL) -> bool:
     """Membership in gamma = {t^2 + it : t real}."""
-    p = _as_point(c)
-    s = tol * (1.0 + p.c_norm)
-    return (abs(p.x2) <= s and abs(p.x3) <= s
-            and abs(p.x0 - p.x1 ** 2) <= s)
+    s = tol * (1.0 + c.norm_sq())
+    return abs(c.y) <= s and abs(c.z) <= s and abs(c.w - c.x ** 2) <= s
 
 
-def on_paraboloid(c, tol: float = GEOM_TOL) -> bool:
+def on_paraboloid(c: Quaternion, tol: float = GEOM_TOL) -> bool:
     """Membership in the branch locus x1 = 0, x0 = 1/4 - (x2^2 + x3^2)."""
-    p = _as_point(c)
-    s = tol * (1.0 + p.c_norm)
-    return abs(p.x1) <= s and abs(p.x0 - 0.25 + p.x2 ** 2 + p.x3 ** 2) <= s
+    s = tol * (1.0 + c.norm_sq())
+    return abs(c.x) <= s and abs(c.w - 0.25 + c.y ** 2 + c.z ** 2) <= s
 
 
-def in_solid(c, tol: float = GEOM_TOL) -> bool:
+def in_solid(c: Quaternion, tol: float = GEOM_TOL) -> bool:
     """Membership in the closed solid paraboloid x1 = 0, x0 <= 1/4 - (x2^2+x3^2)."""
-    p = _as_point(c)
-    s = tol * (1.0 + p.c_norm)
-    return abs(p.x1) <= s and p.x0 <= 0.25 - p.x2 ** 2 - p.x3 ** 2 + s
+    s = tol * (1.0 + c.norm_sq())
+    return abs(c.x) <= s and c.w <= 0.25 - c.y ** 2 - c.z ** 2 + s
+
+
+def _in_plane_li(c: Quaternion) -> bool:
+    """Whether c = w1 + w2 j lies in the slice L_i, i.e. w2 = 0."""
+    return abs(c.complex_pair()[1]) <= GEOM_TOL * (1.0 + abs(c))
 
 
 def _partner(alpha: Quaternion) -> Quaternion:
@@ -98,23 +68,21 @@ def _partner(alpha: Quaternion) -> Quaternion:
     return Quaternion.from_complex_pair(-(z + 0.5j) - 0.5j, phase * w)
 
 
-def preimages(c) -> list[Quaternion]:
+def preimages(c: Quaternion) -> list[Quaternion]:
     """The fibre of q -> q^2 + qi over c: two points, or one on the paraboloid.
 
     For c in the plane L_i the complex quadratic z^2 + iz - w1 = 0 is
     solved directly; otherwise one root of q^2 + qi - c is found and
     the rotation formula supplies its partner.
     """
-    p = _as_point(c)
-    q_c = p.to_quaternion()
-    if abs(p.w2) <= GEOM_TOL * (1.0 + math.sqrt(p.c_norm)):
-        disc = complex(-1.0) + 4.0 * p.w1
+    if _in_plane_li(c):
+        disc = complex(-1.0) + 4.0 * c.complex_pair()[0]
         root = np.sqrt(complex(disc))
         z1 = 0.5 * (-1j + root)
         z2 = 0.5 * (-1j - root)
         pts = [Quaternion.from_complex(z1), Quaternion.from_complex(z2)]
     else:
-        shifted = F_PAR.shift(q_c)
+        shifted = F_PAR.shift(c)
         zs = zeros(shifted)
         alpha, mult = zs.points[0]
         pts = [alpha, _partner(alpha)] if mult == 1 else [alpha]
@@ -123,33 +91,28 @@ def preimages(c) -> list[Quaternion]:
     return pts
 
 
-def _structure_at(q: Quaternion) -> OCSValue:
-    return OCSValue(imag_unit(q))
-
-
-def _extended_pair(c) -> tuple[OCSValue, OCSValue]:
-    p = _as_point(c)
-    if on_parabola(p):
+def _extended_pair(c: Quaternion) -> tuple[OCSValue, OCSValue]:
+    if on_parabola(c):
         raise DomainError("the induced structures are undefined on the parabola")
-    if in_solid(p) and not on_paraboloid(p):
+    if in_solid(c) and not on_paraboloid(c):
         raise DomainError("the induced structures do not extend inside the "
                           "solid paraboloid")
-    pts = preimages(p)
+    pts = preimages(c)
     if len(pts) == 1:
-        j = _structure_at(pts[0])
+        j = j_standard(pts[0])
         return j, j
     a, b = pts
     if a.re() < b.re():
         a, b = b, a
-    return _structure_at(a), _structure_at(b)
+    return j_standard(a), j_standard(b)
 
 
-def j_plus(c) -> OCSValue:
+def j_plus(c: Quaternion) -> OCSValue:
     """The structure induced by the right-half-space branch of the cover."""
     return _extended_pair(c)[0]
 
 
-def j_minus(c) -> OCSValue:
+def j_minus(c: Quaternion) -> OCSValue:
     """The structure induced by the left-half-space branch of the cover."""
     return _extended_pair(c)[1]
 
@@ -234,19 +197,17 @@ class FiberClass:
     axis_z1: ProjectivePoint3  # the point of the fibre with Z1 = 0
 
 
-def fiber_axis_points(c) -> tuple[ProjectivePoint3, ProjectivePoint3]:
+def fiber_axis_points(c: Quaternion) -> tuple[ProjectivePoint3, ProjectivePoint3]:
     """The two distinguished points of the fibre over c with Z0 = 0 and Z1 = 0."""
-    p = _as_point(c)
-    w1, w2 = p.w1, p.w2
+    w1, w2 = c.complex_pair()
     z0_pt = ProjectivePoint3.of(0.0, 1.0, -np.conj(w2), np.conj(w1))
     z1_pt = ProjectivePoint3.of(1.0, 0.0, w1, w2)
     return z0_pt, z1_pt
 
 
-def fiber_polynomial(c) -> np.ndarray:
+def fiber_polynomial(c: Quaternion) -> np.ndarray:
     """Ascending coefficients of R(v) = v^4 + (1 - 2 x0) v^2 - 2 x1 v + C."""
-    p = _as_point(c)
-    return np.array([p.c_norm, -2.0 * p.x1, 1.0 - 2.0 * p.x0, 0.0, 1.0])
+    return np.array([c.norm_sq(), -2.0 * c.x, 1.0 - 2.0 * c.w, 0.0, 1.0])
 
 
 def _quartic_roots(coeffs: np.ndarray) -> list[complex]:
@@ -265,33 +226,31 @@ def _quartic_roots(coeffs: np.ndarray) -> list[complex]:
     return sorted(out, key=lambda t: (round(t.real, 9), t.imag))
 
 
-def fiber_intersections(c) -> FiberClass:
+def fiber_intersections(c: Quaternion) -> FiberClass:
     """Intersections of the fibre over c with the ruling of the scroll."""
-    p = _as_point(c)
-    z0_pt, z1_pt = fiber_axis_points(p)
-    roots = tuple(_quartic_roots(fiber_polynomial(p)))
-    in_li = abs(p.w2) <= GEOM_TOL * (1.0 + math.sqrt(p.c_norm))
-    if in_li and abs(p.w1 - 0.25) <= GEOM_TOL:
+    z0_pt, z1_pt = fiber_axis_points(c)
+    roots = tuple(_quartic_roots(fiber_polynomial(c)))
+    in_li = _in_plane_li(c)
+    if in_li and abs(c.complex_pair()[0] - 0.25) <= GEOM_TOL:
         kind = FiberKind.AT_FOCUS
-    elif on_parabola(p):
+    elif on_parabola(c):
         kind = FiberKind.ON_PARABOLA
     elif in_li:
         kind = FiberKind.ON_PLANE_LI
-    elif on_paraboloid(p):
+    elif on_paraboloid(c):
         kind = FiberKind.ON_PARABOLOID
     else:
         kind = FiberKind.GENERIC_FOUR
     return FiberClass(kind, roots, z0_pt, z1_pt)
 
 
-def discriminant_D(c) -> float:
+def discriminant_D(c: Quaternion) -> float:
     """The degree-six polynomial whose zero set is the paraboloid.
 
     Sixteen times this value is the discriminant of the fibre quartic
     R(v); for x1 = 0 it factors as C(-1 + 4C + 4 x0 - 4 x0^2)^2.
     """
-    p = _as_point(c)
-    C, x0, x1 = p.c_norm, p.x0, p.x1
+    C, x0, x1 = c.norm_sq(), c.w, c.x
     return (C - 8 * C ** 2 + 16 * C ** 3 - 8 * C * x0 + 32 * C ** 2 * x0
             + 24 * C * x0 ** 2 - 32 * C ** 2 * x0 ** 2 - 32 * C * x0 ** 3
             + 16 * C * x0 ** 4 - x1 ** 2 + 36 * C * x1 ** 2

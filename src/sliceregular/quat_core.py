@@ -129,14 +129,19 @@ def mul(p: Quaternion, q: Quaternion) -> Quaternion:
     )
 
 
+def is_real(q: Quaternion) -> bool:
+    """|Im(q)| <= REAL_EPS * max(1, |q|), the one real-axis test."""
+    return q.im_norm() <= REAL_EPS * max(1.0, abs(q))
+
+
 def imag_unit(q: Quaternion) -> Quaternion:
     """I_q = Im(q)/|Im(q)|, the imaginary unit through q.
 
     Raises RealArgument on the real axis, where I_q is undefined.
     """
-    n = q.im_norm()
-    if n <= REAL_EPS * max(1.0, abs(q)):
+    if is_real(q):
         raise RealArgument(f"imaginary unit undefined at real point {q}")
+    n = q.im_norm()
     return Quaternion(0.0, q.x / n, q.y / n, q.z / n)
 
 

@@ -349,7 +349,8 @@ def zeros(f: RegularSeries) -> ZeroSet:
     Roots of the symmetrization f^s seed candidate spheres and real
     points; spherical multiplicity is the largest power of
     (q-x)^2 + y^2 dividing f, and isolated chains are peeled off by
-    synthetic division at zeros located on each sphere.
+    synthetic division at zeros located on each sphere.  Raises
+    ValueError when the coefficients of f^s overflow float64.
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial vanishes identically")
@@ -361,6 +362,8 @@ def zeros(f: RegularSeries) -> ZeroSet:
     scale = f.coefficient_scale()
     fs = symmetrize(f)
     fs_coeffs = np.array([c.w for c in reversed(fs.coeffs)])
+    if not np.all(np.isfinite(fs_coeffs)):
+        raise ValueError("the symmetrization f^s overflows float64")
     roots = np.roots(fs_coeffs)
     for center, _size in _cluster_roots(roots):
         # plain Newton converges (at least linearly) for any multiplicity

@@ -22,33 +22,37 @@ from .regular_fn import RegularSeries
 PROJ_TOL = 1e-9
 
 
-def _normalize(coords: np.ndarray) -> np.ndarray:
-    mags = np.abs(coords)
-    k = int(np.argmax(mags))
-    if mags[k] == 0.0:
-        raise ValueError("projective coordinates must not all vanish")
-    return coords / coords[k]
-
-
-def _projectively_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    scale = float(np.max(np.abs(a)) * np.max(np.abs(b)))
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(a[i] * b[j] - a[j] * b[i]) > tol * max(1.0, scale):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
-class ProjectivePoint3:
-    """Homogeneous [Z0, Z1, Z2, Z3], stored with the largest coordinate at 1."""
+class ProjectivePoint:
+    """Homogeneous coordinates, stored with the largest coordinate at 1."""
 
     coords: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coords",
-                           _normalize(np.asarray(self.coords, dtype=complex)))
+        coords = np.asarray(self.coords, dtype=complex)
+        mags = np.abs(coords)
+        k = int(np.argmax(mags))
+        if mags[k] == 0.0:
+            raise ValueError("projective coordinates must not all vanish")
+        object.__setattr__(self, "coords", coords / coords[k])
+
+    def equals(self, other: "ProjectivePoint", tol: float = PROJ_TOL) -> bool:
+        """All 2x2 minors of the two coordinate rows vanish to tol."""
+        a, b = self.coords, other.coords
+        bound = tol * max(1.0, float(np.max(np.abs(a)) * np.max(np.abs(b))))
+        n = len(a)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(a[i] * b[j] - a[j] * b[i]) > bound:
+                    return False
+        return True
+
+    def to_json(self) -> list:
+        return [[z.real, z.imag] for z in self.coords]
+
+
+class ProjectivePoint3(ProjectivePoint):
+    """[Z0, Z1, Z2, Z3] in CP^3."""
 
     @staticmethod
     def of(z0, z1, z2, z3) -> "ProjectivePoint3":
@@ -56,12 +60,6 @@ class ProjectivePoint3:
 
     def __getitem__(self, k: int) -> complex:
         return complex(self.coords[k])
-
-    def equals(self, other: "ProjectivePoint3", tol: float = PROJ_TOL) -> bool:
-        return _projectively_equal(self.coords, other.coords, tol)
-
-    def to_json(self) -> list:
-        return [[z.real, z.imag] for z in self.coords]
 
 
 @dataclass(frozen=True)
@@ -91,15 +89,8 @@ class HP1Point:
         return abs(a - b) <= tol * (1.0 + abs(a) + abs(b))
 
 
-@dataclass(frozen=True)
-class KleinPoint:
-    """Homogeneous 6-tuple in the basis e01, e02, e03, e12, e13, e23."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords",
-                           _normalize(np.asarray(self.coords, dtype=complex)))
+class KleinPoint(ProjectivePoint):
+    """A point of CP^5 in the basis e01, e02, e03, e12, e13, e23."""
 
     @staticmethod
     def of(*zeta) -> "KleinPoint":
@@ -117,12 +108,6 @@ class KleinPoint:
         z = self.coords
         scale = max(1.0, abs(z[0] * z[5]) + abs(z[1] * z[4]) + abs(z[2] * z[3]))
         return abs(self.klein_form()) <= tol * scale
-
-    def equals(self, other: "KleinPoint", tol: float = PROJ_TOL) -> bool:
-        return _projectively_equal(self.coords, other.coords, tol)
-
-    def to_json(self) -> list:
-        return [[z.real, z.imag] for z in self.coords]
 
 
 def twistor_project(Z: ProjectivePoint3) -> HP1Point:

@@ -15,13 +15,13 @@ import numpy as np
 
 from .differential import Rank, differential_at, is_singular, rank_classify
 from .errors import PoleDetected
-from .parabola import (F_PAR, FiberKind, ParabolaPoint, SurfaceClass,
-                       discriminant_D, f_par, fiber_intersections,
-                       fiber_polynomial, grad_K, in_solid, j_minus, j_plus,
-                       on_parabola, on_paraboloid, preimages, quartic_K,
-                       singular_locus_class)
+from .parabola import (F_PAR, FiberKind, SurfaceClass, discriminant_D, f_par,
+                       fiber_intersections, fiber_polynomial, grad_K, in_solid,
+                       j_minus, j_plus, on_parabola, on_paraboloid, preimages,
+                       quartic_K, singular_locus_class)
 from .ocs import OCSValue
-from .quat_core import I as QI, ChartPoint, Quaternion, imag_unit, phi
+from .quat_core import (I as QI, J, K, ONE, ChartPoint, Quaternion, imag_unit,
+                        phi)
 from .regular_fn import RegularSeries, eval_series, star_mul, zeros
 from .twistor import (CurveSample, KleinPoint, ProjectivePoint3, lift,
                       normalized_curve_values, reconstruct, sigma,
@@ -187,15 +187,13 @@ def suite_transform_roundtrip(rng, samples: int = 200) -> SuiteResult:
 def suite_gradient(rng, samples: int = 200) -> SuiteResult:
     """The differential matrix matches central finite differences."""
     res = SuiteResult("gradient")
-    basis = (Quaternion(1.0), Quaternion(0, 1), Quaternion(0, 0, 1),
-             Quaternion(0, 0, 0, 1))
     h = 1e-5
     for n in range(samples):
         f = random_polynomial(rng)
         q0 = random_nonreal(rng, 1.5)
         m = differential_at(f, q0).matrix
         fd = np.zeros((4, 4))
-        for col, e in enumerate(basis):
+        for col, e in enumerate((ONE, QI, J, K)):
             d = (eval_series(f, q0 + h * e) - eval_series(f, q0 - h * e)) / (2 * h)
             fd[:, col] = [d.w, d.x, d.y, d.z]
         scale = 1.0 + float(np.max(np.abs(m)))
@@ -288,8 +286,8 @@ def _gamma_point(t: float) -> Quaternion:
     return Quaternion(t * t, t)
 
 
-def _paraboloid_point(r: float, a: float) -> ParabolaPoint:
-    return ParabolaPoint(0.25 - r * r, 0.0, r * math.cos(a), r * math.sin(a))
+def _paraboloid_point(r: float, a: float) -> Quaternion:
+    return Quaternion(0.25 - r * r, 0.0, r * math.cos(a), r * math.sin(a))
 
 
 def suite_double_cover(rng, samples: int = 1000) -> SuiteResult:
@@ -369,9 +367,9 @@ def suite_discriminant_resultant(rng, samples: int = 1000) -> SuiteResult:
     for n in range(100):
         c = _paraboloid_point(rng.uniform(0.0, 1.2), rng.uniform(0, 2 * math.pi))
         d = discriminant_D(c)
-        bound = 1e-9 * (1.0 + c.c_norm) ** 3
+        bound = 1e-9 * (1.0 + c.norm_sq()) ** 3
         res.check(abs(d) <= bound, f"branch sample {n}: D = {d:.2e}", abs(d))
-    poly = fiber_polynomial(ParabolaPoint(0.0, 0.0, 0.5, 0.0))
+    poly = fiber_polynomial(Quaternion(0.0, 0.0, 0.5, 0.0))
     res.check(bool(np.allclose(poly, [0.25, 0.0, 1.0, 0.0, 1.0])),
               "R(v) = (v^2 + 1/2)^2 at c = j/2")
     return res
@@ -386,7 +384,7 @@ def suite_fiber_classification(rng, samples: int = 20) -> SuiteResult:
         res.check(fc.kind == FiberKind.ON_PARABOLA, f"gamma sample {n}")
     for n in range(samples):
         w1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        c = ParabolaPoint(w1.real, w1.imag, 0.0, 0.0)
+        c = Quaternion.from_complex(w1)
         if on_parabola(c) or abs(w1 - 0.25) < 1e-6:
             continue
         fc = fiber_intersections(c)
@@ -409,7 +407,7 @@ def suite_fiber_classification(rng, samples: int = 20) -> SuiteResult:
         distinct = all(abs(rts[a] - rts[b]) > 1e-5 * (1.0 + abs(rts[a]))
                        for a in range(4) for b in range(a + 1, 4))
         res.check(distinct, f"generic sample {n}: roots not distinct")
-    fc = fiber_intersections(ParabolaPoint(0.25, 0.0, 0.0, 0.0))
+    fc = fiber_intersections(Quaternion(0.25))
     res.check(fc.kind == FiberKind.AT_FOCUS, "focus")
     return res
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sliceregular.cli import main
 from sliceregular.parsing import ParseError, parse_polynomial
@@ -204,3 +208,53 @@ def test_verify_determinism(tmp_path):
         assert main(["--seed", "5", "--samples", "40", "--out", str(path),
                      "verify", "klein-reality"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "1e300", "0", "1e300", "0"],
+    ["classify", "1e160", "0", "0", "0"],
+    ["classify", "1e100", "0", "0", "0"],
+    ["eval", "1e300q^2", "[1e300,0,0,0]"],
+    ["zeros", "1e300q^2+1e300q+1e300"],
+], ids=["classify-norm-overflow", "classify-square-overflow",
+        "classify-sextic-overflow", "eval-nan", "zeros-symmetrization"])
+def test_overflow_exits_3(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_classify_negative_scientific_coordinate(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["--out", str(out), "classify", "1", "0", "-1e-05", "0"]) == 0
+    assert read_json(out)["class"] == "GenericFour"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+magnitudes = st.builds(lambda sign, e: sign * 10.0 ** e,
+                       st.sampled_from([-1.0, 1.0]),
+                       st.floats(min_value=-300.0, max_value=300.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(magnitudes, magnitudes, magnitudes, magnitudes))
+def test_classify_extreme_scales_exit_0_or_3(coords):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["classify"] + [repr(t) for t in coords])
+    assert code in (0, 3), err.getvalue()
+    if code == 0:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert report["class"]
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1

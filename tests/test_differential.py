@@ -143,11 +143,15 @@ def test_injectivity_forces_empty_singular_set():
 
 
 def test_near_real_band_warns_when_consistent():
-    # just inside the band the two formulas agree for smooth data: no warning
-    q0 = Quaternion(0.5, 1e-7, 0, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ConditioningWarning)
-        differential_at(F, q0)
+    # just inside the band the two formulas agree for smooth data: no
+    # warning; at |Im q0| below the real-axis threshold the real-limit
+    # formula applies, rather than imag_unit raising RealArgument
+    for q0 in (Quaternion(0.5, 1e-7), Quaternion(0.3, 1e-11),
+               Quaternion(0.3, 1e-13)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            assert differential_at(F, q0).rank() == 4
+        assert rank_classify(F, q0).rank == Rank.RANK4
 
 
 def test_matrix_json_roundtrip():

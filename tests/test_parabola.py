@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sliceregular import (DomainError, FiberKind, NotOnSurface, ParabolaPoint,
-                          ProjectivePoint3, Quaternion, SurfaceClass,
+from sliceregular import (DomainError, FiberKind, NotOnSurface, ProjectivePoint3,
+                          Quaternion, SurfaceClass,
                           discriminant_D, f_par, fiber_intersections,
                           fiber_polynomial, grad_K, in_solid, j_minus, j_plus,
                           lift, on_parabola, on_paraboloid,
@@ -26,11 +26,11 @@ def test_f_par_values():
 def test_gamma_and_paraboloid_membership():
     assert on_parabola(Quaternion(0.49, 0.7))
     assert not on_parabola(Quaternion(1.0))
-    assert on_paraboloid(ParabolaPoint(0.25, 0, 0, 0))  # the focus
-    assert on_paraboloid(ParabolaPoint(0.0, 0, 0.5, 0))
-    assert not on_paraboloid(ParabolaPoint(1.0, 0, 0, 0))
-    assert in_solid(ParabolaPoint(0.0, 0, 0, 0))
-    assert not in_solid(ParabolaPoint(1.0, 0, 0, 0))
+    assert on_paraboloid(Quaternion(0.25, 0, 0, 0))  # the focus
+    assert on_paraboloid(Quaternion(0.0, 0, 0.5, 0))
+    assert not on_paraboloid(Quaternion(1.0, 0, 0, 0))
+    assert in_solid(Quaternion(0.0, 0, 0, 0))
+    assert not in_solid(Quaternion(1.0, 0, 0, 0))
 
 
 def test_preimages_examples():
@@ -76,7 +76,7 @@ def test_structures_domain_errors():
 
 
 def test_structures_agree_on_branch_locus():
-    c = ParabolaPoint(0.25 - 0.36, 0.0, 0.6, 0.0)
+    c = Quaternion(0.25 - 0.36, 0.0, 0.6, 0.0)
     assert j_plus(c).close_to(j_minus(c))
 
 
@@ -123,10 +123,10 @@ def test_gradient_vanishes_on_double_lines_only():
 
 def test_fiber_polynomial_spot():
     # c = j/2: R(v) = (v^2 + 1/2)^2
-    poly = fiber_polynomial(ParabolaPoint(0, 0, 0.5, 0))
+    poly = fiber_polynomial(Quaternion(0, 0, 0.5, 0))
     assert np.allclose(poly, [0.25, 0, 1, 0, 1])
     # c = 1 + j: R(v) = v^4 - v^2 + 2
-    poly = fiber_polynomial(ParabolaPoint(1, 0, 1, 0))
+    poly = fiber_polynomial(Quaternion(1, 0, 1, 0))
     assert np.allclose(poly, [2, 0, -1, 0, 1])
 
 
@@ -135,12 +135,12 @@ def test_fiber_classification_cases():
         == FiberKind.ON_PARABOLA
     assert fiber_intersections(Quaternion()).kind == FiberKind.ON_PARABOLA
     assert fiber_intersections(Quaternion(1.0)).kind == FiberKind.ON_PLANE_LI
-    assert fiber_intersections(ParabolaPoint(0, 0, 0.5, 0)).kind \
+    assert fiber_intersections(Quaternion(0, 0, 0.5, 0)).kind \
         == FiberKind.ON_PARABOLOID
-    fc = fiber_intersections(ParabolaPoint(1, 0, 1, 0))
+    fc = fiber_intersections(Quaternion(1, 0, 1, 0))
     assert fc.kind == FiberKind.GENERIC_FOUR
     assert len(set(np.round(np.array(fc.ruling_parameters), 6))) == 4
-    assert fiber_intersections(ParabolaPoint(0.25, 0, 0, 0)).kind \
+    assert fiber_intersections(Quaternion(0.25, 0, 0, 0)).kind \
         == FiberKind.AT_FOCUS
 
 
@@ -148,7 +148,7 @@ def test_fiber_axis_points_lie_on_fiber():
     from sliceregular.parabola import fiber_axis_points
     from sliceregular import twistor_project
     c = Quaternion(0.5, -0.3, 1.2, 0.4)
-    z0_pt, z1_pt = fiber_axis_points(ParabolaPoint.from_quaternion(c))
+    z0_pt, z1_pt = fiber_axis_points(c)
     for Z in (z0_pt, z1_pt):
         h = twistor_project(Z)
         assert abs(h.affine_point() - c) <= 1e-9
@@ -157,18 +157,18 @@ def test_fiber_axis_points_lie_on_fiber():
 def test_discriminant_reduction_at_x1_zero():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        p = ParabolaPoint(float(rng.uniform(-2, 2)), 0.0,
-                          float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        C = p.c_norm
-        reduced = C * (-1 + 4 * C + 4 * p.x0 - 4 * p.x0 ** 2) ** 2
+        p = Quaternion(float(rng.uniform(-2, 2)), 0.0,
+                       float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+        C = p.norm_sq()
+        reduced = C * (-1 + 4 * C + 4 * p.w - 4 * p.w ** 2) ** 2
         assert math.isclose(discriminant_D(p), reduced,
                             rel_tol=1e-10, abs_tol=1e-10)
 
 
 def test_discriminant_vanishes_on_paraboloid():
     for r, a in ((0.3, 0.0), (0.9, 2.0), (1.2, 4.5)):
-        p = ParabolaPoint(0.25 - r * r, 0.0, r * math.cos(a), r * math.sin(a))
-        assert abs(discriminant_D(p)) <= 1e-9 * (1 + p.c_norm) ** 3
+        p = Quaternion(0.25 - r * r, 0.0, r * math.cos(a), r * math.sin(a))
+        assert abs(discriminant_D(p)) <= 1e-9 * (1 + p.norm_sq()) ** 3
 
 
 def test_osculating_sphere():
