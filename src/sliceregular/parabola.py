@@ -8,6 +8,7 @@ scroll K whose fibre geometry is classified by a sextic discriminant.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import DomainError, NotOnSurface
 from .ocs import OCSValue, j_standard
 from .quat_core import I as QI, Quaternion
-from .regular_fn import RegularSeries, zeros
+from .regular_fn import RegularSeries
 from .twistor import ProjectivePoint3
 
 GEOM_TOL = 1e-10
@@ -68,36 +69,109 @@ def _partner(alpha: Quaternion) -> Quaternion:
     return Quaternion.from_complex_pair(-(z + 0.5j) - 0.5j, phase * w)
 
 
+def _positive_root(p: float, m: float) -> float:
+    """The positive root of t^2 + p t - m with m > 0, without cancellation."""
+    d = math.sqrt(p * p + 4.0 * m)
+    return 2.0 * m / (p + d) if p >= 0.0 else 0.5 * (d - p)
+
+
+def _root_t(a: float, b: float, eps: float, k: float) -> float:
+    """The root t >= 0 of h(t) = t - a/t - b/(eps + t) - k, with a, b >= 0.
+
+    h is increasing and concave on t > 0.  Its root lies below the root
+    t_hi of t - (a + b)/t = k and above that of t - a/t = k + b/(eps + t_hi);
+    geometric bisection narrows that bracket to a factor of 2, and
+    Newton's method started at its left end climbs to the root
+    monotonically.
+    """
+    if a == 0.0:
+        # t (eps + t) - b - k (eps + t) = 0; no positive root inside the solid
+        m = b + k * eps
+        return _positive_root(eps - k, m) if m > 0.0 else 0.0
+
+    def h(t: float) -> float:
+        return t - a / t - b / (eps + t) - k
+
+    hi = _positive_root(-k, a + b)
+    lo = min(hi, _positive_root(-(k + b / (eps + hi)), a))
+    while lo > 0.0 and h(lo) >= 0.0:
+        # k + b/(eps + t_hi) cancels, so rounding may put lo past the root
+        hi, lo = lo, 0.5 * lo
+    if lo == 0.0:  # a underflows against the other terms
+        return 0.0
+    while hi > 2.0 * lo:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if h(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = lo
+    for _ in range(50):
+        g = h(t)
+        if g >= 0.0:
+            break
+        t_next = t - g / (1.0 + a / t / t + b / ((eps + t) * (eps + t)))
+        if t_next <= t:
+            break
+        t = t_next
+    return t
+
+
 def preimages(c: Quaternion) -> list[Quaternion]:
     """The fibre of q -> q^2 + qi over c: two points, or one on the paraboloid.
 
-    For c in the plane L_i the complex quadratic z^2 + iz - w1 = 0 is
-    solved directly; otherwise one root of q^2 + qi - c is found and
-    the rotation formula supplies its partner.
+    Closed form, for c = w1 + w2 j: on the plane L_i (w2 = 0) the
+    complex quadratic z^2 + iz - w1 = 0 gives both points, on the
+    paraboloid the fibre is the branch point -i/2 + i w2 j, and
+    elsewhere one scalar equation for (2 Re q)^2 gives both points.
+    Raises ValueError when c is not finite or |c|^2 overflows float64.
     """
+    if not math.isfinite(c.norm_sq()):
+        raise ValueError(f"the target must be finite with |c|^2 finite in "
+                         f"float64, got {c}")
+    c1, c2 = c.complex_pair()
+    c2_sq = c.y * c.y + c.z * c.z
     if _in_plane_li(c):
-        disc = complex(-1.0) + 4.0 * c.complex_pair()[0]
-        root = np.sqrt(complex(disc))
-        z1 = 0.5 * (-1j + root)
-        z2 = 0.5 * (-1j - root)
-        pts = [Quaternion.from_complex(z1), Quaternion.from_complex(z2)]
+        root = cmath.sqrt(4.0 * c1 - 1.0)
+        pts = [Quaternion.from_complex(0.5 * (-1j + root)),
+               Quaternion.from_complex(0.5 * (-1j - root))]
+    elif on_paraboloid(c) and abs(c1 + c2_sq - 0.25) <= MAP_TOL * (1.0 + abs(c)):
+        # the branch point -i/2 + i c2 j, where the two sheets meet; the
+        # second test keeps the image within MAP_TOL when |c| is large
+        return [Quaternion.from_complex_pair(-0.5j, 1j * c2)]
     else:
-        shifted = F_PAR.shift(c)
-        zs = zeros(shifted)
-        alpha, mult = zs.points[0]
-        pts = [alpha, _partner(alpha)] if mult == 1 else [alpha]
-    if len(pts) == 2 and abs(pts[0] - pts[1]) <= MAP_TOL * (1.0 + abs(pts[0])):
+        # q = z + wj: z^2 + iz - |w|^2 = c1 and (2 Re z - i) w = c2, so
+        # 2z + i = +-r with r^2 = 4(c1 + mu) - 1, mu = |w|^2 = |c2|^2/(1 + y),
+        # and y = (Re r)^2 is the positive root of
+        # y - 4 x1^2/y - 4|c2|^2/(1 + y) = 4 x0 - 1.  It is solved for
+        # t = y/scale, scale = max(1, |c|), so that no term overflows.
+        scale = max(1.0, abs(c))
+        eps, s1, s2_sq = 1.0 / scale, c1 / scale, c2_sq / (scale * scale)
+        t = _root_t(4.0 * s1.imag ** 2, 4.0 * s2_sq, eps, 4.0 * s1.real - eps)
+        if t > 1e-200:
+            # Re r = sqrt(y) and Im r = 2 x1 / Re r leave q^2 + qi - c
+            # equal to the rounding of the root equation
+            u = math.sqrt(scale * t)
+            r = complex(u, 2.0 * c.x / u)
+        else:
+            # sqrt(y) would lose its precision; y only shifts mu here, and
+            # r comes from the stable complex square root
+            r = cmath.sqrt(4.0 * (c1 + c2_sq / (1.0 + scale * t)) - 1.0)
+            u = r.real
+        pts = [Quaternion.from_complex_pair(0.5 * (-r - 1j), c2 / (-u - 1j)),
+               Quaternion.from_complex_pair(0.5 * (r - 1j), c2 / (u - 1j))]
+    if abs(pts[0] - pts[1]) <= MAP_TOL * (1.0 + abs(pts[0])):
         pts = pts[:1]
     return pts
 
 
 def _extended_pair(c: Quaternion) -> tuple[OCSValue, OCSValue]:
+    pts = preimages(c)  # first, so a non-finite c raises the boundary error
     if on_parabola(c):
         raise DomainError("the induced structures are undefined on the parabola")
     if in_solid(c) and not on_paraboloid(c):
         raise DomainError("the induced structures do not extend inside the "
                           "solid paraboloid")
-    pts = preimages(c)
     if len(pts) == 1:
         j = j_standard(pts[0])
         return j, j
@@ -210,26 +284,25 @@ def fiber_polynomial(c: Quaternion) -> np.ndarray:
     return np.array([c.norm_sq(), -2.0 * c.x, 1.0 - 2.0 * c.w, 0.0, 1.0])
 
 
-def _quartic_roots(coeffs: np.ndarray) -> list[complex]:
-    """Roots of a real quartic via the companion matrix plus Newton polishing."""
-    rts = np.roots(coeffs[::-1])
-    deriv = np.polyder(coeffs[::-1])
-    out = []
-    for z in rts:
-        z = complex(z)
-        for _ in range(2):
-            dz = np.polyval(deriv, z)
-            if abs(dz) < 1e-14:
-                break
-            z = z - np.polyval(coeffs[::-1], z) / dz
-        out.append(z)
-    return sorted(out, key=lambda t: (round(t.real, 9), t.imag))
+def _ruling_parameters(pts: list[Quaternion]) -> list[complex]:
+    """Re p -+ i |Im p| for each preimage p: the roots of R(v), which is
+    the symmetrization of q^2 + qi - c; a branch point gives double roots."""
+    if len(pts) == 1:
+        pts = pts * 2
+    roots = []
+    for p in pts:
+        x, y = p.re(), p.im_norm()
+        roots += [complex(x, -y), complex(x, y)]
+    return sorted(roots, key=lambda t: (round(t.real, 9), t.imag))
 
 
 def fiber_intersections(c: Quaternion) -> FiberClass:
-    """Intersections of the fibre over c with the ruling of the scroll."""
+    """Intersections of the fibre over c with the ruling of the scroll.
+
+    Raises ValueError when c is not finite or |c|^2 overflows float64.
+    """
+    roots = tuple(_ruling_parameters(preimages(c)))
     z0_pt, z1_pt = fiber_axis_points(c)
-    roots = tuple(_quartic_roots(fiber_polynomial(c)))
     in_li = _in_plane_li(c)
     if in_li and abs(c.complex_pair()[0] - 0.25) <= GEOM_TOL:
         kind = FiberKind.AT_FOCUS

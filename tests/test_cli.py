@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from sliceregular.cli import main
 from sliceregular.parsing import ParseError, parse_polynomial
 from sliceregular.quat_core import I, J, K, ONE, Quaternion
-from sliceregular.regular_fn import eval_series
 
 
 # ---------------------------------------------------------------------------

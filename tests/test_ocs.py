@@ -8,7 +8,7 @@ from sliceregular import (MobiusCoeffs, OCSValue, PoleHit, Quaternion,
                           eval_series, induced_ocs, is_so2h, j_standard,
                           mobius)
 from sliceregular.parsing import parse_polynomial
-from sliceregular.quat_core import I, J, K, ONE
+from sliceregular.quat_core import I, J, ONE
 
 F = parse_polynomial("q^2+qi")
 

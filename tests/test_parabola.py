@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sliceregular import (DomainError, FiberKind, NotOnSurface, ProjectivePoint3,
                           Quaternion, SurfaceClass,
@@ -9,9 +11,9 @@ from sliceregular import (DomainError, FiberKind, NotOnSurface, ProjectivePoint3
                           fiber_polynomial, grad_K, in_solid, j_minus, j_plus,
                           lift, on_parabola, on_paraboloid,
                           osculating_sphere_point, preimages, quartic_K,
-                          singular_locus_class)
-from sliceregular.parabola import F_PAR, figure1_rows, figure2_cells
-from sliceregular.quat_core import I, J, K
+                          singular_locus_class, zeros)
+from sliceregular.parabola import F_PAR, _partner, figure1_rows, figure2_cells
+from sliceregular.quat_core import I
 
 
 def test_f_par_values():
@@ -59,6 +61,96 @@ def test_preimages_map_back():
         c = Quaternion(*(float(t) for t in rng.uniform(-2, 2, 4)))
         for p in preimages(c):
             assert abs(f_par(p) - c) <= 1e-9 * (1 + abs(c))
+
+
+def _paraboloid_point(r: float, a: float) -> Quaternion:
+    return Quaternion(0.25 - r * r, 0.0, r * math.cos(a), r * math.sin(a))
+
+
+def test_preimages_match_general_zero_finder():
+    # the closed form against zeros(q^2 + qi - c) on every kind of target
+    rng = np.random.default_rng(12)
+    for n in range(200):
+        kind = n % 4
+        if kind == 0:
+            c = Quaternion(*(float(t) for t in rng.uniform(-2, 2, 4)))
+        elif kind == 1:
+            c = Quaternion(*(float(t) for t in rng.uniform(-2, 2, 2)))
+        elif kind == 2:
+            t = float(rng.uniform(-1.5, 1.5))
+            c = Quaternion(t * t, t)
+        else:
+            c = _paraboloid_point(rng.uniform(0.05, 1.2), rng.uniform(0, 2 * math.pi))
+        pts = preimages(c)
+        ref = [p for p, _ in zeros(F_PAR.shift(c)).points]
+        assert len(pts) == len(ref)
+        for p in pts:
+            assert min(abs(p - q) for q in ref) <= 1e-12 * max(1.0, abs(p))
+        if len(pts) == 2:
+            assert abs(_partner(pts[0]) - pts[1]) <= 1e-12 * max(1.0, abs(pts[1]))
+
+
+magnitudes = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.floats(min_value=-150.0, max_value=150.0)))
+
+
+@st.composite
+def targets(draw):
+    """Targets with |c| from 1e-150 to 1e150, on the plane L_i, on the
+    paraboloid or anywhere."""
+    x0, x1, x2, x3 = (draw(magnitudes) for _ in range(4))
+    family = draw(st.sampled_from(["generic", "plane", "paraboloid"]))
+    if family == "plane":
+        x2 = x3 = 0.0
+    elif family == "paraboloid":
+        x2, x3 = (math.copysign(math.sqrt(abs(t)), t) for t in (x2, x3))
+        x0, x1 = 0.25 - x2 * x2 - x3 * x3, 0.0
+    return Quaternion(x0, x1, x2, x3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(targets())
+def test_fibre_maps_back_at_every_scale(c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = preimages(c)
+        fc = fiber_intersections(c)
+    assert len(pts) in (1, 2)
+    for p in pts:
+        assert abs(f_par(p) - c) <= 1e-9 * (1.0 + abs(c))
+    C = c.norm_sq()
+    assert len(fc.ruling_parameters) == 4
+    for v in fc.ruling_parameters:
+        r = v ** 4 + (1.0 - 2.0 * c.w) * v ** 2 - 2.0 * c.x * v + C
+        assert abs(r) <= 1e-8 * (1.0 + abs(v) ** 4 + C)
+
+
+@pytest.mark.parametrize("fn", [preimages, fiber_intersections, j_plus, j_minus])
+@pytest.mark.parametrize("c", [Quaternion(math.nan), Quaternion(0, math.nan, 0, 0),
+                               Quaternion(math.inf, 0, 1, 0),
+                               Quaternion(1e200, 0, 0, 1e-3)])
+def test_non_finite_targets_raise_value_error(fn, c):
+    # one documented error for a target that is not finite or whose
+    # |c|^2 overflows, with no numpy RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            fn(c)
+
+
+def test_branch_locus_gives_exact_double_ruling_parameters():
+    assert fiber_intersections(Quaternion(0.25)).ruling_parameters \
+        == (-0.5j, -0.5j, 0.5j, 0.5j)
+    for r, a in ((0.3, 0.0), (0.9, 2.0), (1.2, 4.5)):
+        c = _paraboloid_point(r, a)
+        fc = fiber_intersections(c)
+        assert fc.kind == FiberKind.ON_PARABOLOID
+        v = fc.ruling_parameters
+        assert v[0] == v[1] == v[2].conjugate() == v[3].conjugate()
+        assert v[0].real == 0.0
+        assert math.isclose(v[0].imag, -math.sqrt(0.25 + r * r), rel_tol=1e-15)
 
 
 def test_structures_spot_values():
@@ -191,7 +283,7 @@ def test_osculating_sphere():
 
 def test_ruling_lines_meet_on_m02():
     # the lines of parameters v and i - v meet at [0, 1, 0, v^2 - iv]
-    from sliceregular.twistor import line_plucker, split
+    from sliceregular.twistor import split
     pair = split(F_PAR)
     rng = np.random.default_rng(4)
     for _ in range(10):

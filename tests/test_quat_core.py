@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sliceregular import (ChartPoint, Quaternion, RealArgument, Sphere,
-                          conj_by_unit, imag_unit, is_real, mul, phi,
-                          phi_inverse, sphere_of)
+                          conj_by_unit, imag_unit, is_real, phi, phi_inverse,
+                          sphere_of)
 from sliceregular.errors import NotUnit
 from sliceregular.quat_core import I, J, K, ONE, ZERO
 

@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from sliceregular import (NotReal, OutsideRadius, Quaternion, RegularSeries,
-                          Sphere, ZeroPolynomial, conjugate, divide_linear,
+from sliceregular import (OutsideRadius, Quaternion, RegularSeries, Sphere,
+                          ZeroPolynomial, conjugate, divide_linear,
                           divide_real_quadratic, eval_series, quadratic_roots,
                           slice_values, spherical_expansion, star_mul,
                           star_power, symmetrize, zeros)
