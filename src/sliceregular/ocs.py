@@ -81,9 +81,14 @@ class MobiusCoeffs:
                 - 2.0 * (b.conj() * d * c.conj() * a).re())
 
     def invertible(self) -> bool:
-        scale = max(1.0, (self.a.norm_sq() + self.b.norm_sq()
-                          + self.c.norm_sq() + self.d.norm_sq()) ** 2)
-        return abs(self.determinant()) > 1e-12 * scale
+        """|determinant| > 1e-12 (|a|^2 + |b|^2 + |c|^2 + |d|^2)^2.
+
+        Both sides are homogeneous of degree 4, so the test does not
+        depend on the scale of the coefficients; all-zero ones fail it.
+        """
+        scale = (self.a.norm_sq() + self.b.norm_sq()
+                 + self.c.norm_sq() + self.d.norm_sq()) ** 2
+        return scale > 0.0 and abs(self.determinant()) > 1e-12 * scale
 
 
 def mobius(m: MobiusCoeffs, q: Quaternion) -> Quaternion:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NotOnSurface
 from .ocs import OCSValue, j_standard
-from .quat_core import I as QI, Quaternion
+from .quat_core import I as QI, Quaternion, is_real
 from .regular_fn import RegularSeries
 from .twistor import ProjectivePoint3
 
@@ -38,22 +38,33 @@ def f_par(q: Quaternion) -> Quaternion:
     return q * q + q * QI
 
 
+# Each membership test below scales tol by the size of the terms it
+# compares: a coordinate that should vanish by 1 + |c|, an equation by
+# the sum of the magnitudes of its terms.
+
+
 def on_parabola(c: Quaternion, tol: float = MAP_TOL) -> bool:
     """Membership in gamma = {t^2 + it : t real}."""
-    s = tol * (1.0 + c.norm_sq())
-    return abs(c.y) <= s and abs(c.z) <= s and abs(c.w - c.x ** 2) <= s
+    s = tol * (1.0 + abs(c))
+    return (abs(c.y) <= s and abs(c.z) <= s
+            and abs(c.w - c.x ** 2) <= tol * (1.0 + abs(c.w) + c.x ** 2))
+
+
+def _quadric_tol(c: Quaternion, tol: float) -> float:
+    """tol scaled by the terms of x0 - 1/4 + x2^2 + x3^2."""
+    return tol * (abs(c.w) + 0.25 + c.y ** 2 + c.z ** 2)
 
 
 def on_paraboloid(c: Quaternion, tol: float = GEOM_TOL) -> bool:
     """Membership in the branch locus x1 = 0, x0 = 1/4 - (x2^2 + x3^2)."""
-    s = tol * (1.0 + c.norm_sq())
-    return abs(c.x) <= s and abs(c.w - 0.25 + c.y ** 2 + c.z ** 2) <= s
+    return (abs(c.x) <= tol * (1.0 + abs(c))
+            and abs(c.w - 0.25 + c.y ** 2 + c.z ** 2) <= _quadric_tol(c, tol))
 
 
 def in_solid(c: Quaternion, tol: float = GEOM_TOL) -> bool:
     """Membership in the closed solid paraboloid x1 = 0, x0 <= 1/4 - (x2^2+x3^2)."""
-    s = tol * (1.0 + c.norm_sq())
-    return abs(c.x) <= s and c.w <= 0.25 - c.y ** 2 - c.z ** 2 + s
+    return (abs(c.x) <= tol * (1.0 + abs(c))
+            and c.w <= 0.25 - c.y ** 2 - c.z ** 2 + _quadric_tol(c, tol))
 
 
 def _in_plane_li(c: Quaternion) -> bool:
@@ -167,7 +178,9 @@ def preimages(c: Quaternion) -> list[Quaternion]:
 
 def _extended_pair(c: Quaternion) -> tuple[OCSValue, OCSValue]:
     pts = preimages(c)  # first, so a non-finite c raises the boundary error
-    if on_parabola(c):
+    # a preimage that is_real at its own scale puts c on the parabola to
+    # working precision, even where on_parabola's tolerance is tighter
+    if on_parabola(c) or any(map(is_real, pts)):
         raise DomainError("the induced structures are undefined on the parabola")
     if in_solid(c) and not on_paraboloid(c):
         raise DomainError("the induced structures do not extend inside the "

@@ -4,7 +4,8 @@ Accepted atoms are numbers, the variable q and the units i, j, k;
 operators are +, -, * (the star product), ^ and parentheses.  Products
 associate left-to-right and juxtaposition ("qi") is shorthand for *.
 A number is digits with an optional decimal point and an optional
-exponent, as in 2, 0.5, .5, 1e-3 or 2.5E+4; it must be finite.
+exponent, as in 2, 0.5, .5, 1e-3 or 2.5E+4; it must be finite.  No
+exponent after ^ and no degree of a product may exceed MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -16,8 +17,21 @@ from .quat_core import I, J, K, ONE
 from .regular_fn import RegularSeries, star_mul, star_power
 
 
+# The largest exponent and the largest degree of any product or power
+# an expression may form.  It is checked before the star product is
+# computed, so an expression like q^100000 fails at once instead of
+# multiplying for minutes.  At this degree parsing takes a fraction of
+# a second and zeros() about two (q^256 + 1, Python 3.11, one core).
+MAX_DEGREE = 256
+
+
 class ParseError(ValueError):
     """The polynomial expression does not conform to the grammar."""
+
+
+def _check_degree(degree: int, what: str) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"{what} {degree} exceeds MAX_DEGREE = {MAX_DEGREE}")
 
 
 _NUMBER = re.compile(r"[\d.]+(?:[eE][+-]?\d+)?")
@@ -93,12 +107,12 @@ class _Parser:
             nxt = self.peek()
             if nxt == "*":
                 self.take()
-                out = star_mul(out, self.factor())
-            elif nxt is not None and (nxt in "qijk(" or nxt[0].isdigit()
-                                      or nxt[0] == "."):
-                out = star_mul(out, self.factor())
-            else:
+            elif nxt is None or not (nxt in "qijk(" or nxt[0].isdigit()
+                                     or nxt[0] == "."):
                 return out
+            rhs = self.factor()
+            _check_degree(out.degree + rhs.degree, "product degree")
+            out = star_mul(out, rhs)
 
     def factor(self) -> RegularSeries:
         base = self.atom()
@@ -107,7 +121,11 @@ class _Parser:
             exp = self.take()
             if not exp.isdigit():
                 raise ParseError(f"exponent must be a nonnegative integer, got {exp!r}")
-            base = star_power(base, int(exp))
+            digits = exp.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                raise ParseError(f"exponent {exp:.20} exceeds MAX_DEGREE = {MAX_DEGREE}")
+            _check_degree(base.degree * int(digits), "power degree")
+            base = star_power(base, int(digits))
         return base
 
     def atom(self) -> RegularSeries:

@@ -119,14 +119,19 @@ J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
+def hamilton(p: tuple, q: tuple) -> tuple:
+    """Hamilton product of two (w, x, y, z) 4-tuples; i*j = k, j*k = i, k*i = j."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw)
+
+
 def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product; i*j = k, j*k = i, k*i = j."""
-    return Quaternion(
-        p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
-        p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
-        p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
-        p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
-    )
+    """Hamilton product of two quaternions."""
+    return Quaternion(*hamilton((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)))
 
 
 def is_real(q: Quaternion) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotReal, OutsideRadius, ZeroPolynomial
-from .quat_core import ONE, Quaternion, Sphere, sphere_of, imag_unit, I as QI
+from .quat_core import ONE, Quaternion, Sphere, hamilton, sphere_of
 
 # Tolerances for zero extraction (see module tests for their calibration).
 CLUSTER_TOL = 1e-7       # merge radius for roots of the symmetrization
@@ -22,9 +22,10 @@ REAL_SNAP_TOL = 1e-8     # |Im| below this snaps a root to the real axis
 DIVISION_TOL = 1e-8      # relative remainder norm accepted as exact division
 
 
-def _trim(coeffs: tuple[Quaternion, ...]) -> tuple[Quaternion, ...]:
+def _trim(coeffs, size=abs):
+    """Drop the trailing coefficients of size 0."""
     n = len(coeffs)
-    while n > 0 and coeffs[n - 1].is_zero():
+    while n > 0 and size(coeffs[n - 1]) <= 0.0:
         n -= 1
     return coeffs[:n]
 
@@ -109,15 +110,105 @@ class RegularSeries:
         return self - RegularSeries.constant(a)
 
 
+# The kernels below work on plain floats: a quaternion is a 4-tuple
+# (w, x, y, z) and a polynomial a list of them, constant term first.
+# Each does its float operations in the order, and on the operands, of
+# the Quaternion methods they stand for, so their answers are bit for
+# bit those of the object arithmetic (tests/test_regular_fn.py keeps
+# the object versions as oracles).
+
+Q4 = tuple[float, float, float, float]
+_ZERO4: Q4 = (0.0, 0.0, 0.0, 0.0)
+_MINUS_I: Q4 = (-0.0, -1.0, -0.0, -0.0)  # -I, signed zeros included
+
+
+def _q4(q: Quaternion) -> Q4:
+    return (q.w, q.x, q.y, q.z)
+
+
+def _norm(a: Q4) -> float:
+    w, x, y, z = a
+    return math.sqrt(w * w + x * x + y * y + z * z)
+
+
+def _series(coeffs, radius: float) -> RegularSeries:
+    # tuple() of a list, not of a generator: a tuple grown from a
+    # generator keeps its over-allocated memory for the series' lifetime
+    return RegularSeries(tuple([Quaternion(*c) for c in coeffs]), radius)
+
+
+def _star_product(a: list, b: list) -> list:
+    """c_n = sum_{k<=n} a_k b_{n-k}, summed from 0.0 over increasing k."""
+    out = [_ZERO4] * (len(a) + len(b) - 1)
+    for k, p in enumerate(a):
+        for l, q in enumerate(b):
+            ow, ox, oy, oz = out[k + l]
+            w, x, y, z = hamilton(p, q)
+            out[k + l] = (ow + w, ox + x, oy + y, oz + z)
+    return out
+
+
+def _divide_linear(coeffs: list, p: Q4) -> tuple[list, Q4]:
+    """Synthetic division by q - p: (quotient, remainder), the remainder
+    being the Horner value at p."""
+    pw, px, py, pz = p
+    quot = [_ZERO4] * max(len(coeffs) - 1, 0)
+    aw = ax = ay = az = 0.0
+    for n in range(len(coeffs) - 1, -1, -1):
+        cw, cx, cy, cz = coeffs[n]
+        # acc = c_n + p * acc, with hamilton(p, acc) inlined: this is the hot loop
+        aw, ax, ay, az = (cw + (pw * aw - px * ax - py * ay - pz * az),
+                          cx + (pw * ax + px * aw + py * az - pz * ay),
+                          cy + (pw * ay - px * az + py * aw + pz * ax),
+                          cz + (pw * az + px * ay - py * ax + pz * aw))
+        if n:
+            quot[n - 1] = (aw, ax, ay, az)
+    return _trim(quot, _norm), (aw, ax, ay, az)
+
+
+def _divide_real_quadratic(coeffs: list, x: float, y: float) -> tuple[list, list]:
+    c1 = -2.0 * x
+    c0 = x * x + y * y
+    rem = list(coeffs)
+    d = len(rem) - 1
+    quot = [_ZERO4] * max(d - 1, 0)
+    for n in range(d, 1, -1):
+        bw, bx, by, bz = quot[n - 2] = rem[n]
+        w, x1, y1, z1 = rem[n - 1]
+        rem[n - 1] = (w - bw * c1, x1 - bx * c1, y1 - by * c1, z1 - bz * c1)
+        w, x1, y1, z1 = rem[n - 2]
+        rem[n - 2] = (w - bw * c0, x1 - bx * c0, y1 - by * c0, z1 - bz * c0)
+    return _trim(quot, _norm), _trim(rem[:2], _norm)
+
+
+def _slice_values(coeffs: list, x: float, y: float) -> tuple[Q4, Q4]:
+    fp = _divide_linear(coeffs, (x, y, 0.0, 0.0))[1]
+    fm = _divide_linear(coeffs, (x, -y, 0.0, 0.0))[1]
+    alpha = tuple((a + b) * 0.5 for a, b in zip(fp, fm))
+    beta = hamilton(_MINUS_I, tuple((a - b) * 0.5 for a, b in zip(fp, fm)))
+    return alpha, beta
+
+
+def _symmetrize(coeffs: list) -> list[float]:
+    """Coefficients of f^s = f * f^c, constant term first; raises NotReal."""
+    conj = [(w, -x, -y, -z) for w, x, y, z in coeffs]
+    fs = _trim(_star_product(coeffs, conj), _norm)
+    scale = max(1.0, max(map(_norm, fs), default=0.0))
+    for w, x, y, z in fs:
+        if math.sqrt(x * x + y * y + z * z) > 1e-12 * scale:
+            raise NotReal(f"symmetrization coefficient {Quaternion(w, x, y, z)} "
+                          "is not real")
+    # the norm of Quaternion(w) vanishes exactly when w * w does
+    return _trim([w for w, *_ in fs], lambda w: w * w)
+
+
 def star_mul(f: RegularSeries, g: RegularSeries) -> RegularSeries:
     """The star product: c_n = sum_{k<=n} a_k b_{n-k}."""
+    radius = min(f.radius, g.radius)
     if f.is_zero or g.is_zero:
-        return RegularSeries((), min(f.radius, g.radius))
-    out = [Quaternion() for _ in range(len(f.coeffs) + len(g.coeffs) - 1)]
-    for k, a in enumerate(f.coeffs):
-        for l, b in enumerate(g.coeffs):
-            out[k + l] = out[k + l] + a * b
-    return RegularSeries(tuple(out), min(f.radius, g.radius))
+        return RegularSeries((), radius)
+    return _series(_star_product([_q4(c) for c in f.coeffs],
+                                 [_q4(c) for c in g.coeffs]), radius)
 
 
 def star_power(f: RegularSeries, n: int) -> RegularSeries:
@@ -131,10 +222,7 @@ def eval_series(f: RegularSeries, q: Quaternion) -> Quaternion:
     """Horner evaluation of sum q^n a_n; raises OutsideRadius for |q| >= R."""
     if not f.is_polynomial and abs(q) >= f.radius:
         raise OutsideRadius(f"|q| = {abs(q)} >= radius {f.radius}")
-    acc = Quaternion()
-    for a in reversed(f.coeffs):
-        acc = q * acc + a
-    return acc
+    return Quaternion(*_divide_linear([_q4(c) for c in f.coeffs], _q4(q))[1])
 
 
 def conjugate(f: RegularSeries) -> RegularSeries:
@@ -148,29 +236,18 @@ def symmetrize(f: RegularSeries) -> RegularSeries:
     Imaginary parts up to 1e-12 of the coefficient scale are truncated;
     anything larger signals an upstream arithmetic bug and raises NotReal.
     """
-    fs = star_mul(f, conjugate(f))
-    scale = max(1.0, fs.coefficient_scale())
-    out = []
-    for c in fs.coeffs:
-        if c.im_norm() > 1e-12 * scale:
-            raise NotReal(f"symmetrization coefficient {c} is not real")
-        out.append(Quaternion(c.w))
-    return RegularSeries(tuple(out), f.radius)
+    if f.is_zero:
+        return RegularSeries((), f.radius)
+    ws = _symmetrize([_q4(c) for c in f.coeffs])
+    return _series([(w,) for w in ws], f.radius)
 
 
 def divide_linear(f: RegularSeries, p: Quaternion) -> tuple[RegularSeries, Quaternion]:
     """Synthetic division f = (q - p) * g + r with constant remainder r = f(p)."""
     if not f.is_polynomial:
         raise ValueError("divide_linear expects a polynomial")
-    if f.is_zero:
-        return f, Quaternion()
-    b = [Quaternion()] * max(len(f.coeffs) - 1, 0)
-    acc = Quaternion()
-    for n in range(len(f.coeffs) - 1, 0, -1):
-        acc = f.coeffs[n] + p * acc
-        b[n - 1] = acc
-    r = f.coeffs[0] + p * acc
-    return RegularSeries(tuple(b), f.radius), r
+    quot, r = _divide_linear([_q4(c) for c in f.coeffs], _q4(p))
+    return _series(quot, f.radius), Quaternion(*r)
 
 
 def divide_real_quadratic(f: RegularSeries, x: float, y: float
@@ -179,17 +256,8 @@ def divide_real_quadratic(f: RegularSeries, x: float, y: float
 
     Real coefficients are central, so ordinary long division applies.
     """
-    c1 = -2.0 * x
-    c0 = x * x + y * y
-    rem = list(f.coeffs)
-    d = len(rem) - 1
-    quot = [Quaternion()] * max(d - 1, 0)
-    for n in range(d, 1, -1):
-        b = rem[n]
-        quot[n - 2] = b
-        rem[n - 1] = rem[n - 1] - c1 * b
-        rem[n - 2] = rem[n - 2] - c0 * b
-    return RegularSeries(tuple(quot), f.radius), RegularSeries(tuple(rem[:2]), f.radius)
+    quot, rem = _divide_real_quadratic([_q4(c) for c in f.coeffs], x, y)
+    return _series(quot, f.radius), _series(rem, f.radius)
 
 
 @dataclass(frozen=True)
@@ -264,33 +332,32 @@ class ZeroSet:
 
 def slice_values(f: RegularSeries, x: float, y: float) -> tuple[Quaternion, Quaternion]:
     """(alpha, beta) with f(x + yI) = alpha + I beta for every I in S."""
-    fp = eval_series(f, Quaternion(x, y))
-    fm = eval_series(f, Quaternion(x, -y))
-    alpha = 0.5 * (fp + fm)
-    beta = (-QI) * (0.5 * (fp - fm))
-    return alpha, beta
+    alpha, beta = _slice_values([_q4(c) for c in f.coeffs], x, y)
+    return Quaternion(*alpha), Quaternion(*beta)
 
 
-def _zero_on_sphere(f: RegularSeries, x: float, y: float,
-                    scale: float) -> Quaternion | None:
+def _zero_on_sphere(coeffs: list, x: float, y: float, tol: float) -> Q4 | None:
     """The unique zero of f on x + yS, if any.
 
     Writes f(x + yI) = alpha + I beta; a zero exists iff -alpha beta^-1
     is an imaginary unit, and the candidate is accepted only if the
-    division remainder at it is negligible.
+    division remainder at it is within tol.
     """
-    alpha, beta = slice_values(f, x, y)
-    if abs(beta) <= DIVISION_TOL * max(1.0, scale):
+    alpha, beta = _slice_values(coeffs, x, y)
+    if _norm(beta) <= tol:
         return None
-    cand = -(alpha * beta.inverse())
-    if abs(cand.re()) > 1e-6 * max(1.0, abs(cand)):
+    bw, bx, by, bz = beta
+    t = 1.0 / (bw * bw + bx * bx + by * by + bz * bz)
+    cw, cx, cy, cz = hamilton(alpha, (bw * t, -bx * t, -by * t, -bz * t))
+    cand = (-cw, -cx, -cy, -cz)
+    size = _norm(cand)
+    if abs(cand[0]) > 1e-6 * max(1.0, size):
         return None
-    if abs(abs(cand) - 1.0) > 1e-6:
+    if abs(size - 1.0) > 1e-6:
         return None
-    unit = imag_unit(cand)  # snap to an exact imaginary unit
-    p = Quaternion(x) + y * unit
-    _, r = divide_linear(f, p)
-    if abs(r) > DIVISION_TOL * max(1.0, scale):
+    n = math.sqrt(cx * cx + cy * cy + cz * cz)  # snap to an exact imaginary unit
+    p = (x + 0.0 * y, 0.0 + -cx / n * y, 0.0 + -cy / n * y, 0.0 + -cz / n * y)
+    if _norm(_divide_linear(coeffs, p)[1]) > tol:
         return None
     return p
 
@@ -321,26 +388,38 @@ def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
     return _merge(clusters, 3e-5)
 
 
-def _polish_simple_root(coeffs: np.ndarray, z0: complex) -> complex:
-    """Guarded Newton iteration.
+def _polish(coeffs: np.ndarray, centers: list[complex]) -> list[complex]:
+    """Guarded Newton iteration on f^s from every cluster center at once.
 
-    Near a multiple root the tiny derivative amplifies round-off, so a
-    polish that drifts beyond the cluster radius is discarded and the
-    (already mean-cancelled) cluster center kept.
+    Each root steps until the derivative vanishes there, the step falls
+    below 1e-15 relative, or 8 steps are done.  Near a multiple root the
+    tiny derivative amplifies round-off, so a polish that drifts beyond
+    the cluster radius is discarded and the (already mean-cancelled)
+    cluster center kept.  Moduli are hypot(re, im), as abs() of a
+    complex scalar computes them.
     """
+    if not centers:
+        return []
     deriv = np.polyder(coeffs)
-    z = z0
+    z0 = np.array(centers, dtype=complex)
+    z = z0.copy()
+    live = np.arange(len(z))
     for _ in range(8):
-        dz = np.polyval(deriv, z)
-        if dz == 0:
+        dz = np.polyval(deriv, z[live])
+        moving = dz != 0
+        live, dz = live[moving], dz[moving]
+        step = np.polyval(coeffs, z[live]) / dz
+        z[live] -= step
+        zl = z[live]
+        done = (np.hypot(step.real, step.imag)
+                < 1e-15 * (1.0 + np.hypot(zl.real, zl.imag)))
+        live = live[~done]
+        if not live.size:
             break
-        step = np.polyval(coeffs, z) / dz
-        z = z - step
-        if abs(step) < 1e-15 * (1.0 + abs(z)):
-            break
-    if abs(z - z0) > CLUSTER_TOL * (1.0 + abs(z0)):
-        return z0
-    return z
+    d = z - z0
+    drifted = np.hypot(d.real, d.imag) > CLUSTER_TOL * (1.0 + np.hypot(z0.real, z0.imag))
+    z[drifted] = z0[drifted]
+    return z.tolist()
 
 
 def zeros(f: RegularSeries) -> ZeroSet:
@@ -359,44 +438,42 @@ def zeros(f: RegularSeries) -> ZeroSet:
     out = ZeroSet()
     if f.degree == 0:
         return out
-    scale = f.coefficient_scale()
-    fs = symmetrize(f)
-    fs_coeffs = np.array([c.w for c in reversed(fs.coeffs)])
+    coeffs = [_q4(c) for c in f.coeffs]
+    tol = DIVISION_TOL * max(1.0, max(map(_norm, coeffs)))
+    fs_coeffs = np.array(_symmetrize(coeffs)[::-1])
     if not np.all(np.isfinite(fs_coeffs)):
         raise ValueError("the symmetrization f^s overflows float64")
-    roots = np.roots(fs_coeffs)
-    for center, _size in _cluster_roots(roots):
-        # plain Newton converges (at least linearly) for any multiplicity
-        z = _polish_simple_root(fs_coeffs, center)
+    clusters = _cluster_roots(np.roots(fs_coeffs))
+    # plain Newton converges (at least linearly) for any multiplicity
+    for z in _polish(fs_coeffs, [center for center, _size in clusters]):
         if abs(z.imag) <= REAL_SNAP_TOL * (1.0 + abs(z)):
-            p = Quaternion(z.real)
-            g, n = f, 0
-            while not g.is_zero:
-                g2, r = divide_linear(g, p)
-                if abs(r) > DIVISION_TOL * max(1.0, scale):
+            p = (z.real, 0.0, 0.0, 0.0)
+            g, n = coeffs, 0
+            while g:
+                g2, r = _divide_linear(g, p)
+                if _norm(r) > tol:
                     break
                 g, n = g2, n + 1
             if n > 0:
-                out.points.append((p, n))
+                out.points.append((Quaternion(*p), n))
             continue
         x, y = z.real, abs(z.imag)
-        g, m = f, 0
-        while g.degree >= 2:
-            g2, rem = divide_real_quadratic(g, x, y)
-            if rem.coefficient_scale() > DIVISION_TOL * max(1.0, scale):
+        g, m = coeffs, 0
+        while len(g) >= 3:
+            g2, rem = _divide_real_quadratic(g, x, y)
+            if max(map(_norm, rem), default=0.0) > tol:
                 break
             g, m = g2, m + 1
         if m > 0:
             out.spheres.append((Sphere(x, y), 2 * m))
-        p1 = _zero_on_sphere(g, x, y, scale)
+        p1 = _zero_on_sphere(g, x, y, tol)
         if p1 is not None:
-            n = 0
+            first, n = p1, 0
             while p1 is not None:
-                g, _ = divide_linear(g, p1)
+                g, _ = _divide_linear(g, p1)
                 n += 1
-                first = p1 if n == 1 else first
-                p1 = _zero_on_sphere(g, x, y, scale) if not g.is_zero else None
-            out.points.append((first, n))
+                p1 = _zero_on_sphere(g, x, y, tol) if g else None
+            out.points.append((Quaternion(*first), n))
     return out
 
 

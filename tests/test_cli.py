@@ -4,7 +4,7 @@ import json
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sliceregular.cli import main
 from sliceregular.parsing import ParseError, parse_polynomial
@@ -227,6 +227,36 @@ def test_overflow_exits_3(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_classify_paraboloid_test_is_scale_relative(tmp_path):
+    # x0 = 1e20 > 1/4 and x1 = 3e20: nowhere near the paraboloid, whose
+    # tolerance once grew like |c|^2 and swallowed x1
+    out = tmp_path / "c.json"
+    assert main(["--out", str(out), "classify", "1e20", "3e20", "1e14", "0"]) == 0
+    report = read_json(out)
+    assert report["class"] == "GenericFour"
+    assert report["j_plus"] is not None and report["j_minus"] is not None
+    # a point of the paraboloid at a large scale keeps its class
+    assert main(["--out", str(out), "classify", "-999999.75", "0", "1000", "0"]) == 0
+    assert read_json(out)["class"] == "OnParaboloid"
+
+
+@pytest.mark.parametrize("expr", ["q^100000", "q^257", "(q^2+1)^129",
+                                  "q^200*q^57", "2^99999999999999999999999"])
+def test_degree_cap_exits_2(expr, capsys):
+    assert main(["zeros", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_DEGREE" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_degree_cap_admits_max_degree():
+    from sliceregular.parsing import MAX_DEGREE
+    assert parse_polynomial(f"q^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_polynomial(f"q^{MAX_DEGREE - 1}*q").degree == MAX_DEGREE
+    assert parse_polynomial("q^0003").degree == 3
+
+
 def test_classify_negative_scientific_coordinate(tmp_path):
     out = tmp_path / "c.json"
     assert main(["--out", str(out), "classify", "1", "0", "-1e-05", "0"]) == 0
@@ -244,6 +274,7 @@ magnitudes = st.builds(lambda sign, e: sign * 10.0 ** e,
 
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(magnitudes, magnitudes, magnitudes, magnitudes))
+@example((1e20, -1.0, -1.0, -1.0))  # preimages real to working precision
 def test_classify_extreme_scales_exit_0_or_3(coords):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \

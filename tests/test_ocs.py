@@ -68,6 +68,22 @@ def test_mobius_inversion_and_pole():
 def test_mobius_rejects_degenerate_coefficients():
     with pytest.raises(ValueError):
         MobiusCoeffs(ONE, J, ONE, J)  # second column a left multiple of first
+    with pytest.raises(ValueError):
+        MobiusCoeffs(Quaternion(), Quaternion(), Quaternion(), Quaternion())
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+def test_mobius_invertibility_is_scale_invariant(scale):
+    # (1, 0, 1, 1) has determinant (ad - bc)^2 = 1; (1, 1, 1, 1) has 0
+    one = Quaternion(scale)
+    m = MobiusCoeffs(one, Quaternion(), one, one)
+    assert m.invertible()
+    q = Quaternion(0.3, 0.4)
+    assert abs(mobius(m, q) - (q + ONE).inverse() * q) <= 1e-12
+    with pytest.raises(ValueError):
+        MobiusCoeffs(one, one, one, one)
+    with pytest.raises(ValueError):
+        MobiusCoeffs(scale * ONE, scale * J, scale * ONE, scale * J)
 
 
 def test_so2h_detection():

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sliceregular import (OutsideRadius, Quaternion, RegularSeries, Sphere,
-                          ZeroPolynomial, conjugate, divide_linear,
+from sliceregular import (NotReal, OutsideRadius, Quaternion, RegularSeries,
+                          Sphere, ZeroPolynomial, conjugate, divide_linear,
                           divide_real_quadratic, eval_series, quadratic_roots,
                           slice_values, spherical_expansion, star_mul,
                           star_power, symmetrize, zeros)
+from sliceregular import regular_fn
 from sliceregular.parsing import parse_polynomial
-from sliceregular.quat_core import I, J, K, ONE
+from sliceregular.quat_core import I, J, K, ONE, imag_unit, mul
+from sliceregular.regular_fn import (CLUSTER_TOL, DIVISION_TOL, _cluster_roots,
+                                     _polish, _q4, _zero_on_sphere)
 
 RNG = np.random.default_rng(42)
 
@@ -197,6 +201,19 @@ def test_symmetrize_detects_bad_input(monkeypatch):
     f = RegularSeries.linear(I)
     good = symmetrize(f)
     assert all(c.im_norm() == 0.0 for c in good.coeffs)
+    product = regular_fn._star_product
+
+    def corrupted(a, b):
+        out = product(a, b)
+        w, x, y, z = out[0]
+        out[0] = (w, x + 1e-3, y, z)
+        return out
+
+    monkeypatch.setattr(regular_fn, "_star_product", corrupted)
+    with pytest.raises(NotReal):
+        symmetrize(f)
+    with pytest.raises(NotReal):
+        zeros(f)
 
 
 def test_zero_multiset_consistency_random():
@@ -208,3 +225,241 @@ def test_zero_multiset_consistency_random():
             f = star_mul(f, RegularSeries.linear(
                 Quaternion(*(float(t) for t in rng.uniform(-1.2, 1.2, 4)))))
         assert zeros(f).total_multiplicity == deg
+
+
+# ---------------------------------------------------------------------------
+# Bit-exactness oracles.  These are the Quaternion-object bodies that
+# star_mul, eval_series, divide_linear, divide_real_quadratic,
+# slice_values, _zero_on_sphere and the Newton polisher had before they
+# ran on float kernels.  The kernels must give the same floats, compared
+# by repr so that signed zeros count.
+
+
+def oracle_mul(p, q):
+    return Quaternion(
+        p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
+        p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
+        p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
+        p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
+    )
+
+
+def oracle_star_mul(f, g):
+    if f.is_zero or g.is_zero:
+        return RegularSeries((), min(f.radius, g.radius))
+    out = [Quaternion() for _ in range(len(f.coeffs) + len(g.coeffs) - 1)]
+    for k, a in enumerate(f.coeffs):
+        for l, b in enumerate(g.coeffs):
+            out[k + l] = out[k + l] + oracle_mul(a, b)
+    return RegularSeries(tuple(out), min(f.radius, g.radius))
+
+
+def oracle_symmetrize(f):
+    fs = oracle_star_mul(f, conjugate(f))
+    scale = max(1.0, fs.coefficient_scale())
+    out = []
+    for c in fs.coeffs:
+        if c.im_norm() > 1e-12 * scale:
+            raise NotReal(f"symmetrization coefficient {c} is not real")
+        out.append(Quaternion(c.w))
+    return RegularSeries(tuple(out), f.radius)
+
+
+def oracle_eval_series(f, q):
+    acc = Quaternion()
+    for a in reversed(f.coeffs):
+        acc = oracle_mul(q, acc) + a
+    return acc
+
+
+def oracle_divide_linear(f, p):
+    if f.is_zero:
+        return f, Quaternion()
+    b = [Quaternion()] * max(len(f.coeffs) - 1, 0)
+    acc = Quaternion()
+    for n in range(len(f.coeffs) - 1, 0, -1):
+        acc = f.coeffs[n] + oracle_mul(p, acc)
+        b[n - 1] = acc
+    r = f.coeffs[0] + oracle_mul(p, acc)
+    return RegularSeries(tuple(b), f.radius), r
+
+
+def oracle_divide_real_quadratic(f, x, y):
+    c1 = -2.0 * x
+    c0 = x * x + y * y
+    rem = list(f.coeffs)
+    d = len(rem) - 1
+    quot = [Quaternion()] * max(d - 1, 0)
+    for n in range(d, 1, -1):
+        b = rem[n]
+        quot[n - 2] = b
+        rem[n - 1] = rem[n - 1] - c1 * b
+        rem[n - 2] = rem[n - 2] - c0 * b
+    return RegularSeries(tuple(quot), f.radius), RegularSeries(tuple(rem[:2]), f.radius)
+
+
+def oracle_slice_values(f, x, y):
+    fp = oracle_eval_series(f, Quaternion(x, y))
+    fm = oracle_eval_series(f, Quaternion(x, -y))
+    alpha = 0.5 * (fp + fm)
+    beta = oracle_mul(-I, 0.5 * (fp - fm))
+    return alpha, beta
+
+
+def oracle_zero_on_sphere(f, x, y, scale):
+    alpha, beta = oracle_slice_values(f, x, y)
+    if abs(beta) <= DIVISION_TOL * max(1.0, scale):
+        return None
+    cand = -oracle_mul(alpha, beta.inverse())
+    if abs(cand.re()) > 1e-6 * max(1.0, abs(cand)):
+        return None
+    if abs(abs(cand) - 1.0) > 1e-6:
+        return None
+    unit = imag_unit(cand)
+    p = Quaternion(x) + y * unit
+    _, r = oracle_divide_linear(f, p)
+    if abs(r) > DIVISION_TOL * max(1.0, scale):
+        return None
+    return p
+
+
+def oracle_polish_simple_root(coeffs, z0):
+    deriv = np.polyder(coeffs)
+    z = z0
+    for _ in range(8):
+        dz = np.polyval(deriv, z)
+        if dz == 0:
+            break
+        step = np.polyval(coeffs, z) / dz
+        z = z - step
+        if abs(step) < 1e-15 * (1.0 + abs(z)):
+            break
+    if abs(z - z0) > CLUSTER_TOL * (1.0 + abs(z0)):
+        return z0
+    return z
+
+
+def bits(value):
+    """Comparable reprs of a quaternion, series, tuple, complex or None."""
+    if value is None:
+        return None
+    if isinstance(value, RegularSeries):
+        return [bits(c) for c in value.coeffs], repr(value.radius)
+    if isinstance(value, Quaternion):
+        value = _q4(value)
+    if isinstance(value, complex):
+        value = (value.real, value.imag)
+    return tuple(map(repr, value))
+
+
+# Components from 1e-3 to 1e3 in size, either sign, and signed zeros.
+components = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.floats(min_value=-3.0, max_value=3.0)))
+quaternions = st.one_of(st.just(Quaternion()), st.just(-Quaternion()),
+                        st.builds(Quaternion, components, components,
+                                  components, components))
+# Degrees 0-16, with zero coefficients inside and up to two trailing
+# zero coefficients, which RegularSeries trims.
+series = st.builds(
+    lambda coeffs, pad: RegularSeries(tuple(coeffs) + (Quaternion(),) * pad),
+    st.lists(quaternions, min_size=1, max_size=17), st.integers(0, 2))
+ORACLE = settings(max_examples=100, deadline=None)
+
+
+@ORACLE
+@given(quaternions, quaternions)
+def test_mul_matches_oracle(p, q):
+    assert bits(mul(p, q)) == bits(oracle_mul(p, q))
+
+
+@ORACLE
+@given(series, series)
+def test_star_mul_matches_oracle(f, g):
+    assert bits(star_mul(f, g)) == bits(oracle_star_mul(f, g))
+
+
+@ORACLE
+@given(series)
+def test_symmetrize_matches_oracle(f):
+    try:
+        want = bits(oracle_symmetrize(f))
+    except NotReal as exc:
+        with pytest.raises(NotReal) as got:
+            symmetrize(f)
+        assert str(got.value) == str(exc)
+    else:
+        assert bits(symmetrize(f)) == want
+
+
+@ORACLE
+@given(series, quaternions)
+def test_eval_series_matches_oracle(f, q):
+    assert bits(eval_series(f, q)) == bits(oracle_eval_series(f, q))
+
+
+@ORACLE
+@given(series, quaternions)
+def test_divide_linear_matches_oracle(f, p):
+    got, want = divide_linear(f, p), oracle_divide_linear(f, p)
+    assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
+
+
+@ORACLE
+@given(series, components, components)
+def test_divide_real_quadratic_matches_oracle(f, x, y):
+    got = divide_real_quadratic(f, x, y)
+    want = oracle_divide_real_quadratic(f, x, y)
+    assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
+
+
+@ORACLE
+@given(series, components, components)
+def test_slice_values_matches_oracle(f, x, y):
+    assert ([bits(v) for v in slice_values(f, x, y)]
+            == [bits(v) for v in oracle_slice_values(f, x, y)])
+
+
+@ORACLE
+@given(series, quaternions, st.booleans())
+def test_zero_on_sphere_matches_oracle(g, p, plant):
+    # planting (q - p) as a left factor puts a zero at p on its sphere
+    f = star_mul(RegularSeries.linear(p), g) if plant else g
+    x, y = p.w, p.im_norm()
+    scale = f.coefficient_scale()
+    got = _zero_on_sphere([_q4(c) for c in f.coeffs], x, y,
+                          DIVISION_TOL * max(1.0, scale))
+    assert bits(got) == bits(oracle_zero_on_sphere(f, x, y, scale))
+
+
+def _polish_cases(f):
+    fs = np.array([c.w for c in reversed(symmetrize(f).coeffs)])
+    centers = [center for center, _ in _cluster_roots(np.roots(fs))]
+    return fs, centers
+
+
+@ORACLE
+@given(st.lists(quaternions.filter(lambda q: not q.is_zero()), min_size=1,
+                max_size=8),
+       st.lists(st.integers(0, 7), max_size=3), st.floats(-3.0, 3.0))
+def test_polish_matches_oracle(roots, repeats, log_scale):
+    # products of linear factors, some repeated, so that multiple roots
+    # (tiny derivatives, drifting polishes) occur
+    f = RegularSeries.constant(10.0 ** log_scale * ONE)
+    for r in roots + [roots[n % len(roots)] for n in repeats]:
+        f = star_mul(f, RegularSeries.linear(r))
+    fs, centers = _polish_cases(f)
+    got = _polish(fs, centers)
+    assert [bits(z) for z in got] == [bits(complex(oracle_polish_simple_root(fs, z)))
+                                      for z in centers]
+
+
+def test_polish_stops_where_the_derivative_vanishes():
+    # q^2 + 1 has f^s' = 0 at 0, so the polisher must leave 0 where it is
+    fs = np.array([1.0, 0.0, 2.0, 0.0, 1.0])
+    centers = [0j, 1j, 0.5 + 0.5j, 1e-9 + 1.0000001j]
+    got = _polish(fs, centers)
+    assert got[0] == 0j
+    assert [bits(z) for z in got] == [bits(complex(oracle_polish_simple_root(fs, z)))
+                                      for z in centers]
