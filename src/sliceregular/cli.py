@@ -16,7 +16,7 @@ import os
 import re
 import sys
 
-from .errors import DomainError, OutsideRadius, ZeroPolynomial
+from .errors import DomainError, NotReal, OutsideRadius, ZeroPolynomial
 from .parabola import (discriminant_D, fiber_intersections, figure1_rows,
                        figure2_cells, j_minus, j_plus)
 from .parsing import ParseError, parse_polynomial
@@ -107,7 +107,7 @@ def cmd_zeros(args) -> int:
     except ZeroPolynomial as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as exc:
+    except (ValueError, NotReal) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     return _emit_json(args, zs.to_json())

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleHit, SingularPoint
-from .quat_core import I, J, K, ONE, Quaternion, conj_by_unit, imag_unit
+from .quat_core import (I, J, K, ONE, Quaternion, conj_by_unit, imag_unit,
+                        imag_unit_q4)
 from .regular_fn import RegularSeries, eval_series
-from .differential import is_singular
+from .differential import _point, _singularity
 
 __all__ = [
     "OCSValue", "MobiusCoeffs", "j_standard", "induced_ocs", "mobius",
@@ -54,12 +55,17 @@ def induced_ocs(f: RegularSeries, q: Quaternion) -> tuple[Quaternion, OCSValue]:
 
     The structure at the image point is left multiplication by I_q (not
     by the imaginary unit of the image).  Fails with SingularPoint where
-    the differential of f is not invertible.
+    the differential of f is not invertible, and with ValueError unless
+    |q|^2 is finite.  The singularity test computes f(q) on the way.
     """
-    unit = imag_unit(q)  # RealArgument on the real axis
-    if f.is_polynomial and is_singular(f, q).singular:
+    p = _point(q)
+    unit = Quaternion(*imag_unit_q4(p))  # RealArgument on the real axis
+    if not f.is_polynomial:
+        return eval_series(f, q), OCSValue(unit)
+    singular, _, value = _singularity(f, p)
+    if singular:
         raise SingularPoint(f"differential of f not invertible at {q}")
-    return eval_series(f, q), OCSValue(unit)
+    return Quaternion(*value), OCSValue(unit)
 
 
 @dataclass(frozen=True)

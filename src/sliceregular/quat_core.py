@@ -134,9 +134,26 @@ def mul(p: Quaternion, q: Quaternion) -> Quaternion:
     return Quaternion(*hamilton((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)))
 
 
+def is_real_q4(q: tuple) -> bool:
+    """|Im(q)| <= REAL_EPS * max(1, |q|) for a (w, x, y, z) 4-tuple, the
+    one real-axis test."""
+    w, x, y, z = q
+    return (math.sqrt(x * x + y * y + z * z)
+            <= REAL_EPS * max(1.0, math.sqrt(w * w + x * x + y * y + z * z)))
+
+
+def imag_unit_q4(q: tuple) -> tuple:
+    """I_q of a (w, x, y, z) 4-tuple; raises RealArgument where is_real_q4."""
+    if is_real_q4(q):
+        raise RealArgument(f"imaginary unit undefined at real point {Quaternion(*q)}")
+    _, x, y, z = q
+    n = math.sqrt(x * x + y * y + z * z)
+    return (0.0, x / n, y / n, z / n)
+
+
 def is_real(q: Quaternion) -> bool:
     """|Im(q)| <= REAL_EPS * max(1, |q|), the one real-axis test."""
-    return q.im_norm() <= REAL_EPS * max(1.0, abs(q))
+    return is_real_q4((q.w, q.x, q.y, q.z))
 
 
 def imag_unit(q: Quaternion) -> Quaternion:
@@ -144,10 +161,7 @@ def imag_unit(q: Quaternion) -> Quaternion:
 
     Raises RealArgument on the real axis, where I_q is undefined.
     """
-    if is_real(q):
-        raise RealArgument(f"imaginary unit undefined at real point {q}")
-    n = q.im_norm()
-    return Quaternion(0.0, q.x / n, q.y / n, q.z / n)
+    return Quaternion(*imag_unit_q4((q.w, q.x, q.y, q.z)))
 
 
 @dataclass(frozen=True)

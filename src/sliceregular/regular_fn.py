@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotReal, OutsideRadius, ZeroPolynomial
-from .quat_core import ONE, Quaternion, Sphere, hamilton, sphere_of
+from .quat_core import ONE, ZERO, Quaternion, Sphere, hamilton, sphere_of
 
 # Tolerances for zero extraction (see module tests for their calibration).
 CLUSTER_TOL = 1e-7       # merge radius for roots of the symmetrization
@@ -22,10 +22,14 @@ REAL_SNAP_TOL = 1e-8     # |Im| below this snaps a root to the real axis
 DIVISION_TOL = 1e-8      # relative remainder norm accepted as exact division
 
 
-def _trim(coeffs, size=abs):
-    """Drop the trailing coefficients of size 0."""
+def _trim(coeffs, zero=(0.0, 0.0, 0.0, 0.0)):
+    """Drop the trailing coefficients equal to zero, every component exactly 0.
+
+    An exact test, not a norm: a norm underflows to 0 for coefficients
+    below about 1e-162 and would drop them.
+    """
     n = len(coeffs)
-    while n > 0 and size(coeffs[n - 1]) <= 0.0:
+    while n > 0 and coeffs[n - 1] == zero:
         n -= 1
     return coeffs[:n]
 
@@ -38,7 +42,7 @@ class RegularSeries:
     radius: float = math.inf
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(tuple(self.coeffs)))
+        object.__setattr__(self, "coeffs", _trim(tuple(self.coeffs), ZERO))
 
     @staticmethod
     def polynomial(*coeffs: Quaternion) -> "RegularSeries":
@@ -163,7 +167,7 @@ def _divide_linear(coeffs: list, p: Q4) -> tuple[list, Q4]:
                           cz + (pw * az + px * ay - py * ax + pz * aw))
         if n:
             quot[n - 1] = (aw, ax, ay, az)
-    return _trim(quot, _norm), (aw, ax, ay, az)
+    return _trim(quot), (aw, ax, ay, az)
 
 
 def _divide_real_quadratic(coeffs: list, x: float, y: float) -> tuple[list, list]:
@@ -178,7 +182,7 @@ def _divide_real_quadratic(coeffs: list, x: float, y: float) -> tuple[list, list
         rem[n - 1] = (w - bw * c1, x1 - bx * c1, y1 - by * c1, z1 - bz * c1)
         w, x1, y1, z1 = rem[n - 2]
         rem[n - 2] = (w - bw * c0, x1 - bx * c0, y1 - by * c0, z1 - bz * c0)
-    return _trim(quot, _norm), _trim(rem[:2], _norm)
+    return _trim(quot), _trim(rem[:2])
 
 
 def _slice_values(coeffs: list, x: float, y: float) -> tuple[Q4, Q4]:
@@ -192,14 +196,13 @@ def _slice_values(coeffs: list, x: float, y: float) -> tuple[Q4, Q4]:
 def _symmetrize(coeffs: list) -> list[float]:
     """Coefficients of f^s = f * f^c, constant term first; raises NotReal."""
     conj = [(w, -x, -y, -z) for w, x, y, z in coeffs]
-    fs = _trim(_star_product(coeffs, conj), _norm)
+    fs = _trim(_star_product(coeffs, conj))
     scale = max(1.0, max(map(_norm, fs), default=0.0))
     for w, x, y, z in fs:
         if math.sqrt(x * x + y * y + z * z) > 1e-12 * scale:
             raise NotReal(f"symmetrization coefficient {Quaternion(w, x, y, z)} "
                           "is not real")
-    # the norm of Quaternion(w) vanishes exactly when w * w does
-    return _trim([w for w, *_ in fs], lambda w: w * w)
+    return _trim([w for w, *_ in fs], 0.0)
 
 
 def star_mul(f: RegularSeries, g: RegularSeries) -> RegularSeries:
@@ -293,19 +296,30 @@ def spherical_expansion(f: RegularSeries, sphere: Sphere, q0: Quaternion,
     """
     if not sphere.contains(q0, tol=1e-8):
         raise ValueError(f"center {q0} not on sphere {sphere}")
-    if not f.is_polynomial:
-        if math.hypot(sphere.x, sphere.y) >= f.radius:
-            raise OutsideRadius("sphere not inside convergence radius")
-        f = RegularSeries(f.coeffs)  # expand the truncation as a polynomial
-    q0_bar = Quaternion(2.0 * sphere.x) - q0
-    coeffs = []
-    g = f
+    _check_radius(f, sphere.x, sphere.y)
+    coeffs = _expansion([_q4(c) for c in f.coeffs], _q4(q0), sphere.x, n_coeffs)
+    return SphericalExpansion(sphere, q0, tuple([Quaternion(*c) for c in coeffs]))
+
+
+def _check_radius(f: RegularSeries, x: float, y: float) -> None:
+    """Raise OutsideRadius unless the sphere x + yS lies inside f's radius.
+
+    A series is then expanded as the polynomial of its truncation.
+    """
+    if not f.is_polynomial and math.hypot(x, y) >= f.radius:
+        raise OutsideRadius("sphere not inside convergence radius")
+
+
+def _expansion(coeffs: list, p: Q4, x: float, n_coeffs: int) -> list[Q4]:
+    """A_0, ..., A_n about p on a sphere with real part x: the remainders
+    of alternating synthetic division at p and at 2x - p."""
+    pw, px, py, pz = p
+    p_bar = (2.0 * x - pw, 0.0 - px, 0.0 - py, 0.0 - pz)  # Quaternion(2x) - p
+    out = []
     for n in range(n_coeffs + 1):
-        g, r = divide_linear(g, q0 if n % 2 == 0 else q0_bar)
-        coeffs.append(r)
-        if g.is_zero and len(coeffs) > n_coeffs:
-            break
-    return SphericalExpansion(sphere, q0, tuple(coeffs))
+        coeffs, r = _divide_linear(coeffs, p_bar if n % 2 else p)
+        out.append(r)
+    return out
 
 
 @dataclass
@@ -429,7 +443,8 @@ def zeros(f: RegularSeries) -> ZeroSet:
     points; spherical multiplicity is the largest power of
     (q-x)^2 + y^2 dividing f, and isolated chains are peeled off by
     synthetic division at zeros located on each sphere.  Raises
-    ValueError when the coefficients of f^s overflow float64.
+    ValueError when the coefficients of f^s overflow float64, or when
+    its leading coefficient underflows to 0.
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial vanishes identically")
@@ -443,6 +458,9 @@ def zeros(f: RegularSeries) -> ZeroSet:
     fs_coeffs = np.array(_symmetrize(coeffs)[::-1])
     if not np.all(np.isfinite(fs_coeffs)):
         raise ValueError("the symmetrization f^s overflows float64")
+    if len(fs_coeffs) <= 2 * f.degree:
+        # the leading coefficient |a_d|^2 underflowed, taking roots with it
+        raise ValueError("the symmetrization f^s underflows float64")
     clusters = _cluster_roots(np.roots(fs_coeffs))
     # plain Newton converges (at least linearly) for any multiplicity
     for z in _polish(fs_coeffs, [center for center, _size in clusters]):

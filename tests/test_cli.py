@@ -215,8 +215,11 @@ def test_verify_determinism(tmp_path):
     ["classify", "1e100", "0", "0", "0"],
     ["eval", "1e300q^2", "[1e300,0,0,0]"],
     ["zeros", "1e300q^2+1e300q+1e300"],
+    ["zeros", "1e-200q^2+1e-200"],
+    ["zeros", "(q+i)^34"],
 ], ids=["classify-norm-overflow", "classify-square-overflow",
-        "classify-sextic-overflow", "eval-nan", "zeros-symmetrization"])
+        "classify-sextic-overflow", "eval-nan", "zeros-symmetrization",
+        "zeros-symmetrization-underflow", "zeros-not-real"])
 def test_overflow_exits_3(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -225,6 +228,20 @@ def test_overflow_exits_3(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_tiny_coefficients_are_kept(tmp_path):
+    # |a|^2 underflows below about 1e-162; the coefficients themselves
+    # are not zero and must not be trimmed
+    out = tmp_path / "out.json"
+    assert main(["--out", str(out), "eval", "1e-200q", "[1,0,0,0]"]) == 0
+    assert read_json(out) == [1e-200, 0.0, 0.0, 0.0]
+    assert main(["--out", str(out), "zeros", "1e-100q^2+1e-100"]) == 0
+    report = read_json(out)
+    assert not report["points"] and len(report["spheres"]) == 1
+    sphere = report["spheres"][0]
+    assert abs(sphere["x"]) <= 1e-9 and abs(sphere["y"] - 1.0) <= 1e-9
+    assert sphere["multiplicity"] == 2
 
 
 def test_classify_paraboloid_test_is_scale_relative(tmp_path):

@@ -1,14 +1,23 @@
-"""Check that two source trees give byte-identical zero sets.
+"""Check that two source trees give byte-identical answers.
 
-Runs every polynomial of `bench/inputs.zeros_items` (1000 per seed)
-through `parse_polynomial` or `RegularSeries.from_json` and `zeros`,
-once with the library of this checkout and once with the library
-under OTHER_SRC (the `src` directory of another checkout, for example
-the parent commit), each in its own interpreter.  For every item it
-compares the JSON of the loaded coefficients and of `zeros(f)`, or the
-exception `zeros` raised, as bytes.
+Runs the inputs of one benchmark workload through the library of this
+checkout and through the library under OTHER_SRC (the `src` directory
+of another checkout, for example the parent commit), each in its own
+interpreter, and compares one JSON line per item as bytes.
 
-    python3 tools/zeros_identity.py OTHER_SRC [--seeds 1-10]
+- `zeros` (the default): every polynomial of `bench/inputs.zeros_items`
+  (1000 per seed) goes through `parse_polynomial` or
+  `RegularSeries.from_json` and `zeros`.  The line holds the loaded
+  coefficients and `zeros(f).to_json()`, or the exception `zeros`
+  raised.
+- `geometry`: every target c of `bench/inputs.geometry_items` (2000
+  per seed).  The line holds the exit code and output of
+  `sliceregular classify c`, and at each preimage p of c the results
+  of `rank_classify`, `induced_ocs` (the value and unit, or the
+  exception type and message) and `differential_at` (the matrix and
+  any warning), for q -> q^2 + qi.
+
+    python3 tools/zeros_identity.py OTHER_SRC [--workload zeros] [--seeds 1-10]
 
 Exits 0 when every line matches, 1 at the first difference.
 """
@@ -16,14 +25,17 @@ Exits 0 when every line matches, 1 at the first difference.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COUNT = 1000
+COUNT = {"zeros": 1000, "geometry": 2000}
 
 
 def _seeds(text: str) -> list[int]:
@@ -31,14 +43,13 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _dump(seeds: list[int]) -> None:
+def _dump_zeros(seeds: list[int]) -> None:
     """Print one JSON line per item: coefficients and answer."""
-    sys.path.insert(0, os.path.join(ROOT, "bench"))
     from inputs import zeros_items
     from sliceregular import RegularSeries, parse_polynomial, zeros
 
     for seed in seeds:
-        for item in zeros_items(seed, COUNT):
+        for item in zeros_items(seed, COUNT["zeros"]):
             req = item["request"]
             if req["format"] == "json":
                 f = RegularSeries.from_json(json.loads(req["text"]))
@@ -51,35 +62,70 @@ def _dump(seeds: list[int]) -> None:
             print(json.dumps([[c.to_json() for c in f.coeffs], answer]))
 
 
-def _run(src: str, seeds: str) -> list[str]:
+def _dump_geometry(seeds: list[int]) -> None:
+    """Print one JSON line per target: classify, then each preimage."""
+    from inputs import geometry_items
+    from sliceregular import (Quaternion, differential_at, induced_ocs,
+                              preimages, rank_classify)
+    from sliceregular.cli import main
+    from sliceregular.parabola import F_PAR
+
+    for seed in seeds:
+        for item in geometry_items(seed, COUNT["geometry"]):
+            c = item["request"]["c"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["classify", *map(repr, c)])
+            line = [code, out.getvalue()]
+            for p in preimages(Quaternion(*c)):
+                rc = rank_classify(F_PAR, p)
+                try:
+                    value, ocs = induced_ocs(F_PAR, p)
+                    structure = [value.to_json(), ocs.unit.to_json()]
+                except (ValueError, ArithmeticError) as exc:
+                    structure = f"{type(exc).__name__}: {exc}"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    matrix = differential_at(F_PAR, p).to_json()
+                line.append([p.to_json(), rc.rank.value, rc.a1.to_json(),
+                             rc.a2.to_json(), structure, matrix,
+                             [str(w.message) for w in caught]])
+            print(json.dumps(line))
+
+
+def _run(src: str, workload: str, seeds: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     out = subprocess.run([sys.executable, os.path.abspath(__file__), "--dump",
-                          "--seeds", seeds], env=env, check=True,
-                         capture_output=True, text=True)
+                          "--workload", workload, "--seeds", seeds], env=env,
+                         check=True, capture_output=True, text=True)
     return out.stdout.splitlines()
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other_src", nargs="?")
+    ap.add_argument("--workload", choices=sorted(COUNT), default="zeros")
     ap.add_argument("--seeds", default="1-10")
     ap.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.dump:
-        _dump(_seeds(args.seeds))
+        sys.path.insert(0, os.path.join(ROOT, "bench"))
+        dump = _dump_zeros if args.workload == "zeros" else _dump_geometry
+        dump(_seeds(args.seeds))
         return 0
     if args.other_src is None:
         ap.error("OTHER_SRC is required")
-    ours = _run(os.path.join(ROOT, "src"), args.seeds)
-    theirs = _run(args.other_src, args.seeds)
+    ours = _run(os.path.join(ROOT, "src"), args.workload, args.seeds)
+    theirs = _run(args.other_src, args.workload, args.seeds)
+    count = COUNT[args.workload]
     if len(ours) != len(theirs):
         print(f"item counts differ: {len(ours)} here, {len(theirs)} there")
         return 1
     for n, (a, b) in enumerate(zip(ours, theirs)):
         if a != b:
-            print(f"item {n} (seed {_seeds(args.seeds)[n // COUNT]}, "
-                  f"index {n % COUNT}) differs:\n  here:  {a}\n  there: {b}")
+            print(f"item {n} (seed {_seeds(args.seeds)[n // count]}, "
+                  f"index {n % count}) differs:\n  here:  {a}\n  there: {b}")
             return 1
     digest = hashlib.sha256("\n".join(ours).encode()).hexdigest()
     print(f"{len(ours)} items byte-identical, sha256 {digest}")
