@@ -3,9 +3,9 @@
 Accepted atoms are numbers, the variable q and the units i, j, k;
 operators are +, -, * (the star product), ^ and parentheses.  Products
 associate left-to-right and juxtaposition ("qi") is shorthand for *.
-A number is digits with an optional decimal point and an optional
-exponent, as in 2, 0.5, .5, 1e-3 or 2.5E+4; it must be finite.  No
-exponent after ^ and no degree of a product may exceed MAX_DEGREE.
+A number is ASCII digits with an optional decimal point and an
+optional exponent, as in 2, 0.5, .5, 1e-3 or 2.5E+4; it must be finite.
+No exponent after ^ and no degree of a product may exceed MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import re
 
-from .quat_core import I, J, K, ONE
-from .regular_fn import RegularSeries, star_mul, star_power
+from .regular_fn import (_ONE4, _ZERO4, RegularSeries, _series, _star_mul,
+                         _star_power, _trim)
 
 
 # The largest exponent and the largest degree of any product or power
@@ -34,45 +34,61 @@ def _check_degree(degree: int, what: str) -> None:
         raise ParseError(f"{what} {degree} exceeds MAX_DEGREE = {MAX_DEGREE}")
 
 
-_NUMBER = re.compile(r"[\d.]+(?:[eE][+-]?\d+)?")
+# A token is a number, an operator or an atom; any other character but
+# whitespace is an error.  Digits are ASCII only: float() would read
+# other decimal digits, and str.isdigit() admits superscripts.
+_TOKEN = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?|[-+*^()qijk]|(\S)")
 
+# The parser computes on trimmed lists of 4-tuples (see regular_fn),
+# doing the float operations of the RegularSeries and Quaternion
+# methods in their order, so a parse is bit for bit the object
+# arithmetic's (tests/test_cli.py keeps the object parser as oracle).
 _ATOMS = {
-    "q": RegularSeries.identity(),
-    "i": RegularSeries.constant(I),
-    "j": RegularSeries.constant(J),
-    "k": RegularSeries.constant(K),
+    "q": [_ZERO4, _ONE4],
+    "i": [(0.0, 1.0, 0.0, 0.0)],
+    "j": [(0.0, 0.0, 1.0, 0.0)],
+    "k": [(0.0, 0.0, 0.0, 1.0)],
 }
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-        elif ch in "+-*^()":
-            tokens.append(ch)
-            pos += 1
-        elif ch in "qijk":
-            tokens.append(ch)
-            pos += 1
-        elif ch.isdigit() or ch == ".":
-            number = _NUMBER.match(text, pos)
-            tokens.append(number.group())
-            pos = number.end()
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {pos}")
+    for match in _TOKEN.finditer(text):
+        if match.lastindex:
+            raise ParseError(f"unexpected character {match[1]!r} "
+                             f"at position {match.start()}")
+        tokens.append(match[0])
     return tokens
+
+
+def _add(a: list, b: list, op: str) -> list:
+    """a + b or a - b as RegularSeries computes them: the shorter padded
+    with zero coefficients, the result trimmed."""
+    n = len(a) - len(b)
+    if n > 0:
+        b = b + [_ZERO4] * n
+    elif n < 0:
+        a = a + [_ZERO4] * -n
+    if op == "+":
+        out = [(aw + bw, ax + bx, ay + by, az + bz)
+               for (aw, ax, ay, az), (bw, bx, by, bz) in zip(a, b)]
+    else:
+        out = [(aw - bw, ax - bx, ay - by, az - bz)
+               for (aw, ax, ay, az), (bw, bx, by, bz) in zip(a, b)]
+    return _trim(out)
+
+
+def _neg(a: list) -> list:
+    return [(-w, -x, -y, -z) for w, x, y, z in a]
 
 
 class _Parser:
     def __init__(self, tokens: list[str]):
-        self.tokens = tokens
+        self.tokens = tokens + [None]  # take() never steps past the None
         self.pos = 0
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self) -> str:
         tok = self.peek()
@@ -81,40 +97,40 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> RegularSeries:
+    def parse(self) -> list:
         out = self.expr()
         if self.peek() is not None:
             raise ParseError(f"trailing input at token {self.peek()!r}")
         return out
 
-    def expr(self) -> RegularSeries:
+    def expr(self) -> list:
         sign = 1.0
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
         out = self.term()
         if sign < 0:
-            out = -out
+            out = _neg(out)
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+            out = _add(out, rhs, op)
         return out
 
-    def term(self) -> RegularSeries:
+    def term(self) -> list:
         out = self.factor()
         while True:
             nxt = self.peek()
             if nxt == "*":
                 self.take()
-            elif nxt is None or not (nxt in "qijk(" or nxt[0].isdigit()
-                                     or nxt[0] == "."):
+            elif nxt is None or not (nxt in "qijk(" or nxt[0] in "0123456789."):
                 return out
             rhs = self.factor()
-            _check_degree(out.degree + rhs.degree, "product degree")
-            out = star_mul(out, rhs)
+            # a degree is len - 1, so -1 for the zero series
+            _check_degree(len(out) + len(rhs) - 2, "product degree")
+            out = _star_mul(out, rhs)
 
-    def factor(self) -> RegularSeries:
+    def factor(self) -> list:
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -124,11 +140,11 @@ class _Parser:
             digits = exp.lstrip("0") or "0"
             if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
                 raise ParseError(f"exponent {exp:.20} exceeds MAX_DEGREE = {MAX_DEGREE}")
-            _check_degree(base.degree * int(digits), "power degree")
-            base = star_power(base, int(digits))
+            _check_degree((len(base) - 1) * int(digits), "power degree")
+            base = _star_power(base, int(digits))
         return base
 
-    def atom(self) -> RegularSeries:
+    def atom(self) -> list:
         tok = self.take()
         if tok == "(":
             inner = self.expr()
@@ -136,7 +152,7 @@ class _Parser:
                 raise ParseError("missing closing parenthesis")
             return inner
         if tok == "-":
-            return -self.atom()
+            return _neg(self.atom())
         if tok in _ATOMS:
             return _ATOMS[tok]
         try:
@@ -145,12 +161,21 @@ class _Parser:
             raise ParseError(f"unexpected token {tok!r}") from None
         if not math.isfinite(value):
             raise ParseError(f"number {tok!r} is not finite")
-        return RegularSeries.constant(value * ONE)
+        # value * ONE, as Quaternion.scale computes it
+        return _trim([(1.0 * value, 0.0 * value, 0.0 * value, 0.0 * value)])
 
 
 def parse_polynomial(text: str) -> RegularSeries:
-    """Parse an expression like "q^2 + qi" or "(q-i)*(q-j)"."""
+    """Parse an expression like "q^2 + qi" or "(q-i)*(q-j)".
+
+    Raises ParseError for text outside the grammar, and for nesting
+    deeper than the interpreter's recursion limit allows.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _Parser(tokens).parse()
+    try:
+        coeffs = _Parser(tokens).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+    return _series(coeffs, math.inf)

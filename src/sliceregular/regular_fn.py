@@ -123,6 +123,7 @@ class RegularSeries:
 
 Q4 = tuple[float, float, float, float]
 _ZERO4: Q4 = (0.0, 0.0, 0.0, 0.0)
+_ONE4: Q4 = (1.0, 0.0, 0.0, 0.0)
 _MINUS_I: Q4 = (-0.0, -1.0, -0.0, -0.0)  # -I, signed zeros included
 
 
@@ -144,11 +145,28 @@ def _series(coeffs, radius: float) -> RegularSeries:
 def _star_product(a: list, b: list) -> list:
     """c_n = sum_{k<=n} a_k b_{n-k}, summed from 0.0 over increasing k."""
     out = [_ZERO4] * (len(a) + len(b) - 1)
-    for k, p in enumerate(a):
-        for l, q in enumerate(b):
-            ow, ox, oy, oz = out[k + l]
-            w, x, y, z = hamilton(p, q)
-            out[k + l] = (ow + w, ox + x, oy + y, oz + z)
+    for k, (pw, px, py, pz) in enumerate(a):
+        for n, (qw, qx, qy, qz) in enumerate(b, k):
+            ow, ox, oy, oz = out[n]
+            # out_n + hamilton(a_k, b_{n-k}), inlined: this is the hot loop
+            out[n] = (ow + (pw * qw - px * qx - py * qy - pz * qz),
+                      ox + (pw * qx + px * qw + py * qz - pz * qy),
+                      oy + (pw * qy - px * qz + py * qw + pz * qx),
+                      oz + (pw * qz + px * qy - py * qx + pz * qw))
+    return out
+
+
+def _star_mul(a: list, b: list) -> list:
+    """The trimmed star product; the zero series has no coefficients."""
+    return _trim(_star_product(a, b)) if a and b else []
+
+
+def _star_power(coeffs: list, n: int) -> list:
+    """f^n as n star products from 1: binary exponentiation would round
+    differently."""
+    out = [_ONE4]
+    for _ in range(n):
+        out = _star_mul(out, coeffs)
     return out
 
 
@@ -207,18 +225,14 @@ def _symmetrize(coeffs: list) -> list[float]:
 
 def star_mul(f: RegularSeries, g: RegularSeries) -> RegularSeries:
     """The star product: c_n = sum_{k<=n} a_k b_{n-k}."""
-    radius = min(f.radius, g.radius)
-    if f.is_zero or g.is_zero:
-        return RegularSeries((), radius)
-    return _series(_star_product([_q4(c) for c in f.coeffs],
-                                 [_q4(c) for c in g.coeffs]), radius)
+    return _series(_star_mul([_q4(c) for c in f.coeffs], [_q4(c) for c in g.coeffs]),
+                   min(f.radius, g.radius))
 
 
 def star_power(f: RegularSeries, n: int) -> RegularSeries:
-    out = RegularSeries((ONE,))
-    for _ in range(n):
-        out = star_mul(out, f)
-    return out
+    # f^0 is the polynomial 1, whatever the radius of f
+    return _series(_star_power([_q4(c) for c in f.coeffs], n),
+                   f.radius if n else math.inf)
 
 
 def eval_series(f: RegularSeries, q: Quaternion) -> Quaternion:
@@ -411,18 +425,28 @@ def _polish(coeffs: np.ndarray, centers: list[complex]) -> list[complex]:
     the cluster radius is discarded and the (already mean-cancelled)
     cluster center kept.  Moduli are hypot(re, im), as abs() of a
     complex scalar computes them.
+
+    Each step evaluates f^s and its derivative in one Horner loop over
+    the live points taken twice, against the coefficient rows
+    [c_k]*m + [d_k]*m.  The derivative, padded with a leading 0.0,
+    starts from exact zeros as np.polyval's zeros_like does, so every
+    point sees the complex operations np.polyval would do.
     """
     if not centers:
         return []
-    deriv = np.polyder(coeffs)
+    rows = np.stack((coeffs, np.concatenate(([0.0], np.polyder(coeffs)))), axis=1)
     z0 = np.array(centers, dtype=complex)
     z = z0.copy()
     live = np.arange(len(z))
     for _ in range(8):
-        dz = np.polyval(deriv, z[live])
-        moving = dz != 0
-        live, dz = live[moving], dz[moving]
-        step = np.polyval(coeffs, z[live]) / dz
+        m = live.size
+        x = np.concatenate((z[live], z[live]))
+        y = np.zeros_like(x)
+        for row in np.repeat(rows, m, axis=1):
+            y = y * x + row
+        moving = y[m:] != 0
+        live = live[moving]
+        step = y[:m][moving] / y[m:][moving]
         z[live] -= step
         zl = z[live]
         done = (np.hypot(step.real, step.imag)

@@ -1,14 +1,17 @@
 import contextlib
 import io
 import json
+import math
+import re
 import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sliceregular.cli import main
-from sliceregular.parsing import ParseError, parse_polynomial
+from sliceregular.parsing import MAX_DEGREE, ParseError, _check_degree, parse_polynomial
 from sliceregular.quat_core import I, J, K, ONE, Quaternion
+from sliceregular.regular_fn import RegularSeries, star_mul
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +60,208 @@ def test_parse_errors():
                 "q^1e2"):
         with pytest.raises(ParseError):
             parse_polynomial(bad)
+
+
+# Bit-exactness oracle: the expression parser as it was on RegularSeries
+# and Quaternion objects, tokenizer included.  The parser now computes
+# on lists of 4-tuples and must give the same floats, compared by repr
+# so that signed zeros count, or the same ParseError message.
+
+_ORACLE_NUMBER = re.compile(r"[\d.]+(?:[eE][+-]?\d+)?")
+
+_ORACLE_ATOMS = {
+    "q": RegularSeries.identity(),
+    "i": RegularSeries.constant(I),
+    "j": RegularSeries.constant(J),
+    "k": RegularSeries.constant(K),
+}
+
+
+def _oracle_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+        elif ch in "+-*^()":
+            tokens.append(ch)
+            pos += 1
+        elif ch in "qijk":
+            tokens.append(ch)
+            pos += 1
+        elif ch.isdigit() or ch == ".":
+            number = _ORACLE_NUMBER.match(text, pos)
+            tokens.append(number.group())
+            pos = number.end()
+        else:
+            raise ParseError(f"unexpected character {ch!r} at position {pos}")
+    return tokens
+
+
+class _OracleParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        out = self.expr()
+        if self.peek() is not None:
+            raise ParseError(f"trailing input at token {self.peek()!r}")
+        return out
+
+    def expr(self):
+        sign = 1.0
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        out = self.term()
+        if sign < 0:
+            out = -out
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+    def term(self):
+        out = self.factor()
+        while True:
+            nxt = self.peek()
+            if nxt == "*":
+                self.take()
+            elif nxt is None or not (nxt in "qijk(" or nxt[0].isdigit()
+                                     or nxt[0] == "."):
+                return out
+            rhs = self.factor()
+            _check_degree(out.degree + rhs.degree, "product degree")
+            out = star_mul(out, rhs)
+
+    def factor(self):
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            exp = self.take()
+            if not exp.isdigit():
+                raise ParseError(f"exponent must be a nonnegative integer, got {exp!r}")
+            digits = exp.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                raise ParseError(f"exponent {exp:.20} exceeds MAX_DEGREE = {MAX_DEGREE}")
+            _check_degree(base.degree * int(digits), "power degree")
+            base = oracle_star_power(base, int(digits))
+        return base
+
+    def atom(self):
+        tok = self.take()
+        if tok == "(":
+            inner = self.expr()
+            if self.take() != ")":
+                raise ParseError("missing closing parenthesis")
+            return inner
+        if tok == "-":
+            return -self.atom()
+        if tok in _ORACLE_ATOMS:
+            return _ORACLE_ATOMS[tok]
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ParseError(f"unexpected token {tok!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"number {tok!r} is not finite")
+        return RegularSeries.constant(value * ONE)
+
+
+def oracle_star_power(f, n):
+    out = RegularSeries((ONE,))
+    for _ in range(n):
+        out = star_mul(out, f)
+    return out
+
+
+def oracle_parse_polynomial(text):
+    tokens = _oracle_tokenize(text)
+    if not tokens:
+        raise ParseError("empty expression")
+    return _OracleParser(tokens).parse()
+
+
+def _parsed(parse, text):
+    """Every coefficient component by repr, or the ParseError message."""
+    try:
+        f = parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+    return [tuple(map(repr, c.to_json())) for c in f.coeffs], repr(f.radius)
+
+
+# Numbers with zeros, leading dots, exponents and extreme values;
+# malformed and non-finite numbers come in with the garbling below.
+_numbers = st.one_of(
+    st.sampled_from(["0", "0.0", "00", ".0", ".5", "5.", "2", "3", "10", "1e-3",
+                     "2.5E+4", "3e2", ".5e1", "1e200", "1e308", "1e-320", "0e0"]),
+    st.floats(min_value=0.0, max_value=1e6).map(repr),
+    st.integers(0, 999).map(str))
+_atoms = st.one_of(_numbers, st.sampled_from("qqqijk"))
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", " + ", " - "]), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["*", "", " ", " * ", "*-", "-"]),
+                  inner).map("".join),
+        inner.map("({})".format),
+        st.tuples(st.sampled_from(["-", "+", "--", "-+", "*-"]), inner).map("".join),
+        st.tuples(inner, st.integers(0, 5)).map("{0[0]}^{0[1]}".format))
+
+
+_expressions = st.recursive(_atoms, _compound, max_leaves=16)
+
+
+@st.composite
+def _garbled(draw):
+    """An expression, possibly truncated, with a character deleted or with
+    tokens or characters inserted."""
+    text = draw(_expressions)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        action = draw(st.sampled_from(["truncate", "delete", "insert"]))
+        if action == "truncate":
+            text = text[:at]
+        elif action == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + draw(st.sampled_from(
+                list("+-*^()qijk0.5e ") + ["^2", "^x", "e5", "E-", "\t", "\u00a0",
+                                            "1.2.3", "1e400"])) + text[at:]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(_garbled())
+@example("(q-i)*(q-j)")
+@example("-0*q + 0")                 # signed zeros through negation and sums
+@example("(-2)^1")                   # a power starts from 1, which clears -0.0
+@example("q^0 - 1")                  # cancels to the zero series
+@example("0^0")
+@example("1e200*1e200q - 1e308*10")  # overflow to inf and nan
+@example("(0*q)^3*q^256")            # the zero series has degree -1
+@example("(q^200 - q^200)*q^200")    # a sum is trimmed before degree checks
+@example("q^128*q^128")
+@example("q^128*q^129")
+@example("q^257")
+@example("2e")
+def test_parse_matches_oracle(text):
+    assert _parsed(parse_polynomial, text) == _parsed(oracle_parse_polynomial, text)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +335,16 @@ def test_zeros_point_case(tmp_path):
     ["eval", "q^2", "[NaN,0,0,0]"],
     ["zeros", '{"coeffs":[[NaN,0,0,0],[1,0,0,0]]}'],
     ["zeros", '{"coeffs":' + "[" * 100000],
+    ["zeros", "q\u00b2"],
+    ["zeros", "q-\u0663"],
+    ["zeros", "q^\u0663"],
+    ["zeros", "(" * 3000 + "q" + ")" * 3000],
+    ["eval", "(" * 3000 + "q" + ")" * 3000, "[1,0,0,0]"],
 ], ids=["short-coefficient", "coeffs-not-a-list", "string-component",
         "classify-nan", "classify-inf", "nan-point", "nan-coefficient",
-        "deeply-nested"])
+        "deeply-nested", "superscript-digit", "arabic-indic-digit",
+        "arabic-indic-exponent", "deeply-nested-expression",
+        "eval-deeply-nested-expression"])
 def test_malformed_input_exits_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

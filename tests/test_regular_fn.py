@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -378,6 +380,17 @@ def test_mul_matches_oracle(p, q):
 @given(series, series)
 def test_star_mul_matches_oracle(f, g):
     assert bits(star_mul(f, g)) == bits(oracle_star_mul(f, g))
+
+
+@ORACLE
+@given(series, st.integers(0, 3), st.sampled_from([math.inf, 2.0]))
+def test_star_power_matches_oracle(f, n, radius):
+    # f^0 is the polynomial 1, radius and all, even for a series
+    f = RegularSeries(f.coeffs, radius)
+    want = RegularSeries((ONE,))
+    for _ in range(n):
+        want = oracle_star_mul(want, f)
+    assert bits(star_power(f, n)) == bits(want)
 
 
 @ORACLE

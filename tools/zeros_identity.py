@@ -16,6 +16,12 @@ interpreter, and compares one JSON line per item as bytes.
   of `rank_classify`, `induced_ocs` (the value and unit, or the
   exception type and message) and `differential_at` (the matrix and
   any warning), for q -> q^2 + qi.
+- `parse`: every expression of `zeros_items` and every prefix of it
+  that ends at a token boundary goes through `parse_polynomial`, so the
+  parser's error paths are compared too.  The line of an item lists,
+  prefix by prefix, the `ParseError` message or the first 16 hex digits
+  of a sha256 of the parsed coefficients (a JSON-format item has no
+  prefixes).
 
     python3 tools/zeros_identity.py OTHER_SRC [--workload zeros] [--seeds 1-10]
 
@@ -30,12 +36,16 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COUNT = {"zeros": 1000, "geometry": 2000}
+COUNT = {"zeros": 1000, "geometry": 2000, "parse": 1000}
+# Token ends as the expression grammar of sliceregular.parsing defines
+# them; kept here so that both trees cut the same prefixes.
+TOKEN = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?|[-+*^()qijk]|\S")
 
 
 def _seeds(text: str) -> list[int]:
@@ -93,6 +103,28 @@ def _dump_geometry(seeds: list[int]) -> None:
             print(json.dumps(line))
 
 
+def _dump_parse(seeds: list[int]) -> None:
+    """Print one JSON line per item: the outcome of each token prefix."""
+    from inputs import zeros_items
+    from sliceregular import ParseError, parse_polynomial
+
+    for seed in seeds:
+        for item in zeros_items(seed, COUNT["parse"]):
+            req = item["request"]
+            prefixes = ([] if req["format"] == "json" else
+                        [req["text"][:m.end()] for m in TOKEN.finditer(req["text"])])
+            line = []
+            for text in prefixes:
+                try:
+                    coeffs = [c.to_json() for c in parse_polynomial(text).coeffs]
+                except ParseError as exc:
+                    line.append(str(exc))
+                    continue
+                digest = hashlib.sha256(json.dumps(coeffs).encode()).hexdigest()
+                line.append(digest[:16])
+            print(json.dumps(line))
+
+
 def _run(src: str, workload: str, seeds: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -111,7 +143,8 @@ def main() -> int:
     args = ap.parse_args()
     if args.dump:
         sys.path.insert(0, os.path.join(ROOT, "bench"))
-        dump = _dump_zeros if args.workload == "zeros" else _dump_geometry
+        dump = {"zeros": _dump_zeros, "geometry": _dump_geometry,
+                "parse": _dump_parse}[args.workload]
         dump(_seeds(args.seeds))
         return 0
     if args.other_src is None:
