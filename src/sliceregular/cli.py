@@ -30,6 +30,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_DEGENERATE = 4
 
+# The largest `figure --grid`: fig2 holds several (grid+1)^3 float64
+# arrays at once, each under 70 MB at 200 (the benchmark draws at 60).
+MAX_GRID = 200
+
 
 def _read_json(load, text: str | bytes):
     """load(json.loads(text)); malformed JSON or non-finite values raise ParseError."""
@@ -156,7 +160,7 @@ def cmd_figure(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     if args.name == "fig1":
         writer.writerow(["x", "y", "z", "label"])
-        for row in figure1_rows(args.samples or 200):
+        for row in figure1_rows(200 if args.samples is None else args.samples):
             writer.writerow([f"{row[0]:.9g}", f"{row[1]:.9g}",
                              f"{row[2]:.9g}", row[3]])
     elif args.name == "fig2":
@@ -211,8 +215,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _size_error(args) -> str | None:
+    """Why a count or an extent is out of range, checked before anything
+    is allocated; None when all are in range."""
+    if args.samples is not None and args.samples < 1:
+        return f"--samples must be at least 1, got {args.samples}"
+    if args.command == "figure":
+        if not 1 <= args.grid <= MAX_GRID:
+            return f"--grid must be from 1 to {MAX_GRID}, got {args.grid}"
+        if not (math.isfinite(args.extent) and args.extent > 0.0):
+            return f"--extent must be finite and positive, got {args.extent}"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _size_error(args)
+    if problem is not None:
+        print(f"usage error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     return args.fn(args)
 
 

@@ -16,15 +16,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConditioningWarning
-from .quat_core import Quaternion, Sphere, hamilton, imag_unit_q4, is_real_q4
+from .quat_core import (I, J, K, ONE, Quaternion, Sphere, hamilton, imag_unit,
+                        is_real)
 from .regular_fn import (Q4, RegularSeries, _check_radius, _divide_linear,
-                         _expansion, _norm, _q4, _slice_values)
+                         _expansion, _minus_quotient, _norm, _slice_values)
 
 NEAR_REAL_BAND = 1e-6
-
-_BASIS: tuple[Q4, ...] = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-                          (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-_ONE4 = _BASIS[0]
 
 
 @dataclass(frozen=True)
@@ -34,8 +31,7 @@ class RealLinearMap4:
     matrix: np.ndarray
 
     def apply(self, v: Quaternion) -> Quaternion:
-        out = self.matrix @ np.array([v.w, v.x, v.y, v.z])
-        return Quaternion(*out)
+        return Quaternion(*(self.matrix @ np.array(v)))
 
     def rank(self, rel_tol: float = 1e-8) -> int:
         s = np.linalg.svd(self.matrix, compute_uv=False)
@@ -60,57 +56,26 @@ class RankClass:
     a2: Quaternion
 
 
-# The functions below convert f and q0 to 4-tuples once, compute with
-# regular_fn's kernels and build Quaternions only for what they return.
-# Each float operation is the one the Quaternion arithmetic did, in its
-# order and on its operands, signed zeros included: 2 Im(q0) is
-# (0.0, 2x, 2y, 2z), ONE + t adds 1.0 and 0.0, a dot product sums all
-# four terms and an inverse is conj * (1/n) (tests/test_differential.py
-# keeps the object versions as oracles).
+# The functions below run regular_fn's 4-tuple kernels on f's
+# coefficients and q0, and the Quaternion operators on what those
+# return.  Each float operation is the one of the object code, in its
+# order and on its operands, signed zeros included
+# (tests/test_differential.py keeps the object versions as oracles).
 
 
-def _point(q0: Quaternion) -> Q4:
-    """q0 as a 4-tuple; raises ValueError unless |q0|^2 is finite in float64."""
+def _point(q0: Quaternion) -> Quaternion:
+    """q0 itself; raises ValueError unless |q0|^2 is finite in float64."""
     if not math.isfinite(q0.norm_sq()):
         raise ValueError(f"the point must be finite with |q0|^2 finite in "
                          f"float64, got {q0}")
-    return (q0.w, q0.x, q0.y, q0.z)
+    return q0
 
 
-def _scale(coeffs: list) -> float:
-    """max(1, f.coefficient_scale()) from f's 4-tuple coefficients."""
-    return max(1.0, max(map(_norm, coeffs), default=0.0))
-
-
-def _expansion_pair(f: RegularSeries, p: Q4) -> tuple[list, Q4, Q4]:
-    """f's coefficients as 4-tuples, and A1 and A2 about p on the sphere
-    through p."""
-    w, x, y, z = p
-    _check_radius(f, w, math.sqrt(x * x + y * y + z * z))
-    coeffs = [_q4(c) for c in f.coeffs]
-    _, a1, a2 = _expansion(coeffs, p, w, 2)
-    return coeffs, a1, a2
-
-
-def _add(a: Q4, b: Q4) -> Q4:
-    return tuple([s + t for s, t in zip(a, b)])
-
-
-def _sub(a: Q4, b: Q4) -> Q4:
-    return tuple([s - t for s, t in zip(a, b)])
-
-
-def _times(t: float, a: Q4) -> Q4:
-    return tuple([s * t for s in a])
-
-
-def _dot(a: Q4, b: Q4) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-
-
-def _twice_im(p: Q4) -> Q4:
-    _, x, y, z = p
-    return (0.0, x * 2.0, y * 2.0, z * 2.0)
+def _expansion_pair(f: RegularSeries, p: Quaternion) -> tuple[Quaternion, Quaternion]:
+    """A1 and A2 about p on the sphere through p."""
+    _check_radius(f, p.w, p.im_norm())
+    _, a1, a2 = _expansion(f.coeffs, p, p.w, 2)
+    return Quaternion(*a1), Quaternion(*a2)
 
 
 def directional_derivative(f: RegularSeries, q0: Quaternion,
@@ -119,26 +84,24 @@ def directional_derivative(f: RegularSeries, q0: Quaternion,
     n = abs(v)
     if n == 0.0:
         raise ValueError("direction must be nonzero")
-    v4 = _q4(v)
     if abs(n - 1.0) > 1e-12:
-        v4 = _times(1.0 / n, v4)
+        v = v / n
     p = _point(q0)
-    _, a1, a2 = _expansion_pair(f, p)
-    w, x, y, z = p
-    lie = _sub(hamilton(p, v4), hamilton(v4, (w, -x, -y, -z)))
-    return Quaternion(*_add(hamilton(v4, a1), hamilton(lie, a2)))
+    a1, a2 = _expansion_pair(f, p)
+    return v * a1 + (p * v - v * p.conj()) * a2
 
 
-def _matrix_from(a1: Q4, a2: Q4, p: Q4, non_real: bool) -> np.ndarray:
+def _matrix_from(a1: Quaternion, a2: Quaternion, p: Quaternion,
+                 non_real: bool) -> np.ndarray:
     if non_real:
-        unit = imag_unit_q4(p)
-        factor = _add(a1, hamilton(_twice_im(p), a2))
+        unit = imag_unit(p)
+        factor = a1 + (2.0 * p.im()) * a2
         cols = []
-        for e in _BASIS:
-            u = _add(_times(_dot(e, _ONE4), _ONE4), _times(_dot(e, unit), unit))
-            cols.append(_add(hamilton(u, factor), hamilton(_sub(e, u), a1)))
+        for e in (ONE, I, J, K):
+            u = e.dot(ONE) * ONE + e.dot(unit) * unit
+            cols.append(u * factor + (e - u) * a1)
     else:
-        cols = [hamilton(e, a1) for e in _BASIS]
+        cols = [e * a1 for e in (ONE, I, J, K)]
     return np.array(cols).T
 
 
@@ -151,12 +114,11 @@ def differential_at(f: RegularSeries, q0: Quaternion) -> RealLinearMap4:
     Raises ValueError unless |q0|^2 is finite.
     """
     p = _point(q0)
-    _, a1, a2 = _expansion_pair(f, p)
-    if is_real_q4(p):
+    a1, a2 = _expansion_pair(f, p)
+    if is_real(p):
         return RealLinearMap4(_matrix_from(a1, a2, p, non_real=False))
     m = _matrix_from(a1, a2, p, non_real=True)
-    _, x, y, z = p
-    if math.sqrt(x * x + y * y + z * z) < NEAR_REAL_BAND:
+    if p.im_norm() < NEAR_REAL_BAND:
         m_real = _matrix_from(a1, a2, p, non_real=False)
         gap = float(np.max(np.abs(m - m_real)))
         if gap > 1e-6 * max(1.0, float(np.max(np.abs(m)))):
@@ -166,14 +128,15 @@ def differential_at(f: RegularSeries, q0: Quaternion) -> RealLinearMap4:
     return RealLinearMap4(m)
 
 
-def _in_perp(p: Q4, a1: Q4, a2: Q4) -> bool:
-    """Whether 1 + 2 Im(p) A2 A1^-1 is orthogonal to 1 and to I_p."""
-    bw, bx, by, bz = a1
-    t = 1.0 / (bw * bw + bx * bx + by * by + bz * bz)
-    dw, dx, dy, dz = hamilton(hamilton(_twice_im(p), a2),
-                              (bw * t, -bx * t, -by * t, -bz * t))
-    w, x, y, z = 1.0 + dw, 0.0 + dx, 0.0 + dy, 0.0 + dz
-    _, ux, uy, uz = imag_unit_q4(p)
+def _in_perp(p: Quaternion, a1: Q4, a2: Q4) -> bool:
+    """Whether 1 + 2 Im(p) A2 A1^-1 is orthogonal to 1 and to I_p, with
+    the Quaternion operators inlined: rank_classify is on the hot path
+    of the fibre classification."""
+    _, x, y, z = p
+    # ONE + d as ONE - (-d), the same floats in IEEE arithmetic
+    nw, nx, ny, nz = _minus_quotient(hamilton((0.0, x * 2.0, y * 2.0, z * 2.0), a2), a1)
+    w, x, y, z = 1.0 - nw, 0.0 - nx, 0.0 - ny, 0.0 - nz
+    _, ux, uy, uz = imag_unit(p)
     ptol = 1e-9 * (1.0 + math.sqrt(w * w + x * x + y * y + z * z))
     return (abs(w * 1.0 + x * 0.0 + y * 0.0 + z * 0.0) <= ptol
             and abs(w * 0.0 + x * ux + y * uy + z * uz) <= ptol)
@@ -185,15 +148,15 @@ def rank_classify(f: RegularSeries, q0: Quaternion) -> RankClass:
     Raises ValueError unless |q0|^2 is finite.
     """
     p = _point(q0)
-    coeffs, a1, a2 = _expansion_pair(f, p)
-    tol = 1e-10 * _scale(coeffs)
-    if is_real_q4(p):
+    a1, a2 = _expansion_pair(f, p)
+    tol = 1e-10 * max(1.0, f.coefficient_scale())
+    if is_real(p):
         rank = Rank.RANK0 if _norm(a1) <= tol else Rank.RANK4
     elif _norm(a1) <= tol:
         rank = Rank.RANK0 if _norm(a2) <= tol else Rank.RANK2
     else:
         rank = Rank.RANK2 if _in_perp(p, a1, a2) else Rank.RANK4
-    return RankClass(rank, Quaternion(*a1), Quaternion(*a2))
+    return RankClass(rank, a1, a2)
 
 
 @dataclass(frozen=True)
@@ -202,39 +165,34 @@ class SingularityCertificate:
     witness: Quaternion | None  # the q0-tilde of the factorization, if any
 
 
-def _singularity(f: RegularSeries, p: Q4) -> tuple[bool, Q4 | None, Q4]:
+def _singularity(f: RegularSeries, p: Quaternion) -> tuple[bool, Q4 | None, Q4]:
     """(singular, witness, f(p)) for a polynomial f at a checked point p.
 
     The quotient of f - f(p) by (q - p) is probed for a zero on the
     sphere through p.  It is the quotient of f itself: synthetic
     division reads the constant coefficient only for the remainder.
     """
-    coeffs = [_q4(c) for c in f.coeffs]
-    scale = _scale(coeffs)
-    g, value = _divide_linear(coeffs, p)
+    scale = max(1.0, f.coefficient_scale())
+    g, value = _divide_linear(f.coeffs, p)
     if not g:
         return False, None, value
-    if is_real_q4(p):
+    if is_real(p):
         # real point: singular iff (q - x0)^2 divides f - f(q0)
         if _norm(_divide_linear(g, p)[1]) <= 1e-8 * scale:
             return True, p, value
         return False, None, value
-    w, x, y, z = p
-    r = math.sqrt(x * x + y * y + z * z)
+    w, r = p.w, p.im_norm()
     alpha, beta = _slice_values(g, w, r)
     if _norm(beta) <= 1e-9 * scale:
         if _norm(alpha) <= 1e-9 * scale:
             # g vanishes on the whole sphere: spherical multiplicity >= 2
-            return True, (w, -x, -y, -z), value
+            return True, p.conj(), value
         return False, None, value
-    bw, bx, by, bz = beta
-    t = 1.0 / (bw * bw + bx * bx + by * by + bz * bz)
-    cw, cx, cy, cz = hamilton(alpha, (bw * t, -bx * t, -by * t, -bz * t))
-    cand = (-cw, -cx, -cy, -cz)
+    cand = _minus_quotient(alpha, beta)
     size = _norm(cand)
     if abs(cand[0]) > 1e-7 * (1.0 + size) or abs(size - 1.0) > 1e-7:
         return False, None, value
-    _, ux, uy, uz = imag_unit_q4(cand)
+    _, ux, uy, uz = imag_unit(cand)
     witness = (w + 0.0 * r, 0.0 + ux * r, 0.0 + uy * r, 0.0 + uz * r)
     if _norm(_divide_linear(g, witness)[1]) <= 1e-8 * scale:
         return True, witness, value
@@ -261,5 +219,5 @@ def is_degenerate_sphere(f: RegularSeries, sphere: Sphere) -> bool:
         raise ValueError("degeneracy is defined for genuine spheres (y > 0)")
     p = _point(Quaternion(sphere.x, sphere.y))
     _check_radius(f, sphere.x, sphere.y)
-    coeffs = [_q4(c) for c in f.coeffs]
-    return _norm(_expansion(coeffs, p, sphere.x, 1)[1]) <= 1e-9 * _scale(coeffs)
+    return (_norm(_expansion(f.coeffs, p, sphere.x, 1)[1])
+            <= 1e-9 * max(1.0, f.coefficient_scale()))

@@ -8,13 +8,13 @@ the subgroup preserving the standard structure round out the toolkit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PoleHit, SingularPoint
-from .quat_core import (I, J, K, ONE, Quaternion, conj_by_unit, imag_unit,
-                        imag_unit_q4)
+from .quat_core import I, J, K, ONE, Quaternion, conj_by_unit, imag_unit
 from .regular_fn import RegularSeries, eval_series
 from .differential import _point, _singularity
 
@@ -35,8 +35,7 @@ class OCSValue:
 
     def matrix(self) -> np.ndarray:
         """Left-multiplication matrix in the basis 1, i, j, k."""
-        cols = [self.apply(e) for e in (ONE, I, J, K)]
-        return np.array([[c.w, c.x, c.y, c.z] for c in cols]).T
+        return np.array([self.apply(e) for e in (ONE, I, J, K)]).T
 
     def close_to(self, other: "OCSValue", tol: float = 1e-9) -> bool:
         return abs(self.unit - other.unit) <= tol
@@ -59,7 +58,7 @@ def induced_ocs(f: RegularSeries, q: Quaternion) -> tuple[Quaternion, OCSValue]:
     |q|^2 is finite.  The singularity test computes f(q) on the way.
     """
     p = _point(q)
-    unit = Quaternion(*imag_unit_q4(p))  # RealArgument on the real axis
+    unit = imag_unit(p)  # RealArgument on the real axis
     if not f.is_polynomial:
         return eval_series(f, q), OCSValue(unit)
     singular, _, value = _singularity(f, p)
@@ -90,19 +89,36 @@ class MobiusCoeffs:
         """|determinant| > 1e-12 (|a|^2 + |b|^2 + |c|^2 + |d|^2)^2.
 
         Both sides are homogeneous of degree 4, so the test does not
-        depend on the scale of the coefficients; all-zero ones fail it.
+        depend on the scale of the coefficients; all-zero ones fail it,
+        and so do ones whose fourth powers overflow or underflow.
         """
-        scale = (self.a.norm_sq() + self.b.norm_sq()
-                 + self.c.norm_sq() + self.d.norm_sq()) ** 2
+        n = (self.a.norm_sq() + self.b.norm_sq()
+             + self.c.norm_sq() + self.d.norm_sq())
+        scale = n * n  # n ** 2 raises OverflowError where n * n is inf
         return scale > 0.0 and abs(self.determinant()) > 1e-12 * scale
 
 
 def mobius(m: MobiusCoeffs, q: Quaternion) -> Quaternion:
-    """The linear fractional transformation (qc + d)^-1 (qa + b)."""
+    """The linear fractional transformation (qc + d)^-1 (qa + b).
+
+    Raises PoleHit where |qc + d| <= 1e-12 (|q||c| + |d|), a test that
+    does not depend on the scale of q or of the coefficients, and
+    ValueError when q is not finite or a value overflows float64.
+    Moduli are hypot()s, which do not overflow.
+    """
     denom = q * m.c + m.d
-    if abs(denom) <= 1e-12:
+    numer = q * m.a + m.b
+    # a non-finite q makes one of them non-finite too (inf * 0 is NaN)
+    if not all(map(math.isfinite, (*denom, *numer))):
+        raise ValueError(f"the point must be finite with qc + d and qa + b "
+                         f"finite in float64, got {q}")
+    size = math.hypot(*q) * math.hypot(*m.c) + math.hypot(*m.d)
+    if math.hypot(*denom) <= 1e-12 * size:
         raise PoleHit(f"qc + d vanishes at {q}")
-    return denom.inverse() * (q * m.a + m.b)
+    value = denom.inverse() * numer
+    if not all(map(math.isfinite, value)):
+        raise ValueError(f"the value overflows float64 at {q}")
+    return value
 
 
 def is_so2h(m: MobiusCoeffs, tol: float = 1e-10) -> bool:

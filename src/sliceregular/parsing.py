@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import re
 
-from .regular_fn import (_ONE4, _ZERO4, RegularSeries, _series, _star_mul,
-                         _star_power, _trim)
+from .regular_fn import (_ONE4, _ZERO4, RegularSeries, _add, _neg, _series,
+                         _star_mul, _star_power, _trim)
 
 
 # The largest exponent and the largest degree of any product or power
@@ -39,10 +39,11 @@ def _check_degree(degree: int, what: str) -> None:
 # other decimal digits, and str.isdigit() admits superscripts.
 _TOKEN = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?|[-+*^()qijk]|(\S)")
 
-# The parser computes on trimmed lists of 4-tuples (see regular_fn),
-# doing the float operations of the RegularSeries and Quaternion
-# methods in their order, so a parse is bit for bit the object
-# arithmetic's (tests/test_cli.py keeps the object parser as oracle).
+# The parser computes on trimmed lists of exact 4-tuples with
+# regular_fn's kernels, the ones RegularSeries arithmetic runs, and
+# builds one RegularSeries at the end, so a parse is bit for bit the
+# object arithmetic's (tests/test_cli.py keeps the object parser as
+# oracle).
 _ATOMS = {
     "q": [_ZERO4, _ONE4],
     "i": [(0.0, 1.0, 0.0, 0.0)],
@@ -59,27 +60,6 @@ def _tokenize(text: str) -> list[str]:
                              f"at position {match.start()}")
         tokens.append(match[0])
     return tokens
-
-
-def _add(a: list, b: list, op: str) -> list:
-    """a + b or a - b as RegularSeries computes them: the shorter padded
-    with zero coefficients, the result trimmed."""
-    n = len(a) - len(b)
-    if n > 0:
-        b = b + [_ZERO4] * n
-    elif n < 0:
-        a = a + [_ZERO4] * -n
-    if op == "+":
-        out = [(aw + bw, ax + bx, ay + by, az + bz)
-               for (aw, ax, ay, az), (bw, bx, by, bz) in zip(a, b)]
-    else:
-        out = [(aw - bw, ax - bx, ay - by, az - bz)
-               for (aw, ax, ay, az), (bw, bx, by, bz) in zip(a, b)]
-    return _trim(out)
-
-
-def _neg(a: list) -> list:
-    return [(-w, -x, -y, -z) for w, x, y, z in a]
 
 
 class _Parser:
@@ -114,7 +94,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            out = _add(out, rhs, op)
+            out = _add(out, rhs if op == "+" else _neg(rhs))
         return out
 
     def term(self) -> list:

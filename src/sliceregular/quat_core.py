@@ -1,16 +1,20 @@
 """Quaternion arithmetic, imaginary units, spheres and the (u, v) chart.
 
-A quaternion q = w + xi + yj + zk is stored as four floats.  Every
-non-real q decomposes uniquely as Re(q) + I_q |Im(q)| with I_q an
-imaginary unit; the sphere through q is x + yS with x = Re(q) and
-y = |Im(q)|.  The chart phi(u, v) = (1 + uj)^-1 v (1 + uj) gives
-holomorphic coordinates on the complement of the real axis.
+A quaternion q = w + xi + yj + zk is a named 4-tuple of floats: it
+unpacks, indexes and compares like (w, x, y, z), so the float kernels
+take it as they take a plain 4-tuple.  Every non-real q decomposes
+uniquely as Re(q) + I_q |Im(q)| with I_q an imaginary unit; the sphere
+through q is x + yS with x = Re(q) and y = |Im(q)|.  The chart
+phi(u, v) = (1 + uj)^-1 v (1 + uj) gives holomorphic coordinates on
+the complement of the real axis.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotUnit, RealArgument
 
@@ -18,14 +22,16 @@ from .errors import NotUnit, RealArgument
 REAL_EPS = 1e-10
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(NamedTuple):
     """q = w + xi + yj + zk with real components."""
 
     w: float = 0.0
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
+    # numpy scalars defer to the operators below instead of treating
+    # q as a sequence: np.float64(2) * q is a Quaternion, not an array
+    __array_ufunc__ = None
 
     @staticmethod
     def from_complex(v: complex) -> "Quaternion":
@@ -89,10 +95,20 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def inverse(self) -> "Quaternion":
+        """conj(q) / |q|^2; raises ZeroDivisionError for q = 0.
+
+        Where |q|^2 underflows or overflows, q = 2^e s with |s| near 1
+        and q^-1 = s^-1 2^-e, so any q whose inverse is in range has one.
+        """
         n = self.norm_sq()
-        if n == 0.0:
+        if sys.float_info.min <= n < math.inf:  # a normal float
+            return self.conj() / n
+        m = max(map(abs, self))
+        if m == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return self.conj() / n
+        e = math.frexp(m)[1]
+        s = Quaternion(*[math.ldexp(t, -e) for t in self])
+        return Quaternion(*[math.ldexp(t, -e) for t in s.conj() / s.norm_sq()])
 
     def re(self) -> float:
         return self.w
@@ -131,37 +147,27 @@ def hamilton(p: tuple, q: tuple) -> tuple:
 
 def mul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product of two quaternions."""
-    return Quaternion(*hamilton((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)))
+    return Quaternion(*hamilton(p, q))
 
 
-def is_real_q4(q: tuple) -> bool:
-    """|Im(q)| <= REAL_EPS * max(1, |q|) for a (w, x, y, z) 4-tuple, the
-    one real-axis test."""
+def is_real(q: tuple) -> bool:
+    """|Im(q)| <= REAL_EPS * max(1, |q|) for any (w, x, y, z), the one
+    real-axis test."""
     w, x, y, z = q
     return (math.sqrt(x * x + y * y + z * z)
             <= REAL_EPS * max(1.0, math.sqrt(w * w + x * x + y * y + z * z)))
 
 
-def imag_unit_q4(q: tuple) -> tuple:
-    """I_q of a (w, x, y, z) 4-tuple; raises RealArgument where is_real_q4."""
-    if is_real_q4(q):
-        raise RealArgument(f"imaginary unit undefined at real point {Quaternion(*q)}")
-    _, x, y, z = q
-    n = math.sqrt(x * x + y * y + z * z)
-    return (0.0, x / n, y / n, z / n)
-
-
-def is_real(q: Quaternion) -> bool:
-    """|Im(q)| <= REAL_EPS * max(1, |q|), the one real-axis test."""
-    return is_real_q4((q.w, q.x, q.y, q.z))
-
-
-def imag_unit(q: Quaternion) -> Quaternion:
-    """I_q = Im(q)/|Im(q)|, the imaginary unit through q.
+def imag_unit(q: tuple) -> Quaternion:
+    """I_q = Im(q)/|Im(q)|, the imaginary unit through any (w, x, y, z).
 
     Raises RealArgument on the real axis, where I_q is undefined.
     """
-    return Quaternion(*imag_unit_q4((q.w, q.x, q.y, q.z)))
+    if is_real(q):
+        raise RealArgument(f"imaginary unit undefined at real point {Quaternion(*q)}")
+    _, x, y, z = q
+    n = math.sqrt(x * x + y * y + z * z)
+    return Quaternion(0.0, x / n, y / n, z / n)
 
 
 @dataclass(frozen=True)

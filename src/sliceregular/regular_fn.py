@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import NotReal, OutsideRadius, ZeroPolynomial
-from .quat_core import ONE, ZERO, Quaternion, Sphere, hamilton, sphere_of
+from .quat_core import ONE, Quaternion, Sphere, hamilton, sphere_of
 
 # Tolerances for zero extraction (see module tests for their calibration).
 CLUSTER_TOL = 1e-7       # merge radius for roots of the symmetrization
@@ -42,7 +43,7 @@ class RegularSeries:
     radius: float = math.inf
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(tuple(self.coeffs), ZERO))
+        object.__setattr__(self, "coeffs", _trim(tuple(self.coeffs)))
 
     @staticmethod
     def polynomial(*coeffs: Quaternion) -> "RegularSeries":
@@ -97,38 +98,33 @@ class RegularSeries:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else Quaternion()
 
     def __add__(self, other: "RegularSeries") -> "RegularSeries":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RegularSeries(tuple(self.coeff(k) + other.coeff(k) for k in range(n)),
-                             min(self.radius, other.radius))
+        return _series(_add(self.coeffs, other.coeffs), min(self.radius, other.radius))
 
     def __sub__(self, other: "RegularSeries") -> "RegularSeries":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RegularSeries(tuple(self.coeff(k) - other.coeff(k) for k in range(n)),
-                             min(self.radius, other.radius))
+        return self + -other
 
     def __neg__(self) -> "RegularSeries":
-        return RegularSeries(tuple(-c for c in self.coeffs), self.radius)
+        return _series(_neg(self.coeffs), self.radius)
 
     def shift(self, a: Quaternion) -> "RegularSeries":
         """f - a, subtracting a from the constant coefficient."""
         return self - RegularSeries.constant(a)
 
 
-# The kernels below work on plain floats: a quaternion is a 4-tuple
-# (w, x, y, z) and a polynomial a list of them, constant term first.
-# Each does its float operations in the order, and on the operands, of
-# the Quaternion methods they stand for, so their answers are bit for
-# bit those of the object arithmetic (tests/test_regular_fn.py keeps
-# the object versions as oracles).
+# The kernels below work on plain floats: a quaternion is any 4-tuple
+# (w, x, y, z), a Quaternion included, and a polynomial a sequence of
+# them, constant term first.  What they build are exact tuples, which
+# CPython unpacks on a faster path than a tuple subclass, so zeros()
+# copies f's coefficients to exact tuples once.  Each kernel does its
+# float operations in the order, and on the operands, of the Quaternion
+# arithmetic it stands for, so its answers are bit for bit those of
+# the object code (tests/test_regular_fn.py keeps the object versions
+# as oracles).
 
 Q4 = tuple[float, float, float, float]
 _ZERO4: Q4 = (0.0, 0.0, 0.0, 0.0)
 _ONE4: Q4 = (1.0, 0.0, 0.0, 0.0)
 _MINUS_I: Q4 = (-0.0, -1.0, -0.0, -0.0)  # -I, signed zeros included
-
-
-def _q4(q: Quaternion) -> Q4:
-    return (q.w, q.x, q.y, q.z)
 
 
 def _norm(a: Q4) -> float:
@@ -140,6 +136,18 @@ def _series(coeffs, radius: float) -> RegularSeries:
     # tuple() of a list, not of a generator: a tuple grown from a
     # generator keeps its over-allocated memory for the series' lifetime
     return RegularSeries(tuple([Quaternion(*c) for c in coeffs]), radius)
+
+
+def _add(a, b) -> list:
+    """a + b: the shorter padded with zero coefficients, the result
+    trimmed.  a - b is a + (-b), the same floats in IEEE arithmetic."""
+    pairs = zip_longest(a, b, fillvalue=_ZERO4)
+    return _trim([(aw + bw, ax + bx, ay + by, az + bz)
+                  for (aw, ax, ay, az), (bw, bx, by, bz) in pairs])
+
+
+def _neg(a) -> list:
+    return [(-w, -x, -y, -z) for w, x, y, z in a]
 
 
 def _star_product(a: list, b: list) -> list:
@@ -225,21 +233,19 @@ def _symmetrize(coeffs: list) -> list[float]:
 
 def star_mul(f: RegularSeries, g: RegularSeries) -> RegularSeries:
     """The star product: c_n = sum_{k<=n} a_k b_{n-k}."""
-    return _series(_star_mul([_q4(c) for c in f.coeffs], [_q4(c) for c in g.coeffs]),
-                   min(f.radius, g.radius))
+    return _series(_star_mul(f.coeffs, g.coeffs), min(f.radius, g.radius))
 
 
 def star_power(f: RegularSeries, n: int) -> RegularSeries:
     # f^0 is the polynomial 1, whatever the radius of f
-    return _series(_star_power([_q4(c) for c in f.coeffs], n),
-                   f.radius if n else math.inf)
+    return _series(_star_power(f.coeffs, n), f.radius if n else math.inf)
 
 
 def eval_series(f: RegularSeries, q: Quaternion) -> Quaternion:
     """Horner evaluation of sum q^n a_n; raises OutsideRadius for |q| >= R."""
     if not f.is_polynomial and abs(q) >= f.radius:
         raise OutsideRadius(f"|q| = {abs(q)} >= radius {f.radius}")
-    return Quaternion(*_divide_linear([_q4(c) for c in f.coeffs], _q4(q))[1])
+    return Quaternion(*_divide_linear(f.coeffs, q)[1])
 
 
 def conjugate(f: RegularSeries) -> RegularSeries:
@@ -255,7 +261,7 @@ def symmetrize(f: RegularSeries) -> RegularSeries:
     """
     if f.is_zero:
         return RegularSeries((), f.radius)
-    ws = _symmetrize([_q4(c) for c in f.coeffs])
+    ws = _symmetrize(f.coeffs)
     return _series([(w,) for w in ws], f.radius)
 
 
@@ -263,7 +269,7 @@ def divide_linear(f: RegularSeries, p: Quaternion) -> tuple[RegularSeries, Quate
     """Synthetic division f = (q - p) * g + r with constant remainder r = f(p)."""
     if not f.is_polynomial:
         raise ValueError("divide_linear expects a polynomial")
-    quot, r = _divide_linear([_q4(c) for c in f.coeffs], _q4(p))
+    quot, r = _divide_linear(f.coeffs, p)
     return _series(quot, f.radius), Quaternion(*r)
 
 
@@ -273,7 +279,7 @@ def divide_real_quadratic(f: RegularSeries, x: float, y: float
 
     Real coefficients are central, so ordinary long division applies.
     """
-    quot, rem = _divide_real_quadratic([_q4(c) for c in f.coeffs], x, y)
+    quot, rem = _divide_real_quadratic(f.coeffs, x, y)
     return _series(quot, f.radius), _series(rem, f.radius)
 
 
@@ -311,7 +317,7 @@ def spherical_expansion(f: RegularSeries, sphere: Sphere, q0: Quaternion,
     if not sphere.contains(q0, tol=1e-8):
         raise ValueError(f"center {q0} not on sphere {sphere}")
     _check_radius(f, sphere.x, sphere.y)
-    coeffs = _expansion([_q4(c) for c in f.coeffs], _q4(q0), sphere.x, n_coeffs)
+    coeffs = _expansion(f.coeffs, q0, sphere.x, n_coeffs)
     return SphericalExpansion(sphere, q0, tuple([Quaternion(*c) for c in coeffs]))
 
 
@@ -360,8 +366,17 @@ class ZeroSet:
 
 def slice_values(f: RegularSeries, x: float, y: float) -> tuple[Quaternion, Quaternion]:
     """(alpha, beta) with f(x + yI) = alpha + I beta for every I in S."""
-    alpha, beta = _slice_values([_q4(c) for c in f.coeffs], x, y)
+    alpha, beta = _slice_values(f.coeffs, x, y)
     return Quaternion(*alpha), Quaternion(*beta)
+
+
+def _minus_quotient(a: Q4, b: Q4) -> Q4:
+    """-a b^-1, with b^-1 = conj(b) * (1/|b|^2) as Quaternion.inverse
+    computes it where |b|^2 is a normal float."""
+    bw, bx, by, bz = b
+    t = 1.0 / (bw * bw + bx * bx + by * by + bz * bz)
+    cw, cx, cy, cz = hamilton(a, (bw * t, -bx * t, -by * t, -bz * t))
+    return (-cw, -cx, -cy, -cz)
 
 
 def _zero_on_sphere(coeffs: list, x: float, y: float, tol: float) -> Q4 | None:
@@ -374,17 +389,15 @@ def _zero_on_sphere(coeffs: list, x: float, y: float, tol: float) -> Q4 | None:
     alpha, beta = _slice_values(coeffs, x, y)
     if _norm(beta) <= tol:
         return None
-    bw, bx, by, bz = beta
-    t = 1.0 / (bw * bw + bx * bx + by * by + bz * bz)
-    cw, cx, cy, cz = hamilton(alpha, (bw * t, -bx * t, -by * t, -bz * t))
-    cand = (-cw, -cx, -cy, -cz)
+    cand = _minus_quotient(alpha, beta)
     size = _norm(cand)
     if abs(cand[0]) > 1e-6 * max(1.0, size):
         return None
     if abs(size - 1.0) > 1e-6:
         return None
-    n = math.sqrt(cx * cx + cy * cy + cz * cz)  # snap to an exact imaginary unit
-    p = (x + 0.0 * y, 0.0 + -cx / n * y, 0.0 + -cy / n * y, 0.0 + -cz / n * y)
+    _, ux, uy, uz = cand
+    n = math.sqrt(ux * ux + uy * uy + uz * uz)  # snap to an exact imaginary unit
+    p = (x + 0.0 * y, 0.0 + ux / n * y, 0.0 + uy / n * y, 0.0 + uz / n * y)
     if _norm(_divide_linear(coeffs, p)[1]) > tol:
         return None
     return p
@@ -477,8 +490,8 @@ def zeros(f: RegularSeries) -> ZeroSet:
     out = ZeroSet()
     if f.degree == 0:
         return out
-    coeffs = [_q4(c) for c in f.coeffs]
-    tol = DIVISION_TOL * max(1.0, max(map(_norm, coeffs)))
+    coeffs = list(map(tuple, f.coeffs))
+    tol = DIVISION_TOL * max(1.0, f.coefficient_scale())
     fs_coeffs = np.array(_symmetrize(coeffs)[::-1])
     if not np.all(np.isfinite(fs_coeffs)):
         raise ValueError("the symmetrization f^s overflows float64")

@@ -195,7 +195,7 @@ def suite_gradient(rng, samples: int = 200) -> SuiteResult:
         fd = np.zeros((4, 4))
         for col, e in enumerate((ONE, QI, J, K)):
             d = (eval_series(f, q0 + h * e) - eval_series(f, q0 - h * e)) / (2 * h)
-            fd[:, col] = [d.w, d.x, d.y, d.z]
+            fd[:, col] = d
         scale = 1.0 + float(np.max(np.abs(m)))
         gap = float(np.max(np.abs(m - fd)))
         res.check(gap <= 1e-6 * scale, f"sample {n}: gap {gap:.2e}", gap / scale)

@@ -8,7 +8,7 @@ import warnings
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sliceregular.cli import main
+from sliceregular.cli import MAX_GRID, main
 from sliceregular.parsing import MAX_DEGREE, ParseError, _check_degree, parse_polynomial
 from sliceregular.quat_core import I, J, K, ONE, Quaternion
 from sliceregular.regular_fn import RegularSeries, star_mul
@@ -340,11 +340,24 @@ def test_zeros_point_case(tmp_path):
     ["zeros", "q^\u0663"],
     ["zeros", "(" * 3000 + "q" + ")" * 3000],
     ["eval", "(" * 3000 + "q" + ")" * 3000, "[1,0,0,0]"],
+    ["figure", "fig2", "--grid", "-5"],
+    ["figure", "fig2", "--grid", "0"],
+    ["figure", "fig2", "--grid", str(MAX_GRID + 1)],
+    ["figure", "fig2", "--extent", "nan"],
+    ["figure", "fig2", "--extent", "inf"],
+    ["figure", "fig2", "--extent", "0"],
+    ["figure", "fig2", "--extent", "-2"],
+    ["--samples", "0", "verify", "twistor-commute"],
+    ["--samples", "-2", "verify", "jjjj"],
+    ["--samples", "0", "figure", "fig1"],
 ], ids=["short-coefficient", "coeffs-not-a-list", "string-component",
         "classify-nan", "classify-inf", "nan-point", "nan-coefficient",
         "deeply-nested", "superscript-digit", "arabic-indic-digit",
         "arabic-indic-exponent", "deeply-nested-expression",
-        "eval-deeply-nested-expression"])
+        "eval-deeply-nested-expression", "negative-grid", "zero-grid",
+        "grid-above-max", "nan-extent", "infinite-extent", "zero-extent",
+        "negative-extent", "zero-samples-verify", "negative-samples-verify",
+        "zero-samples-fig1"])
 def test_malformed_input_exits_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -517,3 +530,60 @@ def test_classify_extreme_scales_exit_0_or_3(coords):
     else:
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1
+
+
+def test_grid_and_samples_at_their_bounds(tmp_path):
+    out = tmp_path / "fig.csv"
+    assert main(["--out", str(out), "figure", "fig2", "--grid", "1"]) == 0
+    assert out.read_text().splitlines()[0] == "x,y,z"
+    assert main(["--out", str(out), "--samples", "1", "figure", "fig1"]) == 0
+    assert main(["--out", str(out), "--samples", "1", "verify", "jjjj"]) == 0
+
+
+# Components from 1e-300 to 1e300 in size, either sign, signed zeros and
+# the non-finite values, which JSON carries as NaN and Infinity and an
+# expression as the text nan and inf.
+extreme = st.one_of(magnitudes, st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan]))
+quadruples = st.tuples(extreme, extreme, extreme, extreme)
+
+
+def _run_cli(argv):
+    """(exit code, stdout, stderr) of main(argv); warnings are errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _polynomial_text(coeffs, as_expression):
+    if not as_expression:
+        return json.dumps({"coeffs": [list(c) for c in coeffs]})
+    return "+".join(f"({w!r}+{x!r}i+{y!r}j+{z!r}k)q^{n}"
+                    for n, (w, x, y, z) in enumerate(coeffs))
+
+
+def _assert_documented_outcome(code, out, err):
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+        assert err == ""
+    else:
+        assert out == "" and len(err.splitlines()) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(quadruples, min_size=1, max_size=4), st.booleans())
+def test_zeros_exits_with_a_documented_code(coeffs, as_expression):
+    text = _polynomial_text(coeffs, as_expression)
+    _assert_documented_outcome(*_run_cli(["zeros", text]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(quadruples, min_size=1, max_size=4), quadruples, st.booleans())
+def test_eval_exits_with_a_documented_code(coeffs, point, as_expression):
+    text = _polynomial_text(coeffs, as_expression)
+    _assert_documented_outcome(*_run_cli(["eval", text, json.dumps(list(point))]))

@@ -312,7 +312,7 @@ def oracle_is_degenerate_sphere(f, sphere):
 def bits(value):
     """Comparable reprs of every float in a result, however nested."""
     if isinstance(value, Quaternion):
-        return tuple(map(repr, (value.w, value.x, value.y, value.z)))
+        return tuple(map(repr, value))
     if isinstance(value, RankClass):
         return value.rank, bits(value.a1), bits(value.a2)
     if isinstance(value, SingularityCertificate):
@@ -367,7 +367,7 @@ near_real = st.builds(
 singular_plane = st.builds(lambda w, y, z: Quaternion(w, -0.5, y, z),
                            st.sampled_from([0.0, -0.0]), components, components)
 points = st.one_of(quaternions, near_real, singular_plane,
-                   st.builds(Quaternion, components))
+                   st.builds(lambda w: Quaternion(w), components))
 
 
 def planted(p, kind, u, h, c):

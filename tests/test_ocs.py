@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sliceregular import (MobiusCoeffs, OCSValue, PoleHit, Quaternion,
                           RealArgument, SingularPoint, conj_by_unit,
@@ -70,6 +71,9 @@ def test_mobius_rejects_degenerate_coefficients():
         MobiusCoeffs(ONE, J, ONE, J)  # second column a left multiple of first
     with pytest.raises(ValueError):
         MobiusCoeffs(Quaternion(), Quaternion(), Quaternion(), Quaternion())
+    # (|a|^2 + |b|^2 + |c|^2 + |d|^2)^2 overflows: rejected, not OverflowError
+    with pytest.raises(ValueError, match="invertibility"):
+        MobiusCoeffs(Quaternion(1e80), Quaternion(), Quaternion(), Quaternion(1e80))
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
@@ -84,6 +88,66 @@ def test_mobius_invertibility_is_scale_invariant(scale):
         MobiusCoeffs(one, one, one, one)
     with pytest.raises(ValueError):
         MobiusCoeffs(scale * ONE, scale * J, scale * ONE, scale * J)
+
+
+def test_mobius_at_large_points():
+    # q -> (q + 1)^-1 q tends to 1; |q + 1|^2 overflows at 1e155
+    m = MobiusCoeffs(ONE, Quaternion(), ONE, ONE)
+    for q in (Quaternion(1e155), Quaternion(0.0, 1e170), Quaternion(1e300)):
+        assert abs(mobius(m, q) - ONE) <= 1e-15
+
+
+@pytest.mark.parametrize("q", [Quaternion(math.nan), Quaternion(0.0, math.inf),
+                               Quaternion(1.0, 0.0, -math.inf, math.nan)])
+def test_mobius_rejects_a_point_that_is_not_finite(q):
+    m = MobiusCoeffs(ONE, Quaternion(), ONE, ONE)
+    with pytest.raises(ValueError, match="finite"):
+        mobius(m, q)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-30, 1.0, 1e30])
+def test_mobius_pole_test_is_scale_invariant(scale):
+    ident = MobiusCoeffs(scale * ONE, Quaternion(), Quaternion(), scale * ONE)
+    assert abs(mobius(ident, Quaternion(2.0)) - Quaternion(2.0)) <= 1e-15
+    inv = MobiusCoeffs(Quaternion(), scale * ONE, scale * ONE, Quaternion())
+    with pytest.raises(PoleHit):
+        mobius(inv, Quaternion())
+    # q -> (q - 1)^-1: the pole at 1 is found at every scale of q too
+    shifted = MobiusCoeffs(Quaternion(), scale * ONE, scale * ONE, -scale * ONE)
+    with pytest.raises(PoleHit):
+        mobius(shifted, Quaternion(1.0))
+
+
+# Components from 1e-300 to 1e300 in size, either sign, signed zeros and
+# the non-finite values; coefficients from 1e-300 to 1e300, most of
+# them from 1e-70 to 1e70, where the invertibility test's fourth powers
+# stay in range.
+extreme = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.floats(min_value=-300.0, max_value=300.0)))
+coefficients = st.builds(
+    lambda e, parts: Quaternion(*(10.0 ** e * t for t in parts)),
+    st.one_of(st.floats(min_value=-70.0, max_value=70.0),
+              st.floats(min_value=-300.0, max_value=300.0)),
+    st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[coefficients] * 4), st.tuples(*[extreme] * 4), st.booleans())
+def test_mobius_is_finite_or_raises(coeffs, point, at_pole):
+    try:
+        m = MobiusCoeffs(*coeffs)
+    except ValueError:
+        return  # not invertible, or its determinant is out of range
+    q = Quaternion(*point)
+    if at_pole and m.c != (0.0, 0.0, 0.0, 0.0):
+        q = -(m.d * m.c.inverse())  # qc + d = 0 up to rounding
+    try:
+        value = mobius(m, q)
+    except (PoleHit, ValueError):
+        return
+    assert all(math.isfinite(t) for t in value.to_json())
 
 
 def test_so2h_detection():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +42,39 @@ def test_inverse(q):
         return
     prod = q * q.inverse()
     assert abs(prod - ONE) <= 1e-12 * max(1.0, abs(q))
+
+
+@pytest.mark.parametrize("q", [
+    Quaternion(1e155), Quaternion(1e-155), Quaternion(1e170, -1e170),
+    Quaternion(1e-170, 0.0, 1e-170), Quaternion(0.0, 1e-170),
+    Quaternion(1e-160), Quaternion(3e-200, -4e-200, 0.0, 1e-210),
+])
+def test_inverse_outside_the_range_of_norm_sq(q):
+    # |q|^2 overflows to inf, underflows to 0 or is subnormal: the
+    # inverse is scaled by a power of two, and q q^-1 is still 1
+    inv = q.inverse()
+    assert all(math.isfinite(t) for t in inv.to_json())
+    assert abs(q * inv - ONE) <= 4e-16
+
+
+def test_inverse_keeps_its_usual_bits_and_rejects_zero():
+    q = Quaternion(0.3, -1.7, 2.9, 1e-3)
+    assert q.inverse() == q.conj() * (1.0 / q.norm_sq())
+    for zero in (ZERO, -ZERO, Quaternion(0.0, -0.0)):
+        with pytest.raises(ZeroDivisionError, match="zero quaternion"):
+            zero.inverse()
+
+
+def test_quaternion_is_a_four_tuple():
+    q = Quaternion(1.0, -2.0, 0.5)
+    w, x, y, z = q
+    assert (w, x, y, z) == q == (1.0, -2.0, 0.5, 0.0) and q[3] == 0.0
+    assert repr(q) == "Quaternion(w=1.0, x=-2.0, y=0.5, z=0.0)"
+    assert imag_unit((0.0, 0.0, 3.0, 0.0)) == J and is_real((2.0, 0.0, 0.0, 0.0))
+    # the arithmetic operators are the quaternion ones, not tuple
+    # concatenation and repetition
+    assert q + q == 2.0 * q == q * 2 == Quaternion(2.0, -4.0, 1.0, 0.0)
+    assert type(np.float64(2.0) * q) is Quaternion
 
 
 def test_unit_table():

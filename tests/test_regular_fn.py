@@ -13,7 +13,7 @@ from sliceregular import regular_fn
 from sliceregular.parsing import parse_polynomial
 from sliceregular.quat_core import I, J, K, ONE, imag_unit, mul
 from sliceregular.regular_fn import (CLUSTER_TOL, DIVISION_TOL, _cluster_roots,
-                                     _polish, _q4, _zero_on_sphere)
+                                     _polish, _zero_on_sphere)
 
 RNG = np.random.default_rng(42)
 
@@ -347,8 +347,6 @@ def bits(value):
         return None
     if isinstance(value, RegularSeries):
         return [bits(c) for c in value.coeffs], repr(value.radius)
-    if isinstance(value, Quaternion):
-        value = _q4(value)
     if isinstance(value, complex):
         value = (value.real, value.imag)
     return tuple(map(repr, value))
@@ -441,7 +439,7 @@ def test_zero_on_sphere_matches_oracle(g, p, plant):
     f = star_mul(RegularSeries.linear(p), g) if plant else g
     x, y = p.w, p.im_norm()
     scale = f.coefficient_scale()
-    got = _zero_on_sphere([_q4(c) for c in f.coeffs], x, y,
+    got = _zero_on_sphere(f.coeffs, x, y,
                           DIVISION_TOL * max(1.0, scale))
     assert bits(got) == bits(oracle_zero_on_sphere(f, x, y, scale))
 

@@ -22,6 +22,11 @@ interpreter, and compares one JSON line per item as bytes.
   prefix by prefix, the `ParseError` message or the first 16 hex digits
   of a sha256 of the parsed coefficients (a JSON-format item has no
   prefixes).
+- `paper`: the 14 verify suites at the acceptance seed and sample
+  counts, and `figure fig1` and `figure fig2 --grid 60`, as
+  `bench/inputs.py` lists them.  The line of a suite holds its
+  summary, the line of a figure the exit code and the sha256 of its
+  CSV.  The items do not depend on the seed, so give one seed.
 
     python3 tools/zeros_identity.py OTHER_SRC [--workload zeros] [--seeds 1-10]
 
@@ -42,7 +47,7 @@ import sys
 import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COUNT = {"zeros": 1000, "geometry": 2000, "parse": 1000}
+COUNT = {"zeros": 1000, "geometry": 2000, "parse": 1000, "paper": 16}
 # Token ends as the expression grammar of sliceregular.parsing defines
 # them; kept here so that both trees cut the same prefixes.
 TOKEN = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?|[-+*^()qijk]|\S")
@@ -125,6 +130,24 @@ def _dump_parse(seeds: list[int]) -> None:
             print(json.dumps(line))
 
 
+def _dump_paper(seeds: list[int]) -> None:
+    """Print one JSON line per suite summary and per figure digest."""
+    from inputs import ACCEPTANCE_SEED, PAPER_FIGURES, PAPER_SUITES
+    from sliceregular.cli import main
+    from sliceregular.verify import run_suite
+
+    for _ in seeds:
+        for name, samples in PAPER_SUITES:
+            result = run_suite(name, seed=ACCEPTANCE_SEED, samples=samples)
+            print(json.dumps([name, result.summary()]))
+        for name, argv in PAPER_FIGURES:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            print(json.dumps([name, code, digest]))
+
+
 def _run(src: str, workload: str, seeds: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -144,7 +167,7 @@ def main() -> int:
     if args.dump:
         sys.path.insert(0, os.path.join(ROOT, "bench"))
         dump = {"zeros": _dump_zeros, "geometry": _dump_geometry,
-                "parse": _dump_parse}[args.workload]
+                "parse": _dump_parse, "paper": _dump_paper}[args.workload]
         dump(_seeds(args.seeds))
         return 0
     if args.other_src is None:
