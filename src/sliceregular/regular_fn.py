@@ -437,7 +437,8 @@ def _polish(coeffs: np.ndarray, centers: list[complex]) -> list[complex]:
     tiny derivative amplifies round-off, so a polish that drifts beyond
     the cluster radius is discarded and the (already mean-cancelled)
     cluster center kept.  Moduli are hypot(re, im), as abs() of a
-    complex scalar computes them.
+    complex scalar computes them.  Where f^s or its derivative overflows
+    at a point, the step is not finite and the center is kept too.
 
     Each step evaluates f^s and its derivative in one Horner loop over
     the live points taken twice, against the coefficient rows
@@ -451,24 +452,26 @@ def _polish(coeffs: np.ndarray, centers: list[complex]) -> list[complex]:
     z0 = np.array(centers, dtype=complex)
     z = z0.copy()
     live = np.arange(len(z))
-    for _ in range(8):
-        m = live.size
-        x = np.concatenate((z[live], z[live]))
-        y = np.zeros_like(x)
-        for row in np.repeat(rows, m, axis=1):
-            y = y * x + row
-        moving = y[m:] != 0
-        live = live[moving]
-        step = y[:m][moving] / y[m:][moving]
-        z[live] -= step
-        zl = z[live]
-        done = (np.hypot(step.real, step.imag)
-                < 1e-15 * (1.0 + np.hypot(zl.real, zl.imag)))
-        live = live[~done]
-        if not live.size:
-            break
-    d = z - z0
-    drifted = np.hypot(d.real, d.imag) > CLUSTER_TOL * (1.0 + np.hypot(z0.real, z0.imag))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(8):
+            m = live.size
+            x = np.concatenate((z[live], z[live]))
+            y = np.zeros_like(x)
+            for row in np.repeat(rows, m, axis=1):
+                y = y * x + row
+            moving = y[m:] != 0
+            live = live[moving]
+            step = y[:m][moving] / y[m:][moving]
+            z[live] -= step
+            zl = z[live]
+            done = ~(np.hypot(step.real, step.imag)
+                     >= 1e-15 * (1.0 + np.hypot(zl.real, zl.imag)))
+            live = live[~done]
+            if not live.size:
+                break
+        d = z - z0
+        drifted = ~(np.hypot(d.real, d.imag)
+                    <= CLUSTER_TOL * (1.0 + np.hypot(z0.real, z0.imag)))
     z[drifted] = z0[drifted]
     return z.tolist()
 
@@ -480,8 +483,9 @@ def zeros(f: RegularSeries) -> ZeroSet:
     points; spherical multiplicity is the largest power of
     (q-x)^2 + y^2 dividing f, and isolated chains are peeled off by
     synthetic division at zeros located on each sphere.  Raises
-    ValueError when the coefficients of f^s overflow float64, or when
-    its leading coefficient underflows to 0.
+    ValueError when the coefficients of f^s or of its monic companion
+    matrix overflow float64, or when its leading coefficient underflows
+    to 0.
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial vanishes identically")
@@ -498,6 +502,10 @@ def zeros(f: RegularSeries) -> ZeroSet:
     if len(fs_coeffs) <= 2 * f.degree:
         # the leading coefficient |a_d|^2 underflowed, taking roots with it
         raise ValueError("the symmetrization f^s underflows float64")
+    with np.errstate(over="ignore"):
+        monic = fs_coeffs[1:] / fs_coeffs[0]
+    if not np.all(np.isfinite(monic)):
+        raise ValueError("the companion matrix of f^s overflows float64")
     clusters = _cluster_roots(np.roots(fs_coeffs))
     # plain Newton converges (at least linearly) for any multiplicity
     for z in _polish(fs_coeffs, [center for center, _size in clusters]):

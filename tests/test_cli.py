@@ -577,6 +577,11 @@ def _assert_documented_outcome(code, out, err):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(quadruples, min_size=1, max_size=4), st.booleans())
+# f^s overflows in the Newton polish of a finite root
+@example([(-1.0, -1.0, -1.0, -1.0), (-1.0, 0.0, -1e82, 0.0),
+          (-1.0, 0.0, -1.0, -1.0)], False)
+# the monic companion matrix of f^s overflows
+@example([(-0.0, 0.0, 0.0, -1e87), (0.0, 0.0, -1e-68, -1e-68)], False)
 def test_zeros_exits_with_a_documented_code(coeffs, as_expression):
     text = _polynomial_text(coeffs, as_expression)
     _assert_documented_outcome(*_run_cli(["zeros", text]))
