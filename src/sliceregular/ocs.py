@@ -115,7 +115,10 @@ def mobius(m: MobiusCoeffs, q: Quaternion) -> Quaternion:
     size = math.hypot(*q) * math.hypot(*m.c) + math.hypot(*m.d)
     if math.hypot(*denom) <= 1e-12 * size:
         raise PoleHit(f"qc + d vanishes at {q}")
-    value = denom.inverse() * numer
+    try:
+        value = denom.inverse() * numer
+    except ZeroDivisionError:  # qc + d is too small to invert in float64
+        raise ValueError(f"the value overflows float64 at {q}") from None
     if not all(map(math.isfinite, value)):
         raise ValueError(f"the value overflows float64 at {q}")
     return value

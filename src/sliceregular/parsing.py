@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 
-from .regular_fn import (_ONE4, _ZERO4, RegularSeries, _add, _neg, _series,
+from .regular_fn import (_ONE4, _ZERO4, RegularSeries, _add, _neg, _series, _sub,
                          _star_mul, _star_power, _trim)
 
 
@@ -94,7 +94,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            out = _add(out, rhs if op == "+" else _neg(rhs))
+            out = _add(out, rhs) if op == "+" else _sub(out, rhs)
         return out
 
     def term(self) -> list:

@@ -95,7 +95,8 @@ class Quaternion(NamedTuple):
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def inverse(self) -> "Quaternion":
-        """conj(q) / |q|^2; raises ZeroDivisionError for q = 0.
+        """conj(q) / |q|^2; raises ZeroDivisionError for q = 0 and for
+        a q below about 5e-309 in size, whose inverse is beyond float64.
 
         Where |q|^2 underflows or overflows, q = 2^e s with |s| near 1
         and q^-1 = s^-1 2^-e, so any q whose inverse is in range has one.
@@ -108,7 +109,10 @@ class Quaternion(NamedTuple):
             raise ZeroDivisionError("zero quaternion has no inverse")
         e = math.frexp(m)[1]
         s = Quaternion(*[math.ldexp(t, -e) for t in self])
-        return Quaternion(*[math.ldexp(t, -e) for t in s.conj() / s.norm_sq()])
+        try:
+            return Quaternion(*[math.ldexp(t, -e) for t in s.conj() / s.norm_sq()])
+        except OverflowError:
+            raise ZeroDivisionError(f"the inverse of {self} overflows float64") from None
 
     def re(self) -> float:
         return self.w

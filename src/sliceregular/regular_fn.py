@@ -101,7 +101,7 @@ class RegularSeries:
         return _series(_add(self.coeffs, other.coeffs), min(self.radius, other.radius))
 
     def __sub__(self, other: "RegularSeries") -> "RegularSeries":
-        return self + -other
+        return _series(_sub(self.coeffs, other.coeffs), min(self.radius, other.radius))
 
     def __neg__(self) -> "RegularSeries":
         return _series(_neg(self.coeffs), self.radius)
@@ -139,10 +139,17 @@ def _series(coeffs, radius: float) -> RegularSeries:
 
 
 def _add(a, b) -> list:
-    """a + b: the shorter padded with zero coefficients, the result
-    trimmed.  a - b is a + (-b), the same floats in IEEE arithmetic."""
+    """a + b: the shorter padded with zero coefficients, the result trimmed."""
     pairs = zip_longest(a, b, fillvalue=_ZERO4)
     return _trim([(aw + bw, ax + bx, ay + by, az + bz)
+                  for (aw, ax, ay, az), (bw, bx, by, bz) in pairs])
+
+
+def _sub(a, b) -> list:
+    """a - b, padded and trimmed as _add does.  Not a + (-b): where b is
+    the shorter, c - 0.0 keeps a -0.0 component that c + 0.0 clears."""
+    pairs = zip_longest(a, b, fillvalue=_ZERO4)
+    return _trim([(aw - bw, ax - bx, ay - by, az - bz)
                   for (aw, ax, ay, az), (bw, bx, by, bz) in pairs])
 
 

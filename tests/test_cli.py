@@ -127,11 +127,11 @@ class _OracleParser:
                 sign = -sign
         out = self.term()
         if sign < 0:
-            out = -out
+            out = oracle_neg(out)
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+            out = oracle_add(out, rhs) if op == "+" else oracle_sub(out, rhs)
         return out
 
     def term(self):
@@ -169,7 +169,7 @@ class _OracleParser:
                 raise ParseError("missing closing parenthesis")
             return inner
         if tok == "-":
-            return -self.atom()
+            return oracle_neg(self.atom())
         if tok in _ORACLE_ATOMS:
             return _ORACLE_ATOMS[tok]
         try:
@@ -179,6 +179,24 @@ class _OracleParser:
         if not math.isfinite(value):
             raise ParseError(f"number {tok!r} is not finite")
         return RegularSeries.constant(value * ONE)
+
+
+# Series sums on Quaternion components, padded with Quaternion(), as
+# RegularSeries computed them before it ran on float kernels.
+def oracle_add(f, g):
+    n = max(len(f.coeffs), len(g.coeffs))
+    return RegularSeries(tuple(f.coeff(k) + g.coeff(k) for k in range(n)),
+                         min(f.radius, g.radius))
+
+
+def oracle_sub(f, g):
+    n = max(len(f.coeffs), len(g.coeffs))
+    return RegularSeries(tuple(f.coeff(k) - g.coeff(k) for k in range(n)),
+                         min(f.radius, g.radius))
+
+
+def oracle_neg(f):
+    return RegularSeries(tuple(-c for c in f.coeffs), f.radius)
 
 
 def oracle_star_power(f, n):
@@ -250,6 +268,8 @@ def _garbled(draw):
 @given(_garbled())
 @example("(q-i)*(q-j)")
 @example("-0*q + 0")                 # signed zeros through negation and sums
+@example("-q-1")                     # c - 0.0 keeps the -0.0 that c + 0.0 clears
+@example("-q^2-q")
 @example("(-2)^1")                   # a power starts from 1, which clears -0.0
 @example("q^0 - 1")                  # cancels to the zero series
 @example("0^0")

@@ -118,19 +118,30 @@ def test_mobius_pole_test_is_scale_invariant(scale):
         mobius(shifted, Quaternion(1.0))
 
 
-# Components from 1e-300 to 1e300 in size, either sign, signed zeros and
-# the non-finite values; coefficients from 1e-300 to 1e300, most of
-# them from 1e-70 to 1e70, where the invertibility test's fourth powers
-# stay in range.
+def test_mobius_value_beyond_float64_raises_value_error():
+    # q -> q^-1 at a subnormal q: qc + d passes the pole test, and its
+    # inverse is beyond float64
+    inv = MobiusCoeffs(Quaternion(), ONE, ONE, Quaternion())
+    for q in (Quaternion(1e-310), Quaternion(0.0, -5e-324)):
+        with pytest.raises(ValueError, match="overflows float64"):
+            mobius(inv, q)
+
+
+# Components from 1e-300 to 1e300 in size, either sign, signed zeros,
+# subnormals and the non-finite values; coefficients from 1e-300 to
+# 1e300, most of them from 1e-70 to 1e70, where the invertibility
+# test's fourth powers stay in range, and some with subnormal components.
+subnormals = st.sampled_from([1e-310, -1e-310, 5e-324, -5e-324, 1e-320])
 extreme = st.one_of(
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), subnormals,
     st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
               st.floats(min_value=-300.0, max_value=300.0)))
-coefficients = st.builds(
-    lambda e, parts: Quaternion(*(10.0 ** e * t for t in parts)),
-    st.one_of(st.floats(min_value=-70.0, max_value=70.0),
-              st.floats(min_value=-300.0, max_value=300.0)),
-    st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4))
+coefficients = st.one_of(
+    st.builds(lambda e, parts: Quaternion(*(10.0 ** e * t for t in parts)),
+              st.one_of(st.floats(min_value=-70.0, max_value=70.0),
+                        st.floats(min_value=-300.0, max_value=300.0)),
+              st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4)),
+    st.builds(Quaternion, *[st.one_of(subnormals, st.sampled_from([0.0, 1.0, -2.0]))] * 4))
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,7 +153,10 @@ def test_mobius_is_finite_or_raises(coeffs, point, at_pole):
         return  # not invertible, or its determinant is out of range
     q = Quaternion(*point)
     if at_pole and m.c != (0.0, 0.0, 0.0, 0.0):
-        q = -(m.d * m.c.inverse())  # qc + d = 0 up to rounding
+        try:
+            q = -(m.d * m.c.inverse())  # qc + d = 0 up to rounding
+        except ZeroDivisionError:
+            pass  # c is too small to invert in float64: keep the drawn point
     try:
         value = mobius(m, q)
     except (PoleHit, ValueError):

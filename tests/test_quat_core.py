@@ -48,13 +48,24 @@ def test_inverse(q):
     Quaternion(1e155), Quaternion(1e-155), Quaternion(1e170, -1e170),
     Quaternion(1e-170, 0.0, 1e-170), Quaternion(0.0, 1e-170),
     Quaternion(1e-160), Quaternion(3e-200, -4e-200, 0.0, 1e-210),
+    Quaternion(1e-308), Quaternion(0.0, -6e-309, 1e-320),
 ])
 def test_inverse_outside_the_range_of_norm_sq(q):
     # |q|^2 overflows to inf, underflows to 0 or is subnormal: the
-    # inverse is scaled by a power of two, and q q^-1 is still 1
+    # inverse is scaled by a power of two, and q q^-1 is still 1; the
+    # last two have subnormal components and an inverse in range
     inv = q.inverse()
     assert all(math.isfinite(t) for t in inv.to_json())
     assert abs(q * inv - ONE) <= 4e-16
+
+
+@pytest.mark.parametrize("q", [
+    Quaternion(1e-320), Quaternion(5e-324), Quaternion(0.0, 0.0, -1e-310),
+    Quaternion(2e-309, 0.0, 0.0, 2e-309),
+])
+def test_inverse_beyond_float64_raises_zero_division(q):
+    with pytest.raises(ZeroDivisionError, match="overflows float64"):
+        q.inverse()
 
 
 def test_inverse_keeps_its_usual_bits_and_rejects_zero():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sliceregular import (NotReal, OutsideRadius, Quaternion, RegularSeries,
                           Sphere, ZeroPolynomial, conjugate, divide_linear,
@@ -372,6 +372,22 @@ ORACLE = settings(max_examples=100, deadline=None)
 @given(quaternions, quaternions)
 def test_mul_matches_oracle(p, q):
     assert bits(mul(p, q)) == bits(oracle_mul(p, q))
+
+
+@ORACLE
+@given(series, series)
+@example(RegularSeries((Quaternion(-1.0, -0.0, -0.0, -0.0),) * 2),
+         RegularSeries.constant(ONE))  # -q - 1: c - 0.0 keeps -0.0
+def test_series_sum_difference_and_negation_match_oracle(f, g):
+    # g is shorter, longer or as long as f; the padding is Quaternion()
+    # on both sides, so f - g keeps f's -0.0 components past g's degree
+    n = max(len(f.coeffs), len(g.coeffs))
+    radius = min(f.radius, g.radius)
+    assert bits(f + g) == bits(RegularSeries(
+        tuple(f.coeff(k) + g.coeff(k) for k in range(n)), radius))
+    assert bits(f - g) == bits(RegularSeries(
+        tuple(f.coeff(k) - g.coeff(k) for k in range(n)), radius))
+    assert bits(-f) == bits(RegularSeries(tuple(-c for c in f.coeffs), f.radius))
 
 
 @ORACLE
