@@ -4,11 +4,11 @@ from .errors import (ConditioningWarning, DomainError, FitError, NotOnSurface,
                      NotReal, NotUnit, OutsideRadius, PoleDetected, PoleHit,
                      RealArgument, SingularPoint, ZeroPolynomial)
 from .quat_core import (ChartPoint, Quaternion, Sphere, conj_by_unit,
-                        imag_unit, is_real, mul, phi, phi_inverse, sphere_of)
+                        imag_unit, is_real, phi, phi_inverse, sphere_of)
 from .regular_fn import (RegularSeries, SphericalExpansion, ZeroSet, conjugate,
                          divide_linear, divide_real_quadratic, eval_series,
-                         quadratic_roots, slice_values, spherical_expansion,
-                         star_mul, star_power, symmetrize, zeros)
+                         slice_values, spherical_expansion, star_mul,
+                         star_power, symmetrize, zeros)
 from .differential import (Rank, RankClass, RealLinearMap4,
                            SingularityCertificate, differential_at,
                            directional_derivative, is_degenerate_sphere,

@@ -19,7 +19,8 @@ from .errors import ConditioningWarning
 from .quat_core import (I, J, K, ONE, Quaternion, Sphere, hamilton, imag_unit,
                         is_real)
 from .regular_fn import (Q4, RegularSeries, _check_radius, _divide_linear,
-                         _expansion, _minus_quotient, _norm, _slice_values)
+                         _expansion, _minus_quotient, _norm, _slice_values,
+                         _sphere_zero)
 
 NEAR_REAL_BAND = 1e-6
 
@@ -188,15 +189,8 @@ def _singularity(f: RegularSeries, p: Quaternion) -> tuple[bool, Q4 | None, Q4]:
             # g vanishes on the whole sphere: spherical multiplicity >= 2
             return True, p.conj(), value
         return False, None, value
-    cand = _minus_quotient(alpha, beta)
-    size = _norm(cand)
-    if abs(cand[0]) > 1e-7 * (1.0 + size) or abs(size - 1.0) > 1e-7:
-        return False, None, value
-    _, ux, uy, uz = imag_unit(cand)
-    witness = (w + 0.0 * r, 0.0 + ux * r, 0.0 + uy * r, 0.0 + uz * r)
-    if _norm(_divide_linear(g, witness)[1]) <= 1e-8 * scale:
-        return True, witness, value
-    return False, None, value
+    witness = _sphere_zero(g, w, r, alpha, beta, 1e-7, 1e-8 * scale)
+    return witness is not None, witness, value
 
 
 def is_singular(f: RegularSeries, q0: Quaternion) -> SingularityCertificate:

@@ -81,21 +81,29 @@ class MobiusCoeffs:
             raise ValueError("coefficients fail the invertibility condition")
 
     def determinant(self) -> float:
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return (a.norm_sq() * d.norm_sq() + b.norm_sq() * c.norm_sq()
-                - 2.0 * (b.conj() * d * c.conj() * a).re())
+        return _determinant(self.a, self.b, self.c, self.d)
 
     def invertible(self) -> bool:
         """|determinant| > 1e-12 (|a|^2 + |b|^2 + |c|^2 + |d|^2)^2.
 
-        Both sides are homogeneous of degree 4, so the test does not
-        depend on the scale of the coefficients; all-zero ones fail it,
-        and so do ones whose fourth powers overflow or underflow.
+        Both sides are homogeneous of degree 4, so the test is made on
+        the coefficients scaled by the one power of two that brings the
+        largest component into [1/2, 1): the fourth powers then stay in
+        range at any scale.  All-zero coefficients fail it.
         """
-        n = (self.a.norm_sq() + self.b.norm_sq()
-             + self.c.norm_sq() + self.d.norm_sq())
-        scale = n * n  # n ** 2 raises OverflowError where n * n is inf
-        return scale > 0.0 and abs(self.determinant()) > 1e-12 * scale
+        coeffs = (self.a, self.b, self.c, self.d)
+        m = max(abs(t) for q in coeffs for t in q)
+        if m == 0.0:
+            return False
+        e = math.frexp(m)[1]
+        a, b, c, d = (Quaternion(*[math.ldexp(t, -e) for t in q]) for q in coeffs)
+        n = a.norm_sq() + b.norm_sq() + c.norm_sq() + d.norm_sq()
+        return abs(_determinant(a, b, c, d)) > 1e-12 * (n * n)
+
+
+def _determinant(a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion) -> float:
+    return (a.norm_sq() * d.norm_sq() + b.norm_sq() * c.norm_sq()
+            - 2.0 * (b.conj() * d * c.conj() * a).re())
 
 
 def mobius(m: MobiusCoeffs, q: Quaternion) -> Quaternion:

@@ -72,14 +72,6 @@ def _in_plane_li(c: Quaternion) -> bool:
     return abs(c.complex_pair()[1]) <= GEOM_TOL * (1.0 + abs(c))
 
 
-def _partner(alpha: Quaternion) -> Quaternion:
-    """The second preimage -(z + i/2) - i/2 + e^{2i theta} w j, tan(theta) = z + z-bar."""
-    z, w = alpha.complex_pair()
-    s = 2.0 * z.real
-    phase = complex(1.0 - s * s, 2.0 * s) / (1.0 + s * s)
-    return Quaternion.from_complex_pair(-(z + 0.5j) - 0.5j, phase * w)
-
-
 def _positive_root(p: float, m: float) -> float:
     """The positive root of t^2 + p t - m with m > 0, without cancellation."""
     d = math.sqrt(p * p + 4.0 * m)
@@ -210,12 +202,11 @@ def j_minus(c: Quaternion) -> OCSValue:
 
 def quartic_K(Z: ProjectivePoint3) -> complex:
     """(Z1 Z2 - Z0 Z3)^2 + 2 Z1 Z0 (Z1 Z2 + Z0 Z3) on the normalized representative."""
-    z0, z1, z2, z3 = (Z[k] for k in range(4))
-    return (z1 * z2 - z0 * z3) ** 2 + 2.0 * z1 * z0 * (z1 * z2 + z0 * z3)
+    return quartic_K_affine(*(Z[k] for k in range(4)))
 
 
-def quartic_K_affine(x: float, y: float, z: float, w: float) -> float:
-    """The real form K(x, y, z, w) used for affine slices."""
+def quartic_K_affine(x, y, z, w):
+    """K(x, y, z, w) on numbers, complex or real, or on arrays of them."""
     return (y * z - x * w) ** 2 + 2.0 * y * x * (y * z + x * w)
 
 

@@ -73,7 +73,7 @@ class Quaternion(NamedTuple):
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            return mul(self, other)
+            return Quaternion(*hamilton(self, other))
         return self.scale(float(other))
 
     def __rmul__(self, other):
@@ -147,11 +147,6 @@ def hamilton(p: tuple, q: tuple) -> tuple:
             pw * qx + px * qw + py * qz - pz * qy,
             pw * qy - px * qz + py * qw + pz * qx,
             pw * qz + px * qy - py * qx + pz * qw)
-
-
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product of two quaternions."""
-    return Quaternion(*hamilton(p, q))
 
 
 def is_real(q: tuple) -> bool:

@@ -15,7 +15,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import NotReal, OutsideRadius, ZeroPolynomial
-from .quat_core import ONE, Quaternion, Sphere, hamilton, sphere_of
+from .quat_core import ONE, Quaternion, Sphere, hamilton
 
 # Tolerances for zero extraction (see module tests for their calibration).
 CLUSTER_TOL = 1e-7       # merge radius for roots of the symmetrization
@@ -386,28 +386,32 @@ def _minus_quotient(a: Q4, b: Q4) -> Q4:
     return (-cw, -cx, -cy, -cz)
 
 
-def _zero_on_sphere(coeffs: list, x: float, y: float, tol: float) -> Q4 | None:
-    """The unique zero of f on x + yS, if any.
+def _sphere_zero(coeffs: list, x: float, y: float, alpha: Q4, beta: Q4,
+                 unit_tol: float, tol: float) -> Q4 | None:
+    """The one zero of f on x + yS that is not the whole sphere, if any.
 
-    Writes f(x + yI) = alpha + I beta; a zero exists iff -alpha beta^-1
-    is an imaginary unit, and the candidate is accepted only if the
-    division remainder at it is within tol.
+    With f(x + yI) = alpha + I beta and beta nonzero, a zero exists iff
+    c = -alpha beta^-1 is an imaginary unit, to unit_tol; it is then
+    x + yc, with c snapped to unit length, and is accepted only if the
+    division remainder there is within tol.
     """
+    c = _minus_quotient(alpha, beta)
+    size = _norm(c)
+    if abs(c[0]) > unit_tol * max(1.0, size) or abs(size - 1.0) > unit_tol:
+        return None
+    _, ux, uy, uz = c
+    n = math.sqrt(ux * ux + uy * uy + uz * uz)
+    p = (x + 0.0 * y, 0.0 + ux / n * y, 0.0 + uy / n * y, 0.0 + uz / n * y)
+    return p if _norm(_divide_linear(coeffs, p)[1]) <= tol else None
+
+
+def _zero_on_sphere(coeffs: list, x: float, y: float, tol: float) -> Q4 | None:
+    """The isolated zero of f on x + yS, if any; none where beta is
+    within tol of 0."""
     alpha, beta = _slice_values(coeffs, x, y)
     if _norm(beta) <= tol:
         return None
-    cand = _minus_quotient(alpha, beta)
-    size = _norm(cand)
-    if abs(cand[0]) > 1e-6 * max(1.0, size):
-        return None
-    if abs(size - 1.0) > 1e-6:
-        return None
-    _, ux, uy, uz = cand
-    n = math.sqrt(ux * ux + uy * uy + uz * uz)  # snap to an exact imaginary unit
-    p = (x + 0.0 * y, 0.0 + ux / n * y, 0.0 + uy / n * y, 0.0 + uz / n * y)
-    if _norm(_divide_linear(coeffs, p)[1]) > tol:
-        return None
-    return p
+    return _sphere_zero(coeffs, x, y, alpha, beta, 1e-6, tol)
 
 
 def _merge(points: list[tuple[complex, int]], tol: float) -> list[tuple[complex, int]]:
@@ -546,28 +550,3 @@ def zeros(f: RegularSeries) -> ZeroSet:
             out.points.append((Quaternion(*first), n))
     return out
 
-
-def quadratic_roots(alpha: Quaternion, beta: Quaternion) -> ZeroSet:
-    """Zero set of (q - alpha) * (q - beta) in closed form.
-
-    Distinct spheres give roots alpha and (alpha - beta-bar) beta
-    (alpha - beta-bar)^-1; the same sphere gives a unique double root,
-    or the whole sphere when alpha = beta-bar.
-    """
-    tol = 1e-10 * (1.0 + abs(alpha) + abs(beta))
-    sa, sb = sphere_of(alpha), sphere_of(beta)
-    same_sphere = abs(sa.x - sb.x) <= tol and abs(sa.y - sb.y) <= tol
-    out = ZeroSet()
-    if same_sphere and abs(alpha - beta.conj()) <= tol:
-        if sa.y > tol:
-            out.spheres.append((Sphere(sa.x, 0.5 * (sa.y + sb.y)), 2))
-        else:
-            out.points.append((alpha, 2))
-    elif same_sphere:
-        out.points.append((alpha, 2))
-    else:
-        d = alpha - beta.conj()
-        second = d * beta * d.inverse()
-        out.points.append((alpha, 1))
-        out.points.append((second, 1))
-    return out

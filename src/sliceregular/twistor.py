@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import FitError, OutsideRadius, PoleDetected
 from .quat_core import Quaternion
-from .regular_fn import RegularSeries
+from .regular_fn import RegularSeries, _trim
 
 PROJ_TOL = 1e-9
 
@@ -133,20 +133,12 @@ def in_q_plus(Z: ProjectivePoint3, tol: float = 1e-10) -> bool:
     return False
 
 
-def _trim_complex(c: np.ndarray) -> np.ndarray:
-    n = len(c)
-    while n > 0 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
 @dataclass(frozen=True)
 class SplitPair:
     """The splitting f = g + hj on L_i, as complex coefficient arrays.
 
     g_hat, h_hat default to the Schwarz reflections (coefficientwise
-    conjugates); a non-symmetric curve supplies them independently and
-    is flagged symmetric=False.
+    conjugates); a non-symmetric curve supplies them independently.
     """
 
     g: np.ndarray
@@ -154,11 +146,15 @@ class SplitPair:
     radius: float = math.inf
     ghat: np.ndarray | None = None
     hhat: np.ndarray | None = None
-    symmetric: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "g", _trim_complex(np.asarray(self.g, dtype=complex)))
-        object.__setattr__(self, "h", _trim_complex(np.asarray(self.h, dtype=complex)))
+        object.__setattr__(self, "g", _trim(np.asarray(self.g, dtype=complex), 0.0))
+        object.__setattr__(self, "h", _trim(np.asarray(self.h, dtype=complex), 0.0))
+
+    @property
+    def symmetric(self) -> bool:
+        """True iff the hats are the Schwarz reflections, none supplied."""
+        return self.ghat is None and self.hhat is None
 
     @property
     def g_hat(self) -> np.ndarray:
@@ -291,7 +287,7 @@ def _fit_polynomial(vs: np.ndarray, vals: np.ndarray, max_degree: int,
         coeffs, *_ = np.linalg.lstsq(vand, vals, rcond=None)
         resid = float(np.max(np.abs(vand @ coeffs - vals)))
         if resid <= tol * scale:
-            return _trim_complex(coeffs)
+            return _trim(coeffs, 0.0)
     raise FitError(f"no polynomial of degree <= {max_degree} fits the samples")
 
 
@@ -302,8 +298,8 @@ def reconstruct(samples: list[CurveSample], max_degree: int = 24,
     After normalizing zeta_6 = 1, g = -zeta_3 and h = zeta_2 are fitted
     by increasing-degree interpolation.  A curve whose reflected
     components disagree with the conjugated fits beyond 1e-8 does not
-    extend symmetrically; it is returned with symmetric=False and
-    independently fitted g^, h^.
+    extend symmetrically; it is returned with the independently fitted
+    g^, h^, so that its symmetric is False.
     """
     values = normalized_curve_values(samples)
     vs = np.array([t[0] for t in values], dtype=complex)
@@ -323,4 +319,4 @@ def reconstruct(samples: list[CurveSample], max_degree: int = 24,
 
     if agree(np.conj(g), ghat) and agree(np.conj(h), hhat):
         return SplitPair(g, h)
-    return SplitPair(g, h, ghat=ghat, hhat=hhat, symmetric=False)
+    return SplitPair(g, h, ghat=ghat, hhat=hhat)

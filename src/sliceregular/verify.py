@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,17 @@ class SuiteResult:
         return line
 
 
+SUITES: dict[str, Callable[..., None]] = {}
+
+
+def _suite(name: str):
+    """Register a suite under its name; run_suite passes it the result."""
+    def register(fn):
+        SUITES[name] = fn
+        return fn
+    return register
+
+
 def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
     return Quaternion(*(float(scale * t) for t in rng.uniform(-1.0, 1.0, 4)))
 
@@ -80,9 +92,9 @@ def _random_chart(rng) -> tuple[complex, complex]:
     return u, v
 
 
-def suite_twistor_commute(rng, samples: int = 1000) -> SuiteResult:
+@_suite("twistor-commute")
+def suite_twistor_commute(res: SuiteResult, rng, samples: int = 1000) -> None:
     """Projecting the lift agrees with mapping the chart point."""
-    res = SuiteResult("twistor-commute")
     for n in range(samples):
         f = random_polynomial(rng)
         u, v = _random_chart(rng)
@@ -92,12 +104,11 @@ def suite_twistor_commute(rng, samples: int = 1000) -> SuiteResult:
         gap = abs(proj.affine_point() - fq)
         rel = gap / (1.0 + abs(fq))
         res.check(rel <= 1e-9, f"sample {n}: residual {rel:.2e}", rel)
-    return res
 
 
-def suite_quartic_membership(rng, samples: int = 1000) -> SuiteResult:
+@_suite("quartic-membership")
+def suite_quartic_membership(res: SuiteResult, rng, samples: int = 1000) -> None:
     """Lifts of q^2 + qi land on the quartic scroll."""
-    res = SuiteResult("quartic-membership")
     spot = ProjectivePoint3.of(1.0, 1.0, 1 + 1j, 1 - 1j)
     res.check(abs(quartic_K(spot)) <= 1e-12, "spot [1,1,1+i,1-i]",
               abs(quartic_K(spot)))
@@ -108,12 +119,11 @@ def suite_quartic_membership(rng, samples: int = 1000) -> SuiteResult:
         scale = 1.0 + sum(abs(Z[k]) for k in range(4)) ** 4
         rel = abs(val) / scale
         res.check(rel <= 1e-9, f"sample {n}: K residual {rel:.2e}", rel)
-    return res
 
 
-def suite_klein_reality(rng, samples: int = 1000) -> SuiteResult:
+@_suite("klein-reality")
+def suite_klein_reality(res: SuiteResult, rng, samples: int = 1000) -> None:
     """The transform satisfies the Klein relation and the reality condition."""
-    res = SuiteResult("klein-reality")
     f = random_polynomial(rng)
     for n in range(samples):
         if n % 100 == 0:
@@ -124,12 +134,11 @@ def suite_klein_reality(rng, samples: int = 1000) -> SuiteResult:
         res.check(zeta.on_klein_quadric(1e-10), f"Klein relation, sample {n}", kf)
         res.check(sigma(zeta).equals(twistor_transform(f, v.conjugate()), 1e-10),
                   f"reality condition, sample {n}")
-    return res
 
 
-def suite_transform_spot(rng, samples: int = 20) -> SuiteResult:
+@_suite("transform-spot")
+def suite_transform_spot(res: SuiteResult, rng, samples: int = 20) -> None:
     """Closed-form transform values for the identity and for q^2 + qi."""
-    res = SuiteResult("transform-spot")
     ident = RegularSeries.identity()
     for n in range(samples):
         v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -140,16 +149,15 @@ def suite_transform_spot(rng, samples: int = 20) -> SuiteResult:
                                    v * v - 1j * v, 0.0, 1.0)
         res.check(twistor_transform(F_PAR, v).equals(expect_par, 1e-10),
                   f"parabola map at v={v:.3f}")
-    return res
 
 
 def _transform_samples(f: RegularSeries, vs) -> list[CurveSample]:
     return [CurveSample(v, twistor_transform(f, v)) for v in vs]
 
 
-def suite_transform_roundtrip(rng, samples: int = 200) -> SuiteResult:
+@_suite("transform-roundtrip")
+def suite_transform_roundtrip(res: SuiteResult, rng, samples: int = 200) -> None:
     """Reconstruction from curve samples inverts the transform."""
-    res = SuiteResult("transform-roundtrip")
     for n in range(samples):
         f = random_polynomial(rng)
         vs = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
@@ -181,12 +189,11 @@ def suite_transform_roundtrip(rng, samples: int = 200) -> SuiteResult:
             res.check(False, f"no pole flagged at v={bad}")
         except PoleDetected:
             res.check(True, "pole flagged")
-    return res
 
 
-def suite_gradient(rng, samples: int = 200) -> SuiteResult:
+@_suite("gradient")
+def suite_gradient(res: SuiteResult, rng, samples: int = 200) -> None:
     """The differential matrix matches central finite differences."""
-    res = SuiteResult("gradient")
     h = 1e-5
     for n in range(samples):
         f = random_polynomial(rng)
@@ -199,7 +206,6 @@ def suite_gradient(rng, samples: int = 200) -> SuiteResult:
         scale = 1.0 + float(np.max(np.abs(m)))
         gap = float(np.max(np.abs(m - fd)))
         res.check(gap <= 1e-6 * scale, f"sample {n}: gap {gap:.2e}", gap / scale)
-    return res
 
 
 def _engineered_singular(rng) -> tuple[RegularSeries, Quaternion]:
@@ -221,10 +227,10 @@ def _engineered_singular(rng) -> tuple[RegularSeries, Quaternion]:
     return f, q0
 
 
-def suite_rank_equivalence(rng, samples: int = 500) -> SuiteResult:
+@_suite("rank-equivalence")
+def suite_rank_equivalence(res: SuiteResult, rng, samples: int = 500) -> None:
     """Expansion-based rank, numerical Jacobian rank and the multiplicity
     test tell one consistent story."""
-    res = SuiteResult("rank-equivalence")
     for n in range(samples):
         if n % 4 == 0:
             f, q0 = _engineered_singular(rng)
@@ -237,13 +243,12 @@ def suite_rank_equivalence(rng, samples: int = 500) -> SuiteResult:
                   f"sample {n}: classified {rc.rank.value} vs jacobian {jac}")
         res.check(cert.singular == (rc.rank != Rank.RANK4),
                   f"sample {n}: singular={cert.singular} but rank {rc.rank.value}")
-    return res
 
 
-def suite_zeros_multiplicity(rng, samples: int = 500) -> SuiteResult:
+@_suite("zeros-multiplicity")
+def suite_zeros_multiplicity(res: SuiteResult, rng, samples: int = 500) -> None:
     """zeros() accounts for the full degree of random split polynomials,
     and reproduces the three canonical quadratic cases."""
-    res = SuiteResult("zeros-multiplicity")
     for n in range(samples):
         deg = int(rng.integers(1, 7))
         f = RegularSeries.constant(Quaternion(1.0))
@@ -279,7 +284,6 @@ def suite_zeros_multiplicity(rng, samples: int = 500) -> SuiteResult:
           and abs(zs.spheres[0][0].y - 1.0) <= 1e-9
           and zs.spheres[0][1] == 2)
     res.check(ok, "spherical quadratic")
-    return res
 
 
 def _gamma_point(t: float) -> Quaternion:
@@ -290,9 +294,9 @@ def _paraboloid_point(r: float, a: float) -> Quaternion:
     return Quaternion(0.25 - r * r, 0.0, r * math.cos(a), r * math.sin(a))
 
 
-def suite_double_cover(rng, samples: int = 1000) -> SuiteResult:
+@_suite("double-cover")
+def suite_double_cover(res: SuiteResult, rng, samples: int = 1000) -> None:
     """The map q -> q^2 + qi is two-to-one off its branch locus."""
-    res = SuiteResult("double-cover")
     for n in range(samples):
         c = random_quaternion(rng, 2.0)
         if on_parabola(c) or on_paraboloid(c):
@@ -307,12 +311,11 @@ def suite_double_cover(rng, samples: int = 1000) -> SuiteResult:
         c = _paraboloid_point(rng.uniform(0.05, 1.2), rng.uniform(0, 2 * math.pi))
         pts = preimages(c)
         res.check(len(pts) == 1, f"branch sample {n}: {len(pts)} preimages")
-    return res
 
 
-def suite_jjjj(rng, samples: int = 100) -> SuiteResult:
+@_suite("jjjj")
+def suite_jjjj(res: SuiteResult, rng, samples: int = 100) -> None:
     """Spot values and distinctness of the four extended structures."""
-    res = SuiteResult("jjjj")
     minus_i = OCSValue(-QI)
     plus_i = OCSValue(QI)
     c1 = Quaternion(1.0)
@@ -337,7 +340,6 @@ def suite_jjjj(rng, samples: int = 100) -> SuiteResult:
         distinct = all(abs(units[a] - units[b]) > 1e-6
                        for a in range(4) for b in range(a + 1, 4))
         res.check(distinct, f"distinctness at sample {found}")
-    return res
 
 
 def sylvester_resultant_quartic(coeffs: np.ndarray) -> float:
@@ -353,9 +355,9 @@ def sylvester_resultant_quartic(coeffs: np.ndarray) -> float:
     return float(np.linalg.det(m))
 
 
-def suite_discriminant_resultant(rng, samples: int = 1000) -> SuiteResult:
+@_suite("discriminant-resultant")
+def suite_discriminant_resultant(res: SuiteResult, rng, samples: int = 1000) -> None:
     """The closed-form sextic is one sixteenth of the fibre discriminant."""
-    res = SuiteResult("discriminant-resultant")
     for n in range(samples):
         c = random_quaternion(rng, 2.0)
         poly = fiber_polynomial(c)
@@ -372,12 +374,11 @@ def suite_discriminant_resultant(rng, samples: int = 1000) -> SuiteResult:
     poly = fiber_polynomial(Quaternion(0.0, 0.0, 0.5, 0.0))
     res.check(bool(np.allclose(poly, [0.25, 0.0, 1.0, 0.0, 1.0])),
               "R(v) = (v^2 + 1/2)^2 at c = j/2")
-    return res
 
 
-def suite_fiber_classification(rng, samples: int = 20) -> SuiteResult:
+@_suite("fiber-classification")
+def suite_fiber_classification(res: SuiteResult, rng, samples: int = 20) -> None:
     """The fibre/scroll trichotomy on labeled samples."""
-    res = SuiteResult("fiber-classification")
     for n in range(samples):
         t = rng.uniform(-1.5, 1.5)
         fc = fiber_intersections(_gamma_point(t))
@@ -409,7 +410,6 @@ def suite_fiber_classification(rng, samples: int = 20) -> SuiteResult:
         res.check(distinct, f"generic sample {n}: roots not distinct")
     fc = fiber_intersections(Quaternion(0.25))
     res.check(fc.kind == FiberKind.AT_FOCUS, "focus")
-    return res
 
 
 def _quartic_monomials():
@@ -423,9 +423,9 @@ _K_EXPANDED = {
 }
 
 
-def suite_nullstellensatz(rng, samples: int = 40) -> SuiteResult:
+@_suite("nullstellensatz")
+def suite_nullstellensatz(res: SuiteResult, rng, samples: int = 40) -> None:
     """Quartics vanishing on fibres over the parabola are multiples of K."""
-    res = SuiteResult("nullstellensatz")
     monomials = _quartic_monomials()
     rows = []
     ts = np.linspace(-2.0, 2.0, samples)
@@ -453,12 +453,11 @@ def suite_nullstellensatz(rng, samples: int = 40) -> SuiteResult:
     res.check(float(np.linalg.norm(proj)) <= 1e-6,
               f"null vector spans K (off-K part {np.linalg.norm(proj):.2e})",
               float(np.linalg.norm(proj)))
-    return res
 
 
-def suite_singular_locus(rng, samples: int = 100) -> SuiteResult:
+@_suite("singular-locus")
+def suite_singular_locus(res: SuiteResult, rng, samples: int = 100) -> None:
     """The gradient of K vanishes exactly on the three double lines."""
-    res = SuiteResult("singular-locus")
     for n in range(samples):
         t = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         pts = [ProjectivePoint3.of(0.0, 0.0, 1.0, t),   # m01
@@ -476,32 +475,16 @@ def suite_singular_locus(rng, samples: int = 100) -> SuiteResult:
               == SurfaceClass.CUSP, "cusp at [0,1,0,1/4]")
     res.check(singular_locus_class(ProjectivePoint3.of(1, 0, 0.25, 0))
               == SurfaceClass.CUSP, "cusp at [1,0,1/4,0]")
-    return res
 
-
-SUITES = {
-    "twistor-commute": suite_twistor_commute,
-    "quartic-membership": suite_quartic_membership,
-    "klein-reality": suite_klein_reality,
-    "transform-spot": suite_transform_spot,
-    "transform-roundtrip": suite_transform_roundtrip,
-    "gradient": suite_gradient,
-    "rank-equivalence": suite_rank_equivalence,
-    "zeros-multiplicity": suite_zeros_multiplicity,
-    "double-cover": suite_double_cover,
-    "jjjj": suite_jjjj,
-    "discriminant-resultant": suite_discriminant_resultant,
-    "fiber-classification": suite_fiber_classification,
-    "nullstellensatz": suite_nullstellensatz,
-    "singular-locus": suite_singular_locus,
-}
 
 
 def run_suite(name: str, seed: int = 0, samples: int | None = None) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
+    res = SuiteResult(name)
     rng = np.random.default_rng(seed)
-    fn = SUITES[name]
     if samples is None:
-        return fn(rng)
-    return fn(rng, samples)
+        SUITES[name](res, rng)
+    else:
+        SUITES[name](res, rng, samples)
+    return res

@@ -285,7 +285,7 @@ def oracle_is_singular(f, q0):
             return SingularityCertificate(True, q0.conj())
         return SingularityCertificate(False, None)
     cand = -(alpha * beta.inverse())
-    if abs(cand.re()) > 1e-7 * (1.0 + abs(cand)) or abs(abs(cand) - 1.0) > 1e-7:
+    if abs(cand.re()) > 1e-7 * max(1.0, abs(cand)) or abs(abs(cand) - 1.0) > 1e-7:
         return SingularityCertificate(False, None)
     witness = Quaternion(sph.x) + sph.y * oracle_imag_unit(cand)
     _, r = divide_linear(g, witness)

@@ -12,7 +12,7 @@ from sliceregular import (DomainError, FiberKind, NotOnSurface, ProjectivePoint3
                           lift, on_parabola, on_paraboloid,
                           osculating_sphere_point, preimages, quartic_K,
                           singular_locus_class, zeros)
-from sliceregular.parabola import F_PAR, _partner, figure1_rows, figure2_cells
+from sliceregular.parabola import F_PAR, figure1_rows, figure2_cells
 from sliceregular.quat_core import I
 
 
@@ -65,6 +65,14 @@ def test_preimages_map_back():
 
 def _paraboloid_point(r: float, a: float) -> Quaternion:
     return Quaternion(0.25 - r * r, 0.0, r * math.cos(a), r * math.sin(a))
+
+
+def _partner(alpha: Quaternion) -> Quaternion:
+    """The second preimage -(z + i/2) - i/2 + e^{2i theta} w j, tan(theta) = z + z-bar."""
+    z, w = alpha.complex_pair()
+    s = 2.0 * z.real
+    phase = complex(1.0 - s * s, 2.0 * s) / (1.0 + s * s)
+    return Quaternion.from_complex_pair(-(z + 0.5j) - 0.5j, phase * w)
 
 
 def test_preimages_match_general_zero_finder():

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sliceregular import (NotReal, OutsideRadius, Quaternion, RegularSeries,
-                          Sphere, ZeroPolynomial, conjugate, divide_linear,
-                          divide_real_quadratic, eval_series, quadratic_roots,
+                          Sphere, ZeroPolynomial, ZeroSet, conjugate,
+                          divide_linear, divide_real_quadratic, eval_series,
                           slice_values, spherical_expansion, star_mul,
                           star_power, symmetrize, zeros)
 from sliceregular import regular_fn
 from sliceregular.parsing import parse_polynomial
-from sliceregular.quat_core import I, J, K, ONE, imag_unit, mul
+from sliceregular.quat_core import I, J, K, ONE, imag_unit, sphere_of
 from sliceregular.regular_fn import (CLUSTER_TOL, DIVISION_TOL, _cluster_roots,
                                      _polish, _zero_on_sphere)
 
@@ -185,17 +185,81 @@ def test_zeros_constant_is_empty():
     assert zs.total_multiplicity == 0
 
 
+def quadratic_roots(alpha, beta):
+    """Zero set of (q - alpha) * (q - beta) in closed form.
+
+    Distinct spheres give roots alpha and (alpha - beta-bar) beta
+    (alpha - beta-bar)^-1; the same sphere gives a unique double root,
+    or the whole sphere when alpha = beta-bar.
+    """
+    tol = 1e-10 * (1.0 + abs(alpha) + abs(beta))
+    sa, sb = sphere_of(alpha), sphere_of(beta)
+    same_sphere = abs(sa.x - sb.x) <= tol and abs(sa.y - sb.y) <= tol
+    out = ZeroSet()
+    if same_sphere and abs(alpha - beta.conj()) <= tol:
+        if sa.y > tol:
+            out.spheres.append((Sphere(sa.x, 0.5 * (sa.y + sb.y)), 2))
+        else:
+            out.points.append((alpha, 2))
+    elif same_sphere:
+        out.points.append((alpha, 2))
+    else:
+        d = alpha - beta.conj()
+        out.points.append((alpha, 1))
+        out.points.append((d * beta * d.inverse(), 1))
+    return out
+
+
+def assert_zeros_match_closed_form(alpha, beta, rel):
+    """zeros((q - alpha) * (q - beta)) against quadratic_roots, each point
+    and sphere within rel of its size, multiplicities equal."""
+    got = zeros(star_mul(RegularSeries.linear(alpha), RegularSeries.linear(beta)))
+    want = quadratic_roots(alpha, beta)
+    assert len(got.points) == len(want.points)
+    assert len(got.spheres) == len(want.spheres)
+    for p, n in want.points:
+        assert any(abs(q - p) <= rel * (1.0 + abs(p)) and m == n
+                   for q, m in got.points), (p, n, got)
+    for s, n in want.spheres:
+        assert any(abs(t.x - s.x) <= rel * (1.0 + abs(s.x))
+                   and abs(t.y - s.y) <= rel * (1.0 + s.y) and m == n
+                   for t, m in got.spheres), (s, n, got)
+
+
 def test_quadratic_roots_three_cases():
-    # distinct spheres
+    # distinct spheres: alpha and (alpha - beta-bar) beta (alpha - beta-bar)^-1
     zs = quadratic_roots(I, Quaternion(1, 0, 1))
-    assert len(zs.points) == 2 and not zs.spheres
-    # same sphere, beta != alpha-bar
-    zs = quadratic_roots(I, J)
-    assert zs.points == [(I, 2)] and not zs.spheres
-    # beta = alpha-bar
+    (p1, n1), (p2, n2) = zs.points
+    assert p1 == I and abs(p2 - Quaternion(1, 2 / 3, 1 / 3, -2 / 3)) <= 1e-15
+    assert n1 == n2 == 1
+    assert_zeros_match_closed_form(I, Quaternion(1, 0, 1), 1e-7)
+    # same sphere, beta != alpha-bar: a double point, which zeros() gives
+    # only to about 1e-8
+    assert quadratic_roots(I, J).points == [(I, 2)]
+    assert_zeros_match_closed_form(I, J, 1e-7)
+    assert_zeros_match_closed_form(Quaternion(0.5, 0.0, 0.6, 0.8),
+                                   Quaternion(0.5, 1.0), 1e-7)
+    # beta = alpha-bar: the whole sphere
     zs = quadratic_roots(I, -I)
-    assert not zs.points and len(zs.spheres) == 1
-    assert zs.spheres[0][1] == 2
+    assert not zs.points and zs.spheres == [(Sphere(0.0, 1.0), 2)]
+    assert_zeros_match_closed_form(I, -I, 1e-7)
+    assert_zeros_match_closed_form(Quaternion(-1.0, 0.0, 2.0),
+                                   Quaternion(-1.0, 0.0, -2.0), 1e-7)
+
+
+# Components on a grid of 1/64 in [-2, 2]: exact in binary, so a point is
+# real or at least 1/64 from the real axis.
+grid_quaternions = st.builds(
+    Quaternion, *[st.integers(-128, 128).map(lambda k: k / 64.0)] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_quaternions, grid_quaternions)
+def test_zeros_of_two_linear_factors_match_closed_form(alpha, beta):
+    # on distinct spheres; the same-sphere cases are the examples above
+    sa, sb = sphere_of(alpha), sphere_of(beta)
+    assume(abs(sa.x - sb.x) + abs(sa.y - sb.y) >= 0.05)
+    assert_zeros_match_closed_form(alpha, beta, 1e-9)
 
 
 def test_symmetrize_detects_bad_input(monkeypatch):
@@ -371,7 +435,7 @@ ORACLE = settings(max_examples=100, deadline=None)
 @ORACLE
 @given(quaternions, quaternions)
 def test_mul_matches_oracle(p, q):
-    assert bits(mul(p, q)) == bits(oracle_mul(p, q))
+    assert bits(p * q) == bits(oracle_mul(p, q))
 
 
 @ORACLE

@@ -133,7 +133,9 @@ def test_transform_contains_lift():
 
 def test_non_symmetric_pair_values_use_supplied_hats():
     pair = SplitPair([1, 2j], [3], ghat=np.array([5, 0, 1]),
-                     hhat=np.array([7, 1j]), symmetric=False)
+                     hhat=np.array([7, 1j]))
+    assert not pair.symmetric
+    assert split(F).symmetric
     v = 0.5 + 0.25j
     assert pair.values(v) == (1 + 2j * v, 3, 5 + v * v, 7 + 1j * v)
 

@@ -16,12 +16,13 @@ interpreter, and compares one JSON line per item as bytes.
   of `rank_classify`, `induced_ocs` (the value and unit, or the
   exception type and message) and `differential_at` (the matrix and
   any warning), for q -> q^2 + qi.
-- `parse`: every expression of `zeros_items` and every prefix of it
+- `parse`: every expression e of `zeros_items` and every prefix of it
   that ends at a token boundary goes through `parse_polynomial`, so the
-  parser's error paths are compared too.  The line of an item lists,
-  prefix by prefix, the `ParseError` message or the first 16 hex digits
-  of a sha256 of the parsed coefficients (a JSON-format item has no
-  prefixes).
+  parser's error paths are compared too, and then the negated variant
+  `-(e)-1`, which subtracts a shorter series from one with -0.0
+  components.  The line of an item lists, text by text, the
+  `ParseError` message or the first 16 hex digits of a sha256 of the
+  parsed coefficients (a JSON-format item has no texts).
 - `paper`: the 14 verify suites at the acceptance seed and sample
   counts, and `figure fig1` and `figure fig2 --grid 60`, as
   `bench/inputs.py` lists them.  The line of a suite holds its
@@ -109,17 +110,18 @@ def _dump_geometry(seeds: list[int]) -> None:
 
 
 def _dump_parse(seeds: list[int]) -> None:
-    """Print one JSON line per item: the outcome of each token prefix."""
+    """Print one JSON line per item: the outcome of each text."""
     from inputs import zeros_items
     from sliceregular import ParseError, parse_polynomial
 
     for seed in seeds:
         for item in zeros_items(seed, COUNT["parse"]):
             req = item["request"]
-            prefixes = ([] if req["format"] == "json" else
-                        [req["text"][:m.end()] for m in TOKEN.finditer(req["text"])])
+            e = req["text"]
+            texts = ([] if req["format"] == "json" else
+                     [e[:m.end()] for m in TOKEN.finditer(e)] + [f"-({e})-1"])
             line = []
-            for text in prefixes:
+            for text in texts:
                 try:
                     coeffs = [c.to_json() for c in parse_polynomial(text).coeffs]
                 except ParseError as exc:
