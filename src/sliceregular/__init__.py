@@ -17,8 +17,8 @@ from .ocs import (MobiusCoeffs, OCSValue, induced_ocs, is_so2h, j_standard,
                   mobius)
 from .twistor import (CurveSample, HP1Point, KleinPoint, ProjectivePoint3,
                       SplitPair, fiber_plucker, in_q_plus, j_involution, lift,
-                      line_plucker, on_quadric, reconstruct, sigma, split,
-                      star_product_split, twistor_project, twistor_transform)
+                      line_plucker, on_quadric, reconstruct, sigma,
+                      twistor_project, twistor_transform)
 from .parabola import (FiberClass, FiberKind, SurfaceClass, discriminant_D,
                        f_par, fiber_intersections, fiber_polynomial, grad_K,
                        in_solid, j_minus, j_plus, on_parabola, on_paraboloid,

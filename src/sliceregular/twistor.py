@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .errors import FitError, OutsideRadius, PoleDetected
+from .errors import FitError, PoleDetected
 from .quat_core import Quaternion
-from .regular_fn import RegularSeries, _trim
+from .regular_fn import RegularSeries, eval_series
 
 PROJ_TOL = 1e-9
 
@@ -31,9 +31,9 @@ class ProjectivePoint:
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=complex)
         mags = np.abs(coords)
-        k = int(np.argmax(mags))
-        if mags[k] == 0.0:
-            raise ValueError("projective coordinates must not all vanish")
+        k = int(np.argmax(mags))  # the first NaN, if there is one
+        if not 0.0 < mags[k] < math.inf:
+            raise ValueError("projective coordinates must be finite, not all zero")
         object.__setattr__(self, "coords", coords / coords[k])
 
     def equals(self, other: "ProjectivePoint", tol: float = PROJ_TOL) -> bool:
@@ -69,13 +69,18 @@ class HP1Point:
     q1: Quaternion
     q2: Quaternion
 
+    def __post_init__(self):
+        if not (any(self.q1) or any(self.q2)):
+            raise ValueError("[0, 0] is not a point of HP^1")
+
     @staticmethod
     def infinity() -> "HP1Point":
         return HP1Point(Quaternion(), Quaternion(1.0))
 
     @property
     def is_infinite(self) -> bool:
-        return abs(self.q1) <= 1e-12 * max(1.0, abs(self.q2))
+        """|q1| <= 1e-12 |q2|, at any scale: hypot neither under- nor overflows."""
+        return math.hypot(*self.q1) <= 1e-12 * math.hypot(*self.q2)
 
     def affine_point(self) -> Quaternion:
         if self.is_infinite:
@@ -135,75 +140,35 @@ def in_q_plus(Z: ProjectivePoint3, tol: float = 1e-10) -> bool:
 
 @dataclass(frozen=True)
 class SplitPair:
-    """The splitting f = g + hj on L_i, as complex coefficient arrays.
+    """The splitting f = g + hj on L_i, read off the series f itself.
 
-    g_hat, h_hat default to the Schwarz reflections (coefficientwise
-    conjugates); a non-symmetric curve supplies them independently.
+    On the slice f(v) = g(v) + h(v)j, and the hats are the Schwarz
+    reflections g^(v) = conj g(conj v), h^(v) = conj h(conj v) of the
+    splitting of `reflected`.  None stands for f itself, the symmetric
+    case; a non-symmetric curve supplies its reflected series.
     """
 
-    g: np.ndarray
-    h: np.ndarray
-    radius: float = math.inf
-    ghat: np.ndarray | None = None
-    hhat: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "g", _trim(np.asarray(self.g, dtype=complex), 0.0))
-        object.__setattr__(self, "h", _trim(np.asarray(self.h, dtype=complex), 0.0))
+    series: RegularSeries
+    reflected: RegularSeries | None = None
 
     @property
     def symmetric(self) -> bool:
-        """True iff the hats are the Schwarz reflections, none supplied."""
-        return self.ghat is None and self.hhat is None
-
-    @property
-    def g_hat(self) -> np.ndarray:
-        return np.conj(self.g) if self.ghat is None else self.ghat
-
-    @property
-    def h_hat(self) -> np.ndarray:
-        return np.conj(self.h) if self.hhat is None else self.hhat
+        """True iff the hats are the Schwarz reflections of g and h."""
+        return self.reflected is None
 
     def values(self, v: complex) -> tuple[complex, complex, complex, complex]:
         """(g(v), h(v), g^(v), h^(v)); raises OutsideRadius for |v| >= radius."""
-        if not math.isinf(self.radius) and abs(v) >= self.radius:
-            raise OutsideRadius(f"|v| = {abs(v)} >= radius {self.radius}")
-        return tuple(complex(npoly.polyval(v, c)) if len(c) else 0j
-                     for c in (self.g, self.h, self.g_hat, self.h_hat))
-
-    def to_series(self) -> RegularSeries:
-        """Rebuild the quaternionic coefficients a_n = b_n + c_n j."""
-        n = max(len(self.g), len(self.h))
-        coeffs = []
-        for k in range(n):
-            b = self.g[k] if k < len(self.g) else 0j
-            c = self.h[k] if k < len(self.h) else 0j
-            coeffs.append(Quaternion.from_complex_pair(b, c))
-        return RegularSeries(tuple(coeffs), self.radius)
-
-
-def split(f: RegularSeries) -> SplitPair:
-    """Coefficient splitting a_n = b_n + c_n j into g and h."""
-    g = np.array([complex(a.w, a.x) for a in f.coeffs], dtype=complex)
-    h = np.array([complex(a.y, a.z) for a in f.coeffs], dtype=complex)
-    return SplitPair(g, h, f.radius)
-
-
-def star_product_split(p1: SplitPair, p2: SplitPair) -> SplitPair:
-    """The star product in split form: (g1 g2 - h1 h2^, g1 h2 + h1 g2^)."""
-    def conv(a, b):
-        if len(a) == 0 or len(b) == 0:
-            return np.zeros(1, dtype=complex)
-        return npoly.polymul(a, b)
-
-    g = npoly.polysub(conv(p1.g, p2.g), conv(p1.h, p2.h_hat))
-    h = npoly.polyadd(conv(p1.g, p2.h), conv(p1.h, p2.g_hat))
-    return SplitPair(g, h, min(p1.radius, p2.radius))
+        v = complex(v)
+        hats = self.series if self.reflected is None else self.reflected
+        gv, hv = eval_series(self.series, Quaternion.from_complex(v)).complex_pair()
+        gr, hr = eval_series(hats, Quaternion.from_complex(v.conjugate())
+                             ).complex_pair()
+        return gv, hv, gr.conjugate(), hr.conjugate()
 
 
 def lift(f: RegularSeries, u: complex | None, v: complex) -> ProjectivePoint3:
     """Twistor lift of f at chart point (u, v); u = None marks u at infinity."""
-    gv, hv, ghv, hhv = split(f).values(v)
+    gv, hv, ghv, hhv = SplitPair(f).values(v)
     if u is None:
         return ProjectivePoint3.of(0.0, 1.0, -hhv, ghv)
     return ProjectivePoint3.of(1.0, u, gv - u * hhv, hv + u * ghv)
@@ -211,7 +176,7 @@ def lift(f: RegularSeries, u: complex | None, v: complex) -> ProjectivePoint3:
 
 def twistor_transform(f: RegularSeries, v: complex) -> KleinPoint:
     """The curve [g g^ + h^ h, h, -g, g^, h^, 1] at v."""
-    gv, hv, ghv, hhv = split(f).values(v)
+    gv, hv, ghv, hhv = SplitPair(f).values(v)
     return KleinPoint.of(gv * ghv + hhv * hv, hv, -gv, ghv, hhv, 1.0)
 
 
@@ -279,44 +244,49 @@ def normalized_curve_values(samples: list[CurveSample]
     return out
 
 
-def _fit_polynomial(vs: np.ndarray, vals: np.ndarray, max_degree: int,
-                    tol: float) -> np.ndarray:
-    scale = 1.0 + float(np.max(np.abs(vals))) if len(vals) else 1.0
+def _fit_columns(vs: np.ndarray, cols: np.ndarray, max_degree: int,
+                 tol: float) -> list[np.ndarray]:
+    """Fit each column by the polynomial of least degree whose residual is
+    within tol of the column's largest value, one least-squares problem
+    per degree; an exactly zero column fits at degree 0."""
+    gates = tol * np.max(np.abs(cols), axis=0, initial=0.0)
+    fits = [None] * cols.shape[1]
     for d in range(0, min(max_degree, len(vs) - 1) + 1):
         vand = np.vander(vs, d + 1, increasing=True)
-        coeffs, *_ = np.linalg.lstsq(vand, vals, rcond=None)
-        resid = float(np.max(np.abs(vand @ coeffs - vals)))
-        if resid <= tol * scale:
-            return _trim(coeffs, 0.0)
+        coeffs, *_ = np.linalg.lstsq(vand, cols, rcond=None)
+        resid = np.max(np.abs(vand @ coeffs - cols), axis=0)
+        for k in range(len(fits)):
+            if fits[k] is None and resid[k] <= gates[k]:
+                fits[k] = coeffs[:, k]
+        if all(c is not None for c in fits):
+            return fits
     raise FitError(f"no polynomial of degree <= {max_degree} fits the samples")
+
+
+def _pair_series(g: np.ndarray, h: np.ndarray) -> RegularSeries:
+    """The series with coefficients a_n = g_n + h_n j."""
+    pairs = zip_longest(g.tolist(), h.tolist(), fillvalue=0j)
+    return RegularSeries(tuple([Quaternion.from_complex_pair(b, c) for b, c in pairs]))
 
 
 def reconstruct(samples: list[CurveSample], max_degree: int = 24,
                 fit_tol: float = 1e-9) -> SplitPair:
     """Recover the split pair of the regular map behind a sampled curve.
 
-    After normalizing zeta_6 = 1, g = -zeta_3 and h = zeta_2 are fitted
-    by increasing-degree interpolation.  A curve whose reflected
-    components disagree with the conjugated fits beyond 1e-8 does not
-    extend symmetrically; it is returned with the independently fitted
-    g^, h^, so that its symmetric is False.
+    After normalizing zeta_6 = 1, g = -zeta_3, h = zeta_2, g^ = zeta_4 and
+    h^ = zeta_5 are fitted by increasing-degree interpolation.  A curve
+    whose reflected series (with coefficients conj g^_n + conj h^_n j)
+    differs from the series of g, h beyond 1e-8 of their coefficient
+    scale does not extend symmetrically; it keeps its reflected series,
+    so that its symmetric is False.
     """
     values = normalized_curve_values(samples)
     vs = np.array([t[0] for t in values], dtype=complex)
-    g = _fit_polynomial(vs, np.array([t[1] for t in values]), max_degree, fit_tol)
-    h = _fit_polynomial(vs, np.array([t[2] for t in values]), max_degree, fit_tol)
-    ghat = _fit_polynomial(vs, np.array([t[3] for t in values]), max_degree, fit_tol)
-    hhat = _fit_polynomial(vs, np.array([t[4] for t in values]), max_degree, fit_tol)
-
-    def agree(a, b):
-        n = max(len(a), len(b), 1)
-        pa = np.zeros(n, dtype=complex)
-        pb = np.zeros(n, dtype=complex)
-        pa[:len(a)] = a
-        pb[:len(b)] = b
-        scale = 1.0 + float(max(np.max(np.abs(pa)), np.max(np.abs(pb))))
-        return float(np.max(np.abs(pa - pb))) <= 1e-8 * scale
-
-    if agree(np.conj(g), ghat) and agree(np.conj(h), hhat):
-        return SplitPair(g, h)
-    return SplitPair(g, h, ghat=ghat, hhat=hhat)
+    cols = np.array([t[1:] for t in values], dtype=complex).reshape(-1, 4)
+    g, h, ghat, hhat = _fit_columns(vs, cols, max_degree, fit_tol)
+    series = _pair_series(g, h)
+    reflected = _pair_series(np.conj(ghat), np.conj(hhat))
+    scale = max(series.coefficient_scale(), reflected.coefficient_scale())
+    if (series - reflected).coefficient_scale() <= 1e-8 * scale:
+        return SplitPair(series)
+    return SplitPair(series, reflected)

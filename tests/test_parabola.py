@@ -291,8 +291,8 @@ def test_osculating_sphere():
 
 def test_ruling_lines_meet_on_m02():
     # the lines of parameters v and i - v meet at [0, 1, 0, v^2 - iv]
-    from sliceregular.twistor import split
-    pair = split(F_PAR)
+    from sliceregular.twistor import SplitPair
+    pair = SplitPair(F_PAR)
     rng = np.random.default_rng(4)
     for _ in range(10):
         v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))

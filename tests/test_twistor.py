@@ -1,18 +1,43 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from sliceregular import (ChartPoint, CurveSample, HP1Point, KleinPoint,
                           OutsideRadius, PoleDetected, ProjectivePoint3,
                           Quaternion, RegularSeries, eval_series, fiber_plucker,
                           in_q_plus, j_involution, lift, line_plucker,
-                          on_quadric, phi, reconstruct, sigma, split,
-                          star_mul, star_product_split, twistor_project,
-                          twistor_transform)
+                          on_quadric, phi, reconstruct, sigma, star_mul,
+                          twistor_project, twistor_transform)
 from sliceregular.parsing import parse_polynomial
-from sliceregular.quat_core import ONE
+from sliceregular.quat_core import I, J, ONE
 from sliceregular.twistor import SplitPair, normalized_curve_values
 
 F = parse_polynomial("q^2+qi")
+
+
+def split_arrays(f):
+    """The complex coefficient arrays of g and h in a_n = g_n + h_n j."""
+    g = np.array([complex(a.w, a.x) for a in f.coeffs], dtype=complex)
+    h = np.array([complex(a.y, a.z) for a in f.coeffs], dtype=complex)
+    return g, h
+
+
+def oracle_values(g, h, ghat, hhat, v):
+    """(g(v), h(v), g^(v), h^(v)) by four separate complex Horner sums."""
+    return tuple(complex(npoly.polyval(v, c)) if len(c) else 0j
+                 for c in (g, h, ghat, hhat))
+
+
+def oracle_star_product(f1, f2):
+    """The star product in split form: (g1 g2 - h1 h2^, g1 h2 + h1 g2^),
+    with the symmetric hats g2^ = conj g2, h2^ = conj h2."""
+    (g1, h1), (g2, h2) = split_arrays(f1), split_arrays(f2)
+    g = npoly.polysub(npoly.polymul(g1, g2), npoly.polymul(h1, np.conj(h2)))
+    h = npoly.polyadd(npoly.polymul(g1, h2), npoly.polymul(h1, np.conj(g2)))
+    return g, h
 
 
 def rand_poly(rng, deg=4):
@@ -35,6 +60,40 @@ def test_hp1_left_homogeneity():
     b = HP1Point(p * Quaternion(1.0), p * Quaternion(0, 1, 2, 3))
     assert a.equals(b)
     assert HP1Point.infinity().is_infinite
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-13, 1.0, 1e13, 1e300])
+def test_hp1_infinity_is_scale_invariant(scale):
+    one = HP1Point(Quaternion(scale), Quaternion(scale))
+    assert not one.is_infinite
+    assert one.equals(HP1Point(ONE, ONE))
+    inf = HP1Point(Quaternion(1e-13 * scale), Quaternion(scale))
+    assert inf.is_infinite and inf.equals(HP1Point.infinity())
+
+
+def test_hp1_rejects_zero_pair():
+    with pytest.raises(ValueError):
+        HP1Point(Quaternion(), Quaternion())
+    with pytest.raises(ValueError):
+        HP1Point(Quaternion(), Quaternion(-0.0, -0.0))
+
+
+def test_non_finite_coordinates_raise_without_warning():
+    nan, inf = float("nan"), float("inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coords in ((nan, 1, 0, 0), (1, inf, 0, 0), (complex(0, nan), 0, 0, 0)):
+            with pytest.raises(ValueError):
+                ProjectivePoint3.of(*coords)
+        with pytest.raises(ValueError):
+            lift(F, 1 + 1j, nan)
+        for u in (0j, 1 + 1j, None):
+            with pytest.raises(ValueError):
+                lift(F, u, 1e200)
+        with pytest.raises(ValueError):
+            twistor_transform(F, 1e200)
+        with pytest.raises(ValueError):
+            fiber_plucker(Quaternion(nan))
 
 
 def test_projection_formula():
@@ -60,8 +119,8 @@ def test_quadric_graph_membership():
 def test_split_roundtrip():
     rng = np.random.default_rng(0)
     f = rand_poly(rng)
-    pair = split(f)
-    back = pair.to_series()
+    pair = SplitPair(f)
+    back = pair.series
     for n in range(f.degree + 1):
         assert abs(back.coeff(n) - f.coeff(n)) <= 1e-12
 
@@ -69,10 +128,10 @@ def test_split_roundtrip():
 def test_split_star_product_consistency():
     rng = np.random.default_rng(1)
     f, g = rand_poly(rng, 3), rand_poly(rng, 4)
-    direct = split(star_mul(f, g))
-    viasplit = star_product_split(split(f), split(g))
-    n = max(len(direct.g), len(viasplit.g))
-    for arr_a, arr_b in ((direct.g, viasplit.g), (direct.h, viasplit.h)):
+    direct = split_arrays(star_mul(f, g))
+    viasplit = oracle_star_product(f, g)
+    n = max(len(direct[0]), len(viasplit[0]))
+    for arr_a, arr_b in zip(direct, viasplit):
         pa = np.zeros(n, dtype=complex)
         pb = np.zeros(n, dtype=complex)
         pa[:len(arr_a)] = arr_a
@@ -109,7 +168,7 @@ def test_transform_klein_relation_and_line_consistency():
     rng = np.random.default_rng(3)
     for _ in range(25):
         f = rand_poly(rng)
-        pair = split(f)
+        pair = SplitPair(f)
         v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         zeta = twistor_transform(f, v)
         assert zeta.on_klein_quadric(1e-10)
@@ -122,7 +181,7 @@ def test_transform_contains_lift():
     # check the two plane equations Z2 = g Z0 - h^ Z1 and Z3 = h Z0 + g^ Z1
     rng = np.random.default_rng(4)
     f = rand_poly(rng)
-    pair = split(f)
+    pair = SplitPair(f)
     for u in (0j, 1 + 1j, None):
         v = 0.4 + 0.9j
         Z = lift(f, u, v)
@@ -132,12 +191,45 @@ def test_transform_contains_lift():
 
 
 def test_non_symmetric_pair_values_use_supplied_hats():
-    pair = SplitPair([1, 2j], [3], ghat=np.array([5, 0, 1]),
-                     hhat=np.array([7, 1j]))
+    # g = 1 + 2iv, h = 3, and the reflected series of g^ = 5 + v^2,
+    # h^ = 7 + iv has coefficients conj g^_n + conj h^_n j
+    pair = SplitPair(RegularSeries((Quaternion(1, 0, 3), Quaternion(0, 2))),
+                     RegularSeries((Quaternion(5, 0, 7), Quaternion(0, 0, 0, -1),
+                                    ONE)))
     assert not pair.symmetric
-    assert split(F).symmetric
+    assert SplitPair(F).symmetric
     v = 0.5 + 0.25j
     assert pair.values(v) == (1 + 2j * v, 3, 5 + v * v, 7 + 1j * v)
+
+
+components = st.builds(
+    lambda sign, e: sign * 10.0 ** e,
+    st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))
+series_strategy = st.lists(st.builds(Quaternion, components, components,
+                                     components, components),
+                           min_size=1, max_size=17).map(tuple).map(RegularSeries)
+slice_points = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+def _bound(f, v):
+    """sum |a_n| |v|^n, the scale of a Horner sum's rounding."""
+    return sum(abs(a) * abs(v) ** n for n, a in enumerate(f.coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_strategy, series_strategy, slice_points)
+def test_pair_values_match_four_polyval_oracle(f, r, v):
+    g, h = split_arrays(f)
+    expected = oracle_values(g, h, np.conj(g), np.conj(h), v)
+    got = SplitPair(f).values(v)
+    for a, b in zip(got, expected):
+        assert abs(a - b) <= 1e-13 * _bound(f, v)
+    # a reflected pair takes g, h from f and its hats from r
+    gr, hr = split_arrays(r)
+    expected = oracle_values(g, h, np.conj(gr), np.conj(hr), v)
+    got = SplitPair(f, r).values(v)
+    for a, b, scale in zip(got, expected, (f, f, r, r)):
+        assert abs(a - b) <= 1e-13 * _bound(scale, v)
 
 
 def test_lift_outside_radius():
@@ -205,9 +297,20 @@ def test_reconstruct_roundtrip():
         samples = [CurveSample(v, twistor_transform(f, v)) for v in vs]
         pair = reconstruct(samples)
         assert pair.symmetric
-        back = pair.to_series()
+        back = pair.series
         for n in range(f.degree + 1):
             assert abs(back.coeff(n) - f.coeff(n)) <= 1e-9
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e-30, 1e-12, 1e-6, 1.0, 1e3])
+def test_reconstruct_is_scale_invariant(s):
+    # s (q^3 + qi + j) fits at degree 3 at any scale, not at degree 0
+    f = RegularSeries((s * J, s * I, Quaternion(), s * ONE))
+    vs = [complex(t, 0.5 - t / 3) for t in np.linspace(-1.2, 1.2, 12)]
+    pair = reconstruct([CurveSample(v, twistor_transform(f, v)) for v in vs])
+    assert pair.series.degree == 3
+    assert pair.symmetric
+    assert (f - pair.series).coefficient_scale() <= 1e-12 * s
 
 
 def test_reconstruct_flags_pole():
