@@ -19,8 +19,8 @@ from .errors import ConditioningWarning
 from .quat_core import (I, J, K, ONE, Quaternion, Sphere, hamilton, imag_unit,
                         is_real)
 from .regular_fn import (Q4, RegularSeries, _check_radius, _divide_linear,
-                         _expansion, _minus_quotient, _norm, _slice_values,
-                         _sphere_zero)
+                         _expansion, _horner, _minus_quotient, _norm,
+                         _slice_values, _sphere_zero)
 
 NEAR_REAL_BAND = 1e-6
 
@@ -179,7 +179,7 @@ def _singularity(f: RegularSeries, p: Quaternion) -> tuple[bool, Q4 | None, Q4]:
         return False, None, value
     if is_real(p):
         # real point: singular iff (q - x0)^2 divides f - f(q0)
-        if _norm(_divide_linear(g, p)[1]) <= 1e-8 * scale:
+        if _norm(_horner(g, p)) <= 1e-8 * scale:
             return True, p, value
         return False, None, value
     w, r = p.w, p.im_norm()

@@ -133,15 +133,13 @@ def mobius(m: MobiusCoeffs, q: Quaternion) -> Quaternion:
 
 
 def is_so2h(m: MobiusCoeffs, tol: float = 1e-10) -> bool:
-    """Whether all four coefficients are real multiples of one unit quaternion."""
+    """Whether all four coefficients are real multiples of one unit, to tol relative."""
     coeffs = [m.a, m.b, m.c, m.d]
-    ref = max(coeffs, key=abs)
-    scale = abs(ref)
-    if scale == 0.0:
-        return True
-    eps = ref / scale
+    ref = max(coeffs, key=lambda c: math.hypot(*c))
+    scale = math.hypot(*ref)  # > 0: the coefficients are invertible
+    eps = Quaternion(*(t / scale for t in ref))  # 1 / scale overflows below 6e-309
     for c in coeffs:
         t = c.dot(eps)
-        if abs(c - t * eps) > tol * max(1.0, scale):
+        if math.hypot(*(c - t * eps)) > tol * scale:
             return False
     return True

@@ -20,6 +20,7 @@ from .errors import NotUnit, RealArgument
 
 # A quaternion counts as real when |Im(q)| <= REAL_EPS * max(1, |q|).
 REAL_EPS = 1e-10
+_new = tuple.__new__  # operators skip the NamedTuple's Python-level __new__
 
 
 class Quaternion(NamedTuple):
@@ -61,26 +62,26 @@ class Quaternion(NamedTuple):
         return complex(self.w, self.x), complex(self.y, self.z)
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
+        return _new(Quaternion, (self.w + other.w, self.x + other.x,
+                                 self.y + other.y, self.z + other.z))
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
+        return _new(Quaternion, (self.w - other.w, self.x - other.x,
+                                 self.y - other.y, self.z - other.z))
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return _new(Quaternion, (-self.w, -self.x, -self.y, -self.z))
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(*hamilton(self, other))
+            return _new(Quaternion, hamilton(self, other))
         return self.scale(float(other))
 
     def __rmul__(self, other):
         return self.scale(float(other))
 
     def scale(self, t: float) -> "Quaternion":
-        return Quaternion(self.w * t, self.x * t, self.y * t, self.z * t)
+        return _new(Quaternion, (self.w * t, self.x * t, self.y * t, self.z * t))
 
     def __truediv__(self, t: float) -> "Quaternion":
         return self.scale(1.0 / t)
@@ -92,7 +93,7 @@ class Quaternion(NamedTuple):
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return _new(Quaternion, (self.w, -self.x, -self.y, -self.z))
 
     def inverse(self) -> "Quaternion":
         """conj(q) / |q|^2; raises ZeroDivisionError for q = 0 and for

@@ -203,6 +203,18 @@ def _divide_linear(coeffs: list, p: Q4) -> tuple[list, Q4]:
     return _trim(quot), (aw, ax, ay, az)
 
 
+def _horner(coeffs, p: Q4) -> Q4:
+    """The Horner value at p: _divide_linear's remainder, without the quotient."""
+    pw, px, py, pz = p
+    aw = ax = ay = az = 0.0
+    for cw, cx, cy, cz in reversed(coeffs):
+        aw, ax, ay, az = (cw + (pw * aw - px * ax - py * ay - pz * az),
+                          cx + (pw * ax + px * aw + py * az - pz * ay),
+                          cy + (pw * ay - px * az + py * aw + pz * ax),
+                          cz + (pw * az + px * ay - py * ax + pz * aw))
+    return aw, ax, ay, az
+
+
 def _divide_real_quadratic(coeffs: list, x: float, y: float) -> tuple[list, list]:
     c1 = -2.0 * x
     c0 = x * x + y * y
@@ -219,10 +231,21 @@ def _divide_real_quadratic(coeffs: list, x: float, y: float) -> tuple[list, list
 
 
 def _slice_values(coeffs: list, x: float, y: float) -> tuple[Q4, Q4]:
-    fp = _divide_linear(coeffs, (x, y, 0.0, 0.0))[1]
-    fm = _divide_linear(coeffs, (x, -y, 0.0, 0.0))[1]
-    alpha = tuple((a + b) * 0.5 for a, b in zip(fp, fm))
-    beta = hamilton(_MINUS_I, tuple((a - b) * 0.5 for a, b in zip(fp, fm)))
+    # _horner at (x, y, 0, 0) and (x, -y, 0, 0) at once; 0.0 * a keeps its signed zeros
+    aw = ax = ay = az = bw = bx = by = bz = 0.0
+    m = -y
+    for cw, cx, cy, cz in reversed(coeffs):
+        aw, ax, ay, az, bw, bx, by, bz = (cw + (x * aw - y * ax - 0.0 * ay - 0.0 * az),
+                                          cx + (x * ax + y * aw + 0.0 * az - 0.0 * ay),
+                                          cy + (x * ay - y * az + 0.0 * aw + 0.0 * ax),
+                                          cz + (x * az + y * ay - 0.0 * ax + 0.0 * aw),
+                                          cw + (x * bw - m * bx - 0.0 * by - 0.0 * bz),
+                                          cx + (x * bx + m * bw + 0.0 * bz - 0.0 * by),
+                                          cy + (x * by - m * bz + 0.0 * bw + 0.0 * bx),
+                                          cz + (x * bz + m * by - 0.0 * bx + 0.0 * bw))
+    alpha = ((aw + bw) * 0.5, (ax + bx) * 0.5, (ay + by) * 0.5, (az + bz) * 0.5)
+    beta = hamilton(_MINUS_I, ((aw - bw) * 0.5, (ax - bx) * 0.5,
+                               (ay - by) * 0.5, (az - bz) * 0.5))
     return alpha, beta
 
 
@@ -252,7 +275,7 @@ def eval_series(f: RegularSeries, q: Quaternion) -> Quaternion:
     """Horner evaluation of sum q^n a_n; raises OutsideRadius for |q| >= R."""
     if not f.is_polynomial and abs(q) >= f.radius:
         raise OutsideRadius(f"|q| = {abs(q)} >= radius {f.radius}")
-    return Quaternion(*_divide_linear(f.coeffs, q)[1])
+    return Quaternion(*_horner(f.coeffs, q))
 
 
 def conjugate(f: RegularSeries) -> RegularSeries:
@@ -402,7 +425,7 @@ def _sphere_zero(coeffs: list, x: float, y: float, alpha: Q4, beta: Q4,
     _, ux, uy, uz = c
     n = math.sqrt(ux * ux + uy * uy + uz * uz)
     p = (x + 0.0 * y, 0.0 + ux / n * y, 0.0 + uy / n * y, 0.0 + uz / n * y)
-    return p if _norm(_divide_linear(coeffs, p)[1]) <= tol else None
+    return p if _norm(_horner(coeffs, p)) <= tol else None
 
 
 def _zero_on_sphere(coeffs: list, x: float, y: float, tol: float) -> Q4 | None:

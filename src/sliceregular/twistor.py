@@ -175,9 +175,16 @@ def lift(f: RegularSeries, u: complex | None, v: complex) -> ProjectivePoint3:
 
 
 def twistor_transform(f: RegularSeries, v: complex) -> KleinPoint:
-    """The curve [g g^ + h^ h, h, -g, g^, h^, 1] at v."""
+    """The curve [g g^ + h^ h, h, -g, g^, h^, 1] at v; where g g^ + h^ h overflows,
+    the coordinates, quadratic in (g, h, g^, h^, 1), take all five scaled by 2^-e."""
     gv, hv, ghv, hhv = SplitPair(f).values(v)
-    return KleinPoint.of(gv * ghv + hhv * hv, hv, -gv, ghv, hhv, 1.0)
+    zeta1 = gv * ghv + hhv * hv
+    if math.isfinite(zeta1.real) and math.isfinite(zeta1.imag):
+        return KleinPoint.of(zeta1, hv, -gv, ghv, hhv, 1.0)
+    m = max(abs(t) for z in (gv, hv, ghv, hhv) for t in (z.real, z.imag))
+    s = math.ldexp(1.0, -math.frexp(m)[1])
+    gv, hv, ghv, hhv = gv * s, hv * s, ghv * s, hhv * s
+    return KleinPoint.of(gv * ghv + hhv * hv, hv * s, -gv * s, ghv * s, hhv * s, s * s)
 
 
 def sigma(zeta: KleinPoint) -> KleinPoint:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from sliceregular import (MobiusCoeffs, OCSValue, PoleHit, Quaternion,
                           RealArgument, SingularPoint, conj_by_unit,
@@ -171,6 +171,34 @@ def test_so2h_detection():
     assert is_so2h(m)
     mixed = MobiusCoeffs(ONE, I, Quaternion(), J)
     assert not is_so2h(mixed)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-8, 1e-12, 1e-200, 1e-310, 1e200])
+def test_so2h_rejects_mixed_units_at_any_scale(s):
+    assert not is_so2h(MobiusCoeffs(s * I, Quaternion(), Quaternion(), s * ONE))
+
+
+# components on a 2^-10 grid: a set is either so2h up to rounding or
+# far from it, so no verdict sits on the tolerance
+grid = st.integers(-2048, 2048).map(lambda n: n / 1024)
+grid_quats = st.builds(Quaternion, grid, grid, grid, grid)
+
+
+@given(st.one_of(
+           st.tuples(grid_quats, grid_quats, grid_quats, grid_quats),
+           st.builds(lambda eps, rs: tuple(r * (eps / abs(eps)) for r in rs),
+                     grid_quats.filter(lambda q: abs(q) > 0),
+                     st.tuples(grid, grid, grid, grid))),
+       st.floats(-300, 300))
+@settings(max_examples=200, deadline=None)
+def test_so2h_verdict_is_scale_invariant(coeffs, e):
+    s = 10.0 ** e
+    try:
+        m = MobiusCoeffs(*coeffs)
+        scaled = MobiusCoeffs(*(s * c for c in coeffs))
+    except ValueError:
+        reject()  # not invertible
+    assert is_so2h(scaled) == is_so2h(m)
 
 
 def test_so2h_transformation_rotates_slices_coherently():

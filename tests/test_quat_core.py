@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from sliceregular import (ChartPoint, Quaternion, RealArgument, Sphere,
                           conj_by_unit, imag_unit, is_real, phi, phi_inverse,
@@ -12,6 +12,8 @@ from sliceregular.quat_core import I, J, K, ONE, ZERO
 
 ints = st.integers(min_value=-20, max_value=20)
 quats = st.builds(Quaternion, ints, ints, ints, ints)
+reals = st.floats(allow_nan=False, allow_infinity=False)
+any_quats = st.builds(Quaternion, reals, reals, reals, reals)
 
 
 @given(quats, quats, quats)
@@ -42,6 +44,33 @@ def test_inverse(q):
         return
     prod = q * q.inverse()
     assert abs(prod - ONE) <= 1e-12 * max(1.0, abs(q))
+
+
+@given(any_quats, any_quats, reals)
+def test_operators_match_component_formulas_bit_for_bit(p, q, t):
+    # compared by repr, so that signed zeros and overflow count
+    assume(t != 0.0)
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    u = 1.0 / t
+    cases = [
+        (p + q, (pw + qw, px + qx, py + qy, pz + qz)),
+        (p - q, (pw - qw, px - qx, py - qy, pz - qz)),
+        (-p, (-pw, -px, -py, -pz)),
+        (p.conj(), (pw, -px, -py, -pz)),
+        (p * q, (pw * qw - px * qx - py * qy - pz * qz,
+                 pw * qx + px * qw + py * qz - pz * qy,
+                 pw * qy - px * qz + py * qw + pz * qx,
+                 pw * qz + px * qy - py * qx + pz * qw)),
+        (p.scale(t), (pw * t, px * t, py * t, pz * t)),
+        (p * t, (pw * t, px * t, py * t, pz * t)),
+        (t * p, (pw * t, px * t, py * t, pz * t)),
+        (np.float64(t) * p, (pw * t, px * t, py * t, pz * t)),
+        (p / t, (pw * u, px * u, py * u, pz * u)),
+    ]
+    for got, expected in cases:
+        assert type(got) is Quaternion
+        assert repr(tuple(got)) == repr(expected)
 
 
 @pytest.mark.parametrize("q", [

@@ -90,10 +90,24 @@ def test_non_finite_coordinates_raise_without_warning():
         for u in (0j, 1 + 1j, None):
             with pytest.raises(ValueError):
                 lift(F, u, 1e200)
-        with pytest.raises(ValueError):
-            twistor_transform(F, 1e200)
+        for v in (1e160, 1e200):  # g itself overflows
+            with pytest.raises(ValueError):
+                twistor_transform(F, v)
         with pytest.raises(ValueError):
             fiber_plucker(Quaternion(nan))
+
+
+@pytest.mark.parametrize("v", [1e40, 1e80, 1e150])
+def test_transform_normalizes_before_it_overflows(v):
+    # transform-spot's closed form [v^4 + v^2, 0, -v^2 - iv, v^2 - iv, 0, 1]
+    # for q^2 + qi, divided by v^4; g g^ + h^ h overflows from v = 1e77
+    w = 1.0 / v
+    expect = KleinPoint.of(1.0 + w * w, 0.0, -w * w - 1j * w ** 3,
+                           w * w - 1j * w ** 3, 0.0, w ** 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = twistor_transform(F, v)
+    np.testing.assert_allclose(got.coords, expect.coords, rtol=1e-12, atol=1e-315)
 
 
 def test_projection_formula():

@@ -15,7 +15,10 @@ interpreter, and compares one JSON line per item as bytes.
   `sliceregular classify c`, and at each preimage p of c the results
   of `rank_classify`, `induced_ocs` (the value and unit, or the
   exception type and message) and `differential_at` (the matrix and
-  any warning), for q -> q^2 + qi.
+  any warning), for q -> q^2 + qi.  The twistor layer is compared at p
+  too: `eval_series` there, the chart point (u, v) of `phi_inverse`,
+  and `lift` at (u, v) and `twistor_transform` at v as JSON, or the
+  exception one of them raised.
 - `parse`: every expression e of `zeros_items` and every prefix of it
   that ends at a token boundary goes through `parse_polynomial`, so the
   parser's error paths are compared too, and then the negated variant
@@ -81,8 +84,9 @@ def _dump_zeros(seeds: list[int]) -> None:
 def _dump_geometry(seeds: list[int]) -> None:
     """Print one JSON line per target: classify, then each preimage."""
     from inputs import geometry_items
-    from sliceregular import (Quaternion, differential_at, induced_ocs,
-                              preimages, rank_classify)
+    from sliceregular import (Quaternion, differential_at, eval_series,
+                              induced_ocs, lift, phi_inverse, preimages,
+                              rank_classify, twistor_transform)
     from sliceregular.cli import main
     from sliceregular.parabola import F_PAR
 
@@ -103,9 +107,18 @@ def _dump_geometry(seeds: list[int]) -> None:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     matrix = differential_at(F_PAR, p).to_json()
+                try:
+                    chart = phi_inverse(p)
+                    u, v = chart.u, chart.v
+                    twistor = [None if u is None else [u.real, u.imag],
+                               [v.real, v.imag], lift(F_PAR, u, v).to_json(),
+                               twistor_transform(F_PAR, v).to_json()]
+                except (ValueError, ArithmeticError) as exc:
+                    twistor = f"{type(exc).__name__}: {exc}"
                 line.append([p.to_json(), rc.rank.value, rc.a1.to_json(),
                              rc.a2.to_json(), structure, matrix,
-                             [str(w.message) for w in caught]])
+                             [str(w.message) for w in caught],
+                             eval_series(F_PAR, p).to_json(), twistor])
             print(json.dumps(line))
 
 
