@@ -1,28 +1,25 @@
 """The real differential of a regular function and its rank structure.
 
 Everything is driven by the first two expansion coefficients A1, A2 at
-the sphere through the base point: the differential acts by right
-multiplication by A1 + 2 Im(q0) A2 on the slice plane and by A1 on its
-orthogonal complement.
+the sphere through the base point: the differential sends v to
+v A1 + (q0 v - v q0-bar) A2, on the real axis, where the second term
+vanishes, and off it alike.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConditioningWarning
 from .quat_core import (I, J, K, ONE, Quaternion, Sphere, hamilton, imag_unit,
                         is_real)
 from .regular_fn import (Q4, RegularSeries, _check_radius, _divide_linear,
                          _expansion, _horner, _minus_quotient, _norm,
                          _slice_values, _sphere_zero)
-
-NEAR_REAL_BAND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -79,54 +76,41 @@ def _expansion_pair(f: RegularSeries, p: Quaternion) -> tuple[Quaternion, Quater
     return Quaternion(*a1), Quaternion(*a2)
 
 
-def directional_derivative(f: RegularSeries, q0: Quaternion,
-                           v: Quaternion) -> Quaternion:
-    """Derivative of f along unit v at q0: v A1 + (q0 v - v q0-bar) A2."""
-    n = abs(v)
-    if n == 0.0:
-        raise ValueError("direction must be nonzero")
-    if abs(n - 1.0) > 1e-12:
-        v = v / n
+def _derivatives(f: RegularSeries, q0: Quaternion,
+                 directions: tuple[Quaternion, ...]) -> list[Quaternion]:
+    """v A1 + (q0 v - v q0-bar) A2 for each v: the derivatives along them."""
     p = _point(q0)
     a1, a2 = _expansion_pair(f, p)
-    return v * a1 + (p * v - v * p.conj()) * a2
+    return [v * a1 + (p * v - v * p.conj()) * a2 for v in directions]
 
 
-def _matrix_from(a1: Quaternion, a2: Quaternion, p: Quaternion,
-                 non_real: bool) -> np.ndarray:
-    if non_real:
-        unit = imag_unit(p)
-        factor = a1 + (2.0 * p.im()) * a2
-        cols = []
-        for e in (ONE, I, J, K):
-            u = e.dot(ONE) * ONE + e.dot(unit) * unit
-            cols.append(u * factor + (e - u) * a1)
-    else:
-        cols = [e * a1 for e in (ONE, I, J, K)]
-    return np.array(cols).T
+def directional_derivative(f: RegularSeries, q0: Quaternion,
+                           v: Quaternion) -> Quaternion:
+    """Derivative of f along unit v at q0: v A1 + (q0 v - v q0-bar) A2.
+
+    v is normalized, after scaling by a power of two where |v|^2 is not
+    a normal float.  Raises ValueError for a zero or non-finite v, or
+    unless |q0|^2 is finite.
+    """
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"direction must be finite, got {v}")
+    if not sys.float_info.min <= v.norm_sq() < math.inf:
+        m = max(map(abs, v))
+        if m == 0.0:
+            raise ValueError("direction must be nonzero")
+        e = math.frexp(m)[1]
+        v = Quaternion(*[math.ldexp(t, -e) for t in v])
+    n = abs(v)
+    if abs(n - 1.0) > 1e-12:
+        v = v / n
+    return _derivatives(f, q0, (v,))[0]
 
 
 def differential_at(f: RegularSeries, q0: Quaternion) -> RealLinearMap4:
-    """The 4x4 real matrix of the differential of f at q0.
-
-    On the real axis (is_real) the map degenerates to v -> v A1.  Off it
-    but within |Im q0| < 1e-6 both the non-real and the real-limit formulas
-    are evaluated and a ConditioningWarning is emitted if they disagree.
-    Raises ValueError unless |q0|^2 is finite.
-    """
-    p = _point(q0)
-    a1, a2 = _expansion_pair(f, p)
-    if is_real(p):
-        return RealLinearMap4(_matrix_from(a1, a2, p, non_real=False))
-    m = _matrix_from(a1, a2, p, non_real=True)
-    if p.im_norm() < NEAR_REAL_BAND:
-        m_real = _matrix_from(a1, a2, p, non_real=False)
-        gap = float(np.max(np.abs(m - m_real)))
-        if gap > 1e-6 * max(1.0, float(np.max(np.abs(m)))):
-            warnings.warn(
-                f"differential at {q0} is ill-conditioned near the real axis "
-                f"(formula gap {gap:.3e})", ConditioningWarning)
-    return RealLinearMap4(m)
+    """The 4x4 real matrix of the differential of f at q0: column k is the
+    derivative along the k-th of 1, i, j, k, on the real axis and off it.
+    Raises ValueError unless |q0|^2 is finite."""
+    return RealLinearMap4(np.array(_derivatives(f, q0, (ONE, I, J, K))).T)
 
 
 def _in_perp(p: Quaternion, a1: Q4, a2: Q4) -> bool:

@@ -46,4 +46,4 @@ class FitError(RuntimeError):
 
 
 class ConditioningWarning(UserWarning):
-    """Formulas evaluated very close to the real axis disagree beyond tolerance."""
+    """An answer is returned but float64 cannot vouch for all of it."""

@@ -271,8 +271,6 @@ class FiberKind(Enum):
 class FiberClass:
     kind: FiberKind
     ruling_parameters: tuple[complex, ...]
-    axis_z0: ProjectivePoint3  # the point of the fibre with Z0 = 0
-    axis_z1: ProjectivePoint3  # the point of the fibre with Z1 = 0
 
 
 def fiber_axis_points(c: Quaternion) -> tuple[ProjectivePoint3, ProjectivePoint3]:
@@ -306,7 +304,6 @@ def fiber_intersections(c: Quaternion) -> FiberClass:
     Raises ValueError when c is not finite or |c|^2 overflows float64.
     """
     roots = tuple(_ruling_parameters(preimages(c)))
-    z0_pt, z1_pt = fiber_axis_points(c)
     in_li = _in_plane_li(c)
     if in_li and abs(c.complex_pair()[0] - 0.25) <= GEOM_TOL:
         kind = FiberKind.AT_FOCUS
@@ -318,7 +315,7 @@ def fiber_intersections(c: Quaternion) -> FiberClass:
         kind = FiberKind.ON_PARABOLOID
     else:
         kind = FiberKind.GENERIC_FOUR
-    return FiberClass(kind, roots, z0_pt, z1_pt)
+    return FiberClass(kind, roots)
 
 
 def discriminant_D(c: Quaternion) -> float:

@@ -182,9 +182,10 @@ class Sphere:
             raise ValueError("sphere radius must be nonnegative")
 
     def contains(self, q: Quaternion, tol: float = 1e-9) -> bool:
-        s = max(1.0, abs(q), abs(self.x) + self.y)
-        return (abs(q.re() - self.x) <= tol * s
-                and abs(q.im_norm() - self.y) <= tol * s)
+        """Re q and |Im q| within tol of x and y, relative to max(|q|, |x| + y)."""
+        s = max(math.hypot(*q), abs(self.x) + self.y)
+        return (abs(q.w - self.x) <= tol * s
+                and abs(math.hypot(q.x, q.y, q.z) - self.y) <= tol * s)
 
     def sample(self, count: int) -> list[Quaternion]:
         """Points of the sphere at evenly rotated imaginary units."""

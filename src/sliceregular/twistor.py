@@ -101,10 +101,6 @@ class KleinPoint(ProjectivePoint):
     def of(*zeta) -> "KleinPoint":
         return KleinPoint(np.array(zeta, dtype=complex))
 
-    def __getitem__(self, k: int) -> complex:
-        """1-based index matching the zeta_1 ... zeta_6 convention."""
-        return complex(self.coords[k - 1])
-
     def klein_form(self) -> complex:
         z = self.coords
         return z[0] * z[5] - z[1] * z[4] + z[2] * z[3]

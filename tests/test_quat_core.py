@@ -157,6 +157,38 @@ def test_sphere_membership_and_sampling():
     assert not s.contains(Quaternion(1.0, 0.0, 0.0, 0.0))
 
 
+def test_sphere_contains_is_relative_at_every_scale():
+    # no absolute floor below unit scale, and no overflow in |q|
+    assert not Sphere(0.0, 1.0).contains(Quaternion(5.0))
+    assert not Sphere(0.0, 1e-10).contains(Quaternion(5e-10))
+    assert Sphere(0.0, 1e-10).contains(Quaternion(0.0, 0.0, 1e-10))
+    assert not Sphere(1e200, 1e200).contains(Quaternion(5e200, 1e200))
+    assert Sphere(1e200, 1e200).contains(Quaternion(1e200, 0.0, 0.0, -1e200))
+
+
+# A sphere x + yS and a point on it moved by a relative offset from 1e-12
+# to 1e-6, so that the verdict goes either way.
+moderate = st.one_of(st.just(0.0), st.builds(
+    lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=-3.0, max_value=3.0)))
+near_sphere = st.builds(
+    lambda x, y, u, d, e: (Sphere(x, abs(y)), Quaternion(
+        x + d[0] * 10.0 ** e * (abs(x) + abs(y)),
+        *(abs(y) * t + s * 10.0 ** e * (abs(x) + abs(y))
+          for t, s in zip(u, d[1:])))),
+    moderate, moderate, st.tuples(*[st.sampled_from([0.0, 0.6, -0.8])] * 3),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4), st.floats(-12.0, -6.0))
+
+
+@given(near_sphere, st.integers(min_value=-498, max_value=498))
+def test_sphere_contains_verdict_is_scale_invariant(case, k):
+    # 2^k runs from 1e-150 to 1e150; scaling by it is exact
+    sphere, q = case
+    s = math.ldexp(1.0, k)
+    scaled = Sphere(sphere.x * s, sphere.y * s)
+    assert scaled.contains(q.scale(s)) == sphere.contains(q)
+
+
 def test_chart_maps_slice_to_rotated_slice():
     # u = 1 conjugates i to k: phi(1, i) = k
     q = phi(ChartPoint(1 + 0j, 1j))

@@ -113,6 +113,15 @@ def test_spherical_expansion_example():
     assert abs(exp.a(2) - ONE) <= 1e-12
 
 
+def test_spherical_expansion_rejects_center_off_small_sphere():
+    # 5e-9 i lies fifty radii off the sphere 1e-10 S, however small both are
+    f = parse_polynomial("q^2+qi")
+    with pytest.raises(ValueError, match="not on sphere"):
+        spherical_expansion(f, Sphere(0.0, 1e-10), Quaternion(0.0, 5e-9), 2)
+    exp = spherical_expansion(f, Sphere(0.0, 1e-10), Quaternion(0.0, 1e-10), 2)
+    assert abs(exp.a(2) - ONE) <= 1e-12
+
+
 def test_spherical_expansion_reconstructs():
     f = RegularSeries(tuple(rand_q() for _ in range(6)))
     q0 = Quaternion(0.3, 0.2, 0.9, -0.4)

@@ -15,10 +15,11 @@ interpreter, and compares one JSON line per item as bytes.
   `sliceregular classify c`, and at each preimage p of c the results
   of `rank_classify`, `induced_ocs` (the value and unit, or the
   exception type and message) and `differential_at` (the matrix and
-  any warning), for q -> q^2 + qi.  The twistor layer is compared at p
-  too: `eval_series` there, the chart point (u, v) of `phi_inverse`,
-  and `lift` at (u, v) and `twistor_transform` at v as JSON, or the
-  exception one of them raised.
+  the warnings it raised: none, so a warning that appears there shows
+  as a difference), for q -> q^2 + qi.  The twistor layer is compared
+  at p too: `eval_series` there, the chart point (u, v) of
+  `phi_inverse`, and `lift` at (u, v) and `twistor_transform` at v as
+  JSON, or the exception one of them raised.
 - `parse`: every expression e of `zeros_items` and every prefix of it
   that ends at a token boundary goes through `parse_polynomial`, so the
   parser's error paths are compared too, and then the negated variant
