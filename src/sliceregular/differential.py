@@ -15,8 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quat_core import (I, J, K, ONE, Quaternion, Sphere, hamilton, imag_unit,
-                        is_real)
+from .quat_core import I, J, K, ONE, Quaternion, Sphere, hamilton, is_real
 from .regular_fn import (Q4, RegularSeries, _check_radius, _divide_linear,
                          _expansion, _horner, _minus_quotient, _norm,
                          _slice_values, _sphere_zero)
@@ -116,29 +115,35 @@ def differential_at(f: RegularSeries, q0: Quaternion) -> RealLinearMap4:
 def _in_perp(p: Quaternion, a1: Q4, a2: Q4) -> bool:
     """Whether 1 + 2 Im(p) A2 A1^-1 is orthogonal to 1 and to I_p, with
     the Quaternion operators inlined: rank_classify is on the hot path
-    of the fibre classification."""
-    _, x, y, z = p
+    of the fibre classification.  On the real axis the quotient is 1,
+    which fails the first test before I_p is needed."""
+    _, px, py, pz = p
     # ONE + d as ONE - (-d), the same floats in IEEE arithmetic
-    nw, nx, ny, nz = _minus_quotient(hamilton((0.0, x * 2.0, y * 2.0, z * 2.0), a2), a1)
+    d = hamilton((0.0, px * 2.0, py * 2.0, pz * 2.0), a2)
+    nw, nx, ny, nz = _minus_quotient(d, a1)
     w, x, y, z = 1.0 - nw, 0.0 - nx, 0.0 - ny, 0.0 - nz
-    _, ux, uy, uz = imag_unit(p)
     ptol = 1e-9 * (1.0 + math.sqrt(w * w + x * x + y * y + z * z))
-    return (abs(w * 1.0 + x * 0.0 + y * 0.0 + z * 0.0) <= ptol
-            and abs(w * 0.0 + x * ux + y * uy + z * uz) <= ptol)
+    if not abs(w * 1.0 + x * 0.0 + y * 0.0 + z * 0.0) <= ptol:
+        return False
+    n = math.sqrt(px * px + py * py + pz * pz)  # imag_unit(p), also where is_real(p)
+    return abs(w * 0.0 + x * (px / n) + y * (py / n) + z * (pz / n)) <= ptol
 
 
 def rank_classify(f: RegularSeries, q0: Quaternion) -> RankClass:
     """Rank of the differential from the expansion coefficients alone.
 
-    Raises ValueError unless |q0|^2 is finite.
+    The differential is v A1 on the complement of the slice through q0
+    and v (A1 + 2 Im(q0) A2) on the slice, on the real axis and off it.
+    So with A1 negligible the rank is 0 where 2 Im(q0) A2 vanishes, that
+    is where A2 is negligible or q0 is real, and 2 elsewhere.  Raises
+    ValueError unless |q0|^2 is finite.
     """
     p = _point(q0)
     a1, a2 = _expansion_pair(f, p)
     tol = 1e-10 * max(1.0, f.coefficient_scale())
-    if is_real(p):
-        rank = Rank.RANK0 if _norm(a1) <= tol else Rank.RANK4
-    elif _norm(a1) <= tol:
-        rank = Rank.RANK0 if _norm(a2) <= tol else Rank.RANK2
+    if _norm(a1) <= tol:
+        real = p.x == p.y == p.z == 0.0
+        rank = Rank.RANK0 if real or _norm(a2) <= tol else Rank.RANK2
     else:
         rank = Rank.RANK2 if _in_perp(p, a1, a2) else Rank.RANK4
     return RankClass(rank, a1, a2)

@@ -201,7 +201,8 @@ def j_minus(c: Quaternion) -> OCSValue:
 
 
 def quartic_K(Z: ProjectivePoint3) -> complex:
-    """(Z1 Z2 - Z0 Z3)^2 + 2 Z1 Z0 (Z1 Z2 + Z0 Z3) on the normalized representative."""
+    """(Z1 Z2 - Z0 Z3)^2 + 2 Z1 Z0 (Z1 Z2 + Z0 Z3) on the normalized
+    representative, or on each row of a batch."""
     return quartic_K_affine(*(Z[k] for k in range(4)))
 
 
@@ -211,7 +212,7 @@ def quartic_K_affine(x, y, z, w):
 
 
 def grad_K(Z: ProjectivePoint3) -> np.ndarray:
-    """The four partial derivatives of the quartic."""
+    """The four partial derivatives of the quartic, as the last axis."""
     z0, z1, z2, z3 = (Z[k] for k in range(4))
     m = z1 * z2 - z0 * z3
     return np.array([
@@ -219,7 +220,7 @@ def grad_K(Z: ProjectivePoint3) -> np.ndarray:
         2.0 * z2 * m + 2.0 * z0 * (2.0 * z1 * z2 + z0 * z3),
         2.0 * z1 * m + 2.0 * z0 * z1 ** 2,
         -2.0 * z0 * m + 2.0 * z0 ** 2 * z1,
-    ], dtype=complex)
+    ], dtype=complex).T
 
 
 class SurfaceClass(Enum):

@@ -182,10 +182,12 @@ class Sphere:
             raise ValueError("sphere radius must be nonnegative")
 
     def contains(self, q: Quaternion, tol: float = 1e-9) -> bool:
-        """Re q and |Im q| within tol of x and y, relative to max(|q|, |x| + y)."""
-        s = max(math.hypot(*q), abs(self.x) + self.y)
-        return (abs(q.w - self.x) <= tol * s
-                and abs(math.hypot(q.x, q.y, q.z) - self.y) <= tol * s)
+        """Re q and |Im q| within tol of x and y, relative to the larger of
+        |q| and hypot(x, y), the norm of the sphere's points."""
+        # tol inside the hypot: hypot(x, y) itself overflows at x = y = 1.7e308
+        bound = max(tol * math.hypot(*q), math.hypot(tol * self.x, tol * self.y))
+        return (abs(q.w - self.x) <= bound
+                and abs(math.hypot(q.x, q.y, q.z) - self.y) <= bound)
 
     def sample(self, count: int) -> list[Quaternion]:
         """Points of the sphere at evenly rotated imaginary units."""

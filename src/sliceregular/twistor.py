@@ -5,47 +5,92 @@ A regular f splits on the slice L_i as g + hj; the lift
 [Z0, Z1, Z2, Z3] -> [Z0 + Z1 j, Z2 + Z3 j], and wedging the two plane
 equations of the image line gives a holomorphic curve in CP^5 from
 which f can be reconstructed.
+
+The lift, the transform and the image line take v as one complex number
+or as a 1-d array of them.  A batch is one point object whose coords
+hold a row per v, and the point methods act on the last axis, so each
+formula serves a point and a batch alike.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
-from .errors import FitError, PoleDetected
+from .errors import FitError, OutsideRadius, PoleDetected
 from .quat_core import Quaternion
-from .regular_fn import RegularSeries, eval_series
+from .regular_fn import RegularSeries
 
 PROJ_TOL = 1e-9
 
 
+def _stack(*z) -> np.ndarray:
+    """The coordinates z as the last axis of one complex array: numbers,
+    or 1-d arrays of one length with a number repeating down its column."""
+    if any(isinstance(t, np.ndarray) for t in z):  # numbers skip broadcasting
+        z = np.broadcast_arrays(*z)
+    return np.array(z, dtype=complex).T
+
+
+def _every(ok) -> bool:
+    """Whether every verdict holds: a batch's array of them, or one point's,
+    read without a numpy reduction, which costs more than the rest of a
+    point's check."""
+    return bool(ok.all() if getattr(ok, "ndim", 0) else ok)
+
+
+def _on_points(fn):
+    """Let fn's last argument v be a complex number or a 1-d array of them.
+
+    A batch runs with numpy's overflow and invalid-value warnings off, as
+    Python's complex arithmetic runs for one point: a row that overflows
+    fails the finiteness check of its point instead.
+    """
+    @functools.wraps(fn)
+    def run(*args):
+        *rest, v = args
+        if not isinstance(v, np.ndarray):
+            return fn(*rest, complex(v))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*rest, np.asarray(v, dtype=complex))
+    return run
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """Homogeneous coordinates, stored with the largest coordinate at 1."""
+    """Homogeneous coordinates, stored with the largest coordinate at 1.
+
+    coords of shape (n, k) hold a batch of n points, each row normalized.
+    """
 
     coords: np.ndarray
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=complex)
         mags = np.abs(coords)
-        k = int(np.argmax(mags))  # the first NaN, if there is one
-        if not 0.0 < mags[k] < math.inf:
+        k = mags.argmax(axis=-1)  # the first NaN, if there is one
+        largest = (*np.indices(k.shape, sparse=True), k)
+        if not _every((0.0 < mags[largest]) & (mags[largest] < math.inf)):
             raise ValueError("projective coordinates must be finite, not all zero")
-        object.__setattr__(self, "coords", coords / coords[k])
+        object.__setattr__(self, "coords", (coords.T / coords[largest]).T)
 
-    def equals(self, other: "ProjectivePoint", tol: float = PROJ_TOL) -> bool:
-        """All 2x2 minors of the two coordinate rows vanish to tol."""
+    @classmethod
+    def of(cls, *z):
+        """The point with coordinates z, or the batch whose columns they are."""
+        return cls(_stack(*z))
+
+    def equals(self, other: "ProjectivePoint", tol: float = PROJ_TOL):
+        """All 2x2 minors of the two coordinate rows vanish to tol; for a
+        batch, one verdict per row."""
         a, b = self.coords, other.coords
-        bound = tol * max(1.0, float(np.max(np.abs(a)) * np.max(np.abs(b))))
-        n = len(a)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(a[i] * b[j] - a[j] * b[i]) > bound:
-                    return False
-        return True
+        bound = tol * np.maximum(1.0, np.abs(a).max(axis=-1) * np.abs(b).max(axis=-1))
+        ab = a[..., :, None] * b[..., None, :]  # minor (i, j) is ab_ij - ab_ji
+        minors = np.abs(ab - np.swapaxes(ab, -1, -2))
+        return (minors <= bound[..., None, None]).all(axis=(-2, -1))
 
     def to_json(self) -> list:
         return [[z.real, z.imag] for z in self.coords]
@@ -54,12 +99,10 @@ class ProjectivePoint:
 class ProjectivePoint3(ProjectivePoint):
     """[Z0, Z1, Z2, Z3] in CP^3."""
 
-    @staticmethod
-    def of(z0, z1, z2, z3) -> "ProjectivePoint3":
-        return ProjectivePoint3(np.array([z0, z1, z2, z3], dtype=complex))
-
-    def __getitem__(self, k: int) -> complex:
-        return complex(self.coords[k])
+    def __getitem__(self, k: int):
+        """Z_k: a complex number, or the column of a batch."""
+        z = self.coords
+        return complex(z[k]) if z.ndim == 1 else z[:, k]
 
 
 @dataclass(frozen=True)
@@ -97,17 +140,13 @@ class HP1Point:
 class KleinPoint(ProjectivePoint):
     """A point of CP^5 in the basis e01, e02, e03, e12, e13, e23."""
 
-    @staticmethod
-    def of(*zeta) -> "KleinPoint":
-        return KleinPoint(np.array(zeta, dtype=complex))
-
-    def klein_form(self) -> complex:
-        z = self.coords
+    def klein_form(self):
+        z = self.coords.T
         return z[0] * z[5] - z[1] * z[4] + z[2] * z[3]
 
-    def on_klein_quadric(self, tol: float = 1e-10) -> bool:
-        z = self.coords
-        scale = max(1.0, abs(z[0] * z[5]) + abs(z[1] * z[4]) + abs(z[2] * z[3]))
+    def on_klein_quadric(self, tol: float = 1e-10):
+        z = self.coords.T
+        scale = np.maximum(1.0, abs(z[0] * z[5]) + abs(z[1] * z[4]) + abs(z[2] * z[3]))
         return abs(self.klein_form()) <= tol * scale
 
 
@@ -152,42 +191,82 @@ class SplitPair:
         """True iff the hats are the Schwarz reflections of g and h."""
         return self.reflected is None
 
-    def values(self, v: complex) -> tuple[complex, complex, complex, complex]:
-        """(g(v), h(v), g^(v), h^(v)); raises OutsideRadius for |v| >= radius."""
-        v = complex(v)
-        hats = self.series if self.reflected is None else self.reflected
-        gv, hv = eval_series(self.series, Quaternion.from_complex(v)).complex_pair()
-        gr, hr = eval_series(hats, Quaternion.from_complex(v.conjugate())
-                             ).complex_pair()
-        return gv, hv, gr.conjugate(), hr.conjugate()
+    @_on_points
+    def values(self, v):
+        """(g(v), h(v), g^(v), h^(v)), as arrays for an array of v; raises
+        OutsideRadius if any |v| >= radius."""
+        g, h, gr, hr = _slice_pair(self.series, v)
+        if self.reflected is not None:
+            _, _, gr, hr = _slice_pair(self.reflected, v)
+        return g, h, gr.conjugate(), hr.conjugate()
 
 
-def lift(f: RegularSeries, u: complex | None, v: complex) -> ProjectivePoint3:
-    """Twistor lift of f at chart point (u, v); u = None marks u at infinity."""
+def _slice_pair(f: RegularSeries, v):
+    """(g(v), h(v), g(v-bar), h(v-bar)) for a_n = b_n + c_n j, by one complex
+    Horner loop, g = b_n + v g and h = c_n + v h, for v and v-bar at once.
+
+    On a complex v these are eval_series's floats: its quaternion Horner
+    step at v in L_i does the same products in the same order, and adds
+    the zero products of the j-part besides, which change only the sign
+    of an exactly zero sum, and so a value only where a coefficient has
+    a -0.0 component.
+    """
+    if not f.is_polynomial and np.any(np.abs(v) >= f.radius):
+        raise OutsideRadius(f"|v| >= radius {f.radius}")
+    vc = v.conjugate()
+    g = h = gc = hc = 0j
+    for w, x, y, z in reversed(f.coeffs):
+        b, c = complex(w, x), complex(y, z)
+        g, h, gc, hc = b + v * g, c + v * h, b + vc * gc, c + vc * hc
+    return g, h, gc, hc
+
+
+@_on_points
+def lift(f: RegularSeries, u, v) -> ProjectivePoint3:
+    """Twistor lift of f at chart point (u, v); u = None marks u at infinity.
+
+    For a 1-d array v, u is a number, None, or a sequence with one entry
+    per v, None marking the rows at infinity.
+    """
     gv, hv, ghv, hhv = SplitPair(f).values(v)
     if u is None:
         return ProjectivePoint3.of(0.0, 1.0, -hhv, ghv)
-    return ProjectivePoint3.of(1.0, u, gv - u * hhv, hv + u * ghv)
+    at_inf = None if np.isscalar(u) else np.array([w is None for w in u], dtype=bool)
+    if at_inf is not None:
+        u = np.where(at_inf, 0j, u).astype(complex)
+    Z = _stack(1.0, u, gv - u * hhv, hv + u * ghv)
+    if at_inf is not None:
+        Z[at_inf] = _stack(0.0, 1.0, -hhv, ghv)[at_inf]
+    return ProjectivePoint3(Z)
 
 
-def twistor_transform(f: RegularSeries, v: complex) -> KleinPoint:
-    """The curve [g g^ + h^ h, h, -g, g^, h^, 1] at v; where g g^ + h^ h overflows,
-    the coordinates, quadratic in (g, h, g^, h^, 1), take all five scaled by 2^-e."""
+@_on_points
+def twistor_transform(f: RegularSeries, v) -> KleinPoint:
+    """The curve [g g^ + h^ h, h, -g, g^, h^, 1] at v, one row per v of an
+    array; where g g^ + h^ h overflows, the row, quadratic in
+    (g, h, g^, h^, 1), takes all five scaled by 2^-e."""
     gv, hv, ghv, hhv = SplitPair(f).values(v)
     zeta1 = gv * ghv + hhv * hv
-    if math.isfinite(zeta1.real) and math.isfinite(zeta1.imag):
+    finite = np.isfinite(zeta1)
+    if _every(finite):
         return KleinPoint.of(zeta1, hv, -gv, ghv, hhv, 1.0)
-    m = max(abs(t) for z in (gv, hv, ghv, hhv) for t in (z.real, z.imag))
-    s = math.ldexp(1.0, -math.frexp(m)[1])
-    gv, hv, ghv, hhv = gv * s, hv * s, ghv * s, hhv * s
-    return KleinPoint.of(gv * ghv + hhv * hv, hv * s, -gv * s, ghv * s, hhv * s, s * s)
+    parts = np.array([gv, hv, ghv, hhv])
+    m = np.maximum(abs(parts.real), abs(parts.imag)).max(axis=0)
+    s = np.where(finite, 1.0, np.ldexp(1.0, -np.frexp(m)[1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # g itself may be inf
+        gv, hv, ghv, hhv = gv * s, hv * s, ghv * s, hhv * s
+        return KleinPoint.of(gv * ghv + hhv * hv, hv * s, -gv * s, ghv * s,
+                             hhv * s, s * s)
+
+
+_SIGMA_ORDER = np.array([0, 4, 3, 2, 1, 5])
 
 
 def sigma(zeta: KleinPoint) -> KleinPoint:
     """The real structure induced by j on CP^5; an involution."""
-    z = zeta.coords
-    return KleinPoint.of(np.conj(z[0]), np.conj(z[4]), -np.conj(z[3]),
-                         -np.conj(z[2]), np.conj(z[1]), np.conj(z[5]))
+    z = np.conj(zeta.coords[..., _SIGMA_ORDER])
+    z[..., 2:4] = -z[..., 2:4]
+    return KleinPoint(z)
 
 
 def j_involution(Z: ProjectivePoint3) -> ProjectivePoint3:
@@ -205,16 +284,18 @@ def fiber_plucker(qtilde: Quaternion | None) -> KleinPoint:
                          np.conj(w1), np.conj(w2), 1.0)
 
 
-def line_plucker(p: SplitPair, v: complex) -> KleinPoint:
-    """Plucker coordinates of the image line, by wedging the plane normals.
+@_on_points
+def line_plucker(p: SplitPair, v) -> KleinPoint:
+    """Plucker coordinates of the image line, by wedging the plane normals;
+    one row per v of an array.
 
     The line Z2 = g Z0 - h^ Z1, Z3 = h Z0 + g^ Z1 is spanned in the dual
     by [g, -h^, -1, 0] and [h, g^, 0, -1]; their exterior product gives
     the same Klein point as the transform, computed independently.
     """
     gv, hv, ghv, hhv = p.values(v)
-    r1 = np.array([gv, -hhv, -1.0, 0.0], dtype=complex)
-    r2 = np.array([hv, ghv, 0.0, -1.0], dtype=complex)
+    r1 = (gv, -hhv, -1.0, 0.0)
+    r2 = (hv, ghv, 0.0, -1.0)
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     zeta = [r1[i] * r2[j] - r1[j] * r2[i] for i, j in pairs]
     return KleinPoint.of(*zeta)
@@ -222,48 +303,68 @@ def line_plucker(p: SplitPair, v: complex) -> KleinPoint:
 
 @dataclass(frozen=True)
 class CurveSample:
-    v: complex
+    """The curve at v, or at each v of an array with zeta the batch."""
+
+    v: complex | np.ndarray
     zeta: KleinPoint
 
 
 POLE_TOL = 1e-10
 
 
-def normalized_curve_values(samples: list[CurveSample]
-                            ) -> list[tuple[complex, complex, complex, complex, complex]]:
-    """(v, g, h, g^, h^) pointwise, after normalizing zeta_6 to 1.
+def _curve_columns(samples: list[CurveSample]) -> tuple[np.ndarray, np.ndarray]:
+    """The sample points and the columns g, h, g^, h^ of the curve values,
+    after normalizing zeta_6 to 1.
 
     Raises PoleDetected where zeta_6 vanishes: the curve meets the fiber
     over infinity there, signalling a sphere of non-removable poles.
     """
-    out = []
-    for s in samples:
-        z = s.zeta.coords
-        scale = float(np.max(np.abs(z)))
-        if abs(z[5]) <= POLE_TOL * scale:
-            raise PoleDetected(f"zeta_6 vanishes at v = {s.v}")
-        z = z / z[5]
-        out.append((s.v, -z[2], z[1], z[3], z[4]))
-    return out
+    if not samples:
+        return np.zeros(0, complex), np.zeros((0, 4), complex)
+    vs = np.concatenate([np.ravel(s.v) for s in samples])
+    z = np.concatenate([np.reshape(s.zeta.coords, (-1, 6)) for s in samples])
+    pole = np.abs(z[:, 5]) <= POLE_TOL * np.abs(z).max(axis=1)
+    if pole.any():
+        raise PoleDetected(f"zeta_6 vanishes at v = {vs[pole.argmax()]}")
+    z = z / z[:, 5:]
+    return vs, np.stack([-z[:, 2], z[:, 1], z[:, 3], z[:, 4]], axis=1)
+
+
+def normalized_curve_values(samples: list[CurveSample]
+                            ) -> list[tuple[complex, complex, complex, complex, complex]]:
+    """(v, g, h, g^, h^) pointwise, after normalizing zeta_6 to 1; raises
+    PoleDetected where zeta_6 vanishes."""
+    vs, cols = _curve_columns(samples)
+    return [(v, *row) for v, row in zip(vs.tolist(), cols.tolist())]
 
 
 def _fit_columns(vs: np.ndarray, cols: np.ndarray, max_degree: int,
                  tol: float) -> list[np.ndarray]:
     """Fit each column by the polynomial of least degree whose residual is
-    within tol of the column's largest value, one least-squares problem
-    per degree; an exactly zero column fits at degree 0."""
-    gates = tol * np.max(np.abs(cols), axis=0, initial=0.0)
-    fits = [None] * cols.shape[1]
-    for d in range(0, min(max_degree, len(vs) - 1) + 1):
-        vand = np.vander(vs, d + 1, increasing=True)
-        coeffs, *_ = np.linalg.lstsq(vand, cols, rcond=None)
-        resid = np.max(np.abs(vand @ coeffs - cols), axis=0)
-        for k in range(len(fits)):
-            if fits[k] is None and resid[k] <= gates[k]:
-                fits[k] = coeffs[:, k]
-        if all(c is not None for c in fits):
-            return fits
-    raise FitError(f"no polynomial of degree <= {max_degree} fits the samples")
+    within tol of the column's largest value; an exactly zero column fits
+    at degree 0.
+
+    One QR of the largest Vandermonde matrix serves every degree: the fit
+    of degree d is the projection onto the first d + 1 columns of Q, so
+    cumulative sums of the projections give the residual at each degree.
+    R is upper triangular, so one solve gives every column its fit, with
+    the projections past the column's degree set to zero.
+    """
+    top = min(max_degree, len(vs) - 1)
+    if top < 0:
+        raise FitError("no samples to fit")
+    q, r = np.linalg.qr(np.vander(vs, top + 1, increasing=True))
+    proj = q.conj().T @ cols
+    fits = np.cumsum(q.T[:, :, None] * proj[:, None, :], axis=0)
+    resid = np.abs(fits - cols).max(axis=1)
+    passed = resid <= tol * np.abs(cols).max(axis=0, initial=0.0)
+    if not passed.any(axis=0).all():
+        raise FitError(f"no polynomial of degree <= {max_degree} fits the samples")
+    degrees = passed.argmax(axis=0)
+    d = degrees.max()
+    rhs = np.where(np.arange(d + 1)[:, None] <= degrees, proj[:d + 1], 0.0)
+    coeffs = np.linalg.solve(r[:d + 1, :d + 1], rhs)
+    return [coeffs[:n + 1, k] for k, n in enumerate(degrees)]
 
 
 def _pair_series(g: np.ndarray, h: np.ndarray) -> RegularSeries:
@@ -283,9 +384,7 @@ def reconstruct(samples: list[CurveSample], max_degree: int = 24,
     scale does not extend symmetrically; it keeps its reflected series,
     so that its symmetric is False.
     """
-    values = normalized_curve_values(samples)
-    vs = np.array([t[0] for t in values], dtype=complex)
-    cols = np.array([t[1:] for t in values], dtype=complex).reshape(-1, 4)
+    vs, cols = _curve_columns(samples)
     g, h, ghat, hhat = _fit_columns(vs, cols, max_degree, fit_tol)
     series = _pair_series(g, h)
     reflected = _pair_series(np.conj(ghat), np.conj(hhat))

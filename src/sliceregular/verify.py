@@ -66,7 +66,7 @@ def _suite(name: str):
 
 
 def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
-    return Quaternion(*(float(scale * t) for t in rng.uniform(-1.0, 1.0, 4)))
+    return Quaternion(*(scale * rng.uniform(-1.0, 1.0, 4)).tolist())
 
 
 def random_nonreal(rng, scale: float = 1.0) -> Quaternion:
@@ -80,16 +80,26 @@ def random_nonreal(rng, scale: float = 1.0) -> Quaternion:
 def random_polynomial(rng, max_degree: int = 6, min_degree: int = 1
                       ) -> RegularSeries:
     deg = int(rng.integers(min_degree, max_degree + 1))
-    coeffs = [random_quaternion(rng) for _ in range(deg + 1)]
+    t = rng.uniform(-1.0, 1.0, 4 * (deg + 1)).tolist()
+    coeffs = [Quaternion(*t[k:k + 4]) for k in range(0, len(t), 4)]
     while coeffs[-1].is_zero(1e-3):
         coeffs[-1] = random_quaternion(rng)
     return RegularSeries(tuple(coeffs))
 
 
-def _random_chart(rng) -> tuple[complex, complex]:
-    u = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    v = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2.0))
-    return u, v
+def _random_complex(rng, lo: float, hi: float, count: int) -> np.ndarray:
+    """count numbers with real and imaginary parts uniform in [lo, hi),
+    drawn as count calls of complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
+    would draw them."""
+    return rng.uniform(lo, hi, 2 * count).view(complex)
+
+
+def _random_charts(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count chart points (u, v): u in [-2, 2]^2 and v in [-2, 2] x [0.1, 2],
+    drawn in the order u.real, u.imag, v.real, v.imag of each point."""
+    lo, hi = [-2.0, -2.0, -2.0, 0.1], [2.0, 2.0, 2.0, 2.0]
+    uv = rng.uniform(lo, hi, (count, 4)).view(complex)
+    return uv[:, 0], uv[:, 1]
 
 
 @_suite("twistor-commute")
@@ -97,7 +107,7 @@ def suite_twistor_commute(res: SuiteResult, rng, samples: int = 1000) -> None:
     """Projecting the lift agrees with mapping the chart point."""
     for n in range(samples):
         f = random_polynomial(rng)
-        u, v = _random_chart(rng)
+        u, v = (complex(z[0]) for z in _random_charts(rng, 1))
         q = phi(ChartPoint(u, v))
         fq = eval_series(f, q)
         proj = twistor_project(lift(f, u, v))
@@ -112,28 +122,27 @@ def suite_quartic_membership(res: SuiteResult, rng, samples: int = 1000) -> None
     spot = ProjectivePoint3.of(1.0, 1.0, 1 + 1j, 1 - 1j)
     res.check(abs(quartic_K(spot)) <= 1e-12, "spot [1,1,1+i,1-i]",
               abs(quartic_K(spot)))
-    for n in range(samples):
-        u, v = _random_chart(rng)
-        Z = lift(F_PAR, u, v)
-        val = quartic_K(Z)
-        scale = 1.0 + sum(abs(Z[k]) for k in range(4)) ** 4
-        rel = abs(val) / scale
+    Z = lift(F_PAR, *_random_charts(rng, samples))
+    rels = np.abs(quartic_K(Z)) / (1.0 + np.abs(Z.coords).sum(axis=-1) ** 4)
+    for n, rel in enumerate(rels.tolist()):
         res.check(rel <= 1e-9, f"sample {n}: K residual {rel:.2e}", rel)
 
 
 @_suite("klein-reality")
 def suite_klein_reality(res: SuiteResult, rng, samples: int = 1000) -> None:
     """The transform satisfies the Klein relation and the reality condition."""
-    f = random_polynomial(rng)
-    for n in range(samples):
-        if n % 100 == 0:
-            f = random_polynomial(rng)
-        v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        zeta = twistor_transform(f, v)
-        kf = abs(zeta.klein_form())
-        res.check(zeta.on_klein_quadric(1e-10), f"Klein relation, sample {n}", kf)
-        res.check(sigma(zeta).equals(twistor_transform(f, v.conjugate()), 1e-10),
-                  f"reality condition, sample {n}")
+    random_polynomial(rng)  # sample 0 replaces it; drawn to keep the stream
+    for start in range(0, samples, 100):
+        f = random_polynomial(rng)
+        vs = _random_complex(rng, -2.0, 2.0, min(100, samples - start))
+        zeta = twistor_transform(f, vs)
+        real = sigma(zeta).equals(twistor_transform(f, vs.conj()), 1e-10)
+        for n, kf, on, ok in zip(range(start, samples),
+                                 np.abs(zeta.klein_form()).tolist(),
+                                 zeta.on_klein_quadric(1e-10).tolist(),
+                                 real.tolist()):
+            res.check(on, f"Klein relation, sample {n}", kf)
+            res.check(ok, f"reality condition, sample {n}")
 
 
 @_suite("transform-spot")
@@ -151,18 +160,13 @@ def suite_transform_spot(res: SuiteResult, rng, samples: int = 20) -> None:
                   f"parabola map at v={v:.3f}")
 
 
-def _transform_samples(f: RegularSeries, vs) -> list[CurveSample]:
-    return [CurveSample(v, twistor_transform(f, v)) for v in vs]
-
-
 @_suite("transform-roundtrip")
 def suite_transform_roundtrip(res: SuiteResult, rng, samples: int = 200) -> None:
     """Reconstruction from curve samples inverts the transform."""
     for n in range(samples):
         f = random_polynomial(rng)
-        vs = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-              for _ in range(2 * f.degree + 6)]
-        pair = reconstruct(_transform_samples(f, vs))
+        vs = _random_complex(rng, -1.5, 1.5, 2 * f.degree + 6)
+        pair = reconstruct([CurveSample(vs, twistor_transform(f, vs))])
         gap = (f - pair.series).coefficient_scale()
         scale = 1.0 + f.coefficient_scale()
         res.check(gap <= 1e-10 * scale, f"poly {n}: coeff gap {gap:.2e}",
@@ -462,10 +466,8 @@ def suite_singular_locus(res: SuiteResult, rng, samples: int = 100) -> None:
         for Z in pts:
             g = float(np.max(np.abs(grad_K(Z))))
             res.check(g <= 1e-10, f"gradient on double line, sample {n}", g)
-    for n in range(samples):
-        u, v = _random_chart(rng)
-        Z = lift(F_PAR, u, v)
-        g = float(np.max(np.abs(grad_K(Z))))
+    grads = np.abs(grad_K(lift(F_PAR, *_random_charts(rng, samples)))).max(axis=-1)
+    for n, g in enumerate(grads.tolist()):
         res.check(g > 1e-6, f"smooth point {n}: gradient {g:.2e}")
     res.check(singular_locus_class(ProjectivePoint3.of(0, 1, 0, 0.25))
               == SurfaceClass.CUSP, "cusp at [0,1,0,1/4]")

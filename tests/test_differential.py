@@ -171,6 +171,21 @@ def test_differential_keeps_second_term_below_real_axis_threshold():
         assert abs(d.apply(v) - exact) <= 1e-14 * abs(exact)
 
 
+@pytest.mark.parametrize("q0, rank", [
+    (Quaternion(0.0, 5e-11), 2), (Quaternion(0.0, 2e-10), 2),
+    (Quaternion(0.0, 1e-9), 2), (Quaternion(0.0, 0.0, 0.0, -5e-11), 2),
+    (Quaternion(), 0), (Quaternion(0.5), 4), (Quaternion(-1.0), 4),
+])
+def test_rank_classify_agrees_with_jacobian_near_real_axis(q0, rank):
+    # q^2 has A1 = 2 Re(q0) and A2 = 1: on the slice the differential is
+    # v (A1 + 2 Im(q0) A2), so below the real-axis threshold too it keeps
+    # rank 2 at a non-real q0 where A1 vanishes
+    f = parse_polynomial("q^2")
+    assert rank_classify(f, q0).rank.value == rank
+    assert differential_at(f, q0).rank() == rank
+    assert is_singular(f, q0).singular == (rank != 4)
+
+
 @pytest.mark.parametrize("v", [
     Quaternion(0.0, 1e200), Quaternion(0.0, 1e-170), Quaternion(0.0, 5e-324),
     Quaternion(3e-200, 0.0, -4e-200), Quaternion(3e200, 0.0, -4e200),
@@ -270,16 +285,17 @@ def oracle_rank_classify(f, q0):
     a1, a2 = oracle_expansion_pair(f, q0)
     scale = max(1.0, f.coefficient_scale())
     tol = 1e-10 * scale
-    if oracle_is_real(q0):
-        rank = Rank.RANK0 if abs(a1) <= tol else Rank.RANK4
-        return RankClass(rank, a1, a2)
     if abs(a1) <= tol:
-        rank = Rank.RANK0 if abs(a2) <= tol else Rank.RANK2
+        real = q0.im_norm() == 0.0
+        rank = Rank.RANK0 if real or abs(a2) <= tol else Rank.RANK2
         return RankClass(rank, a1, a2)
     p = ONE + (2.0 * q0.im()) * a2 * a1.inverse()
-    unit = oracle_imag_unit(q0)
     ptol = 1e-9 * (1.0 + abs(p))
-    in_perp = abs(p.dot(ONE)) <= ptol and abs(p.dot(unit)) <= ptol
+    if not abs(p.dot(ONE)) <= ptol:
+        return RankClass(Rank.RANK4, a1, a2)
+    n = q0.im_norm()  # nonzero: on the real axis p = 1
+    unit = Quaternion(0.0, q0.x / n, q0.y / n, q0.z / n)
+    in_perp = abs(p.dot(unit)) <= ptol
     return RankClass(Rank.RANK2 if in_perp else Rank.RANK4, a1, a2)
 
 

@@ -164,6 +164,9 @@ def test_sphere_contains_is_relative_at_every_scale():
     assert Sphere(0.0, 1e-10).contains(Quaternion(0.0, 0.0, 1e-10))
     assert not Sphere(1e200, 1e200).contains(Quaternion(5e200, 1e200))
     assert Sphere(1e200, 1e200).contains(Quaternion(1e200, 0.0, 0.0, -1e200))
+    # hypot(x, y) overflows here, the points of the sphere do not
+    assert not Sphere(1.7e308, 1.7e308).contains(Quaternion(0.0, 1.7e308))
+    assert Sphere(1.7e308, 1.7e308).contains(Quaternion(1.7e308, 0.0, 1.7e308))
 
 
 # A sphere x + yS and a point on it moved by a relative offset from 1e-12

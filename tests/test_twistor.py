@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from sliceregular import (ChartPoint, CurveSample, HP1Point, KleinPoint,
+from sliceregular import (ChartPoint, CurveSample, FitError, HP1Point, KleinPoint,
                           OutsideRadius, PoleDetected, ProjectivePoint3,
                           Quaternion, RegularSeries, eval_series, fiber_plucker,
                           in_q_plus, j_involution, lift, line_plucker,
@@ -13,7 +14,8 @@ from sliceregular import (ChartPoint, CurveSample, HP1Point, KleinPoint,
                           twistor_project, twistor_transform)
 from sliceregular.parsing import parse_polynomial
 from sliceregular.quat_core import I, J, ONE
-from sliceregular.twistor import SplitPair, normalized_curve_values
+from sliceregular.twistor import (SplitPair, _curve_columns, _fit_columns,
+                                  normalized_curve_values)
 
 F = parse_polynomial("q^2+qi")
 
@@ -246,6 +248,83 @@ def test_pair_values_match_four_polyval_oracle(f, r, v):
         assert abs(a - b) <= 1e-13 * _bound(scale, v)
 
 
+def quaternion_values(f, v):
+    """(g(v), h(v), g^(v), h^(v)) read off the quaternion Horner value."""
+    g, h = eval_series(f, Quaternion.from_complex(v)).complex_pair()
+    gr, hr = eval_series(f, Quaternion.from_complex(v.conjugate())).complex_pair()
+    return g, h, gr.conjugate(), hr.conjugate()
+
+
+signed = st.one_of(st.sampled_from([0.0, -0.0]), components)
+signed_quaternions = st.builds(Quaternion, signed, signed, signed, signed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(signed_quaternions, min_size=1, max_size=13),
+       st.builds(complex, st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+                 st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))),
+       st.sampled_from([math.inf, 3.0]))
+def test_pair_kernel_is_the_quaternion_horner_value(coeffs, v, radius):
+    # the complex loop does the quaternion loop's products in its order;
+    # the quaternion loop's extra zero products can flip the sign of an
+    # exactly zero sum, which shows only where a coefficient has a -0.0
+    f = RegularSeries(tuple(coeffs), radius)
+    got, want = SplitPair(f).values(v), quaternion_values(f, v)
+    assert got == want
+    if not any(math.copysign(1.0, t) < 0 and t == 0.0 for a in f.coeffs for t in a):
+        assert repr(got) == repr(want)
+
+
+def assert_rows_match(batch, points):
+    """Each row of a batch within 1e-13 of the point computed alone, whose
+    largest coordinate is 1.  numpy's complex product rounds differently
+    from Python's, and cancellation in g g^ + h^ h can grow the last-bit
+    difference of the values; 6.2e-15 is the largest seen over 300 random
+    polynomials."""
+    assert batch.coords.shape == (len(points), len(points[0].coords))
+    for row, point in zip(batch.coords, points):
+        assert np.max(np.abs(row - point.coords)) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_rows_match_scalar_calls(seed):
+    rng = np.random.default_rng(seed)
+    f = rand_poly(rng, int(rng.integers(1, 8)))
+    vs = rng.uniform(-2.0, 2.0, 60).view(complex)
+    # the kernel's values within 1e-15 of the Horner sum's scale
+    got = np.array(SplitPair(f).values(vs))
+    want = np.array([SplitPair(f).values(v) for v in vs]).T
+    assert np.all(np.abs(got - want) <= 1e-15 * np.array([_bound(f, v) for v in vs]))
+    us = [None if k % 4 == 0 else complex(*rng.uniform(-2.0, 2.0, 2))
+          for k in range(len(vs))]
+    assert_rows_match(lift(f, us, vs), [lift(f, u, v) for u, v in zip(us, vs)])
+    for u in (None, 0.5 - 1j):
+        assert_rows_match(lift(f, u, vs), [lift(f, u, v) for v in vs])
+    zeta = twistor_transform(f, vs)
+    points = [twistor_transform(f, v) for v in vs]
+    assert_rows_match(zeta, points)
+    assert_rows_match(line_plucker(SplitPair(f), vs),
+                      [line_plucker(SplitPair(f), v) for v in vs])
+    assert_rows_match(sigma(zeta), [sigma(z) for z in points])
+    assert zeta.on_klein_quadric().tolist() == [z.on_klein_quadric() for z in points]
+    assert sigma(zeta).equals(twistor_transform(f, vs.conj())).all()
+    assert not zeta.equals(twistor_transform(f, vs + 0.1)).any()
+    np.testing.assert_allclose(zeta.klein_form(), [z.klein_form() for z in points],
+                               rtol=0.0, atol=1e-15)
+
+
+def test_batch_rescales_only_the_rows_that_overflow():
+    # g g^ + h^ h of q^2 + qi overflows from |v| = 1e77, and g itself at 1e160
+    vs = np.array([0.5 + 0.5j, 1e80, -1e100j, 2.0, 3e150 + 1e150j])
+    assert_rows_match(twistor_transform(F, vs), [twistor_transform(F, v) for v in vs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            twistor_transform(F, np.append(vs, 1e200))
+        with pytest.raises(ValueError):
+            lift(F, 1j, np.append(vs, 1e200))
+
+
 def test_lift_outside_radius():
     f = RegularSeries((ONE, ONE), radius=1.0)
     assert on_quadric(lift(f, 1j, 0.6 + 0.7j))
@@ -255,6 +334,14 @@ def test_lift_outside_radius():
                 lift(f, u, v)
         with pytest.raises(OutsideRadius):
             twistor_transform(f, v)
+    # a batch raises if any of its points lies outside
+    vs = np.array([0.1j, 0.6 + 0.8j, -0.5])
+    for call in (lambda v: lift(f, 0j, v), lambda v: twistor_transform(f, v),
+                 lambda v: SplitPair(f).values(v)):
+        with pytest.raises(OutsideRadius):
+            call(vs)
+    inside = vs[[0, 2]]
+    assert_rows_match(lift(f, 1j, inside), [lift(f, 1j, v) for v in inside])
 
 
 def test_sigma_is_involution_preserving_klein():
@@ -327,6 +414,47 @@ def test_reconstruct_is_scale_invariant(s):
     assert (f - pair.series).coefficient_scale() <= 1e-12 * s
 
 
+def oracle_fit_columns(vs, cols, max_degree, tol):
+    """The fit by one least-squares problem per degree, which the one-QR
+    fit replaced."""
+    gates = tol * np.max(np.abs(cols), axis=0, initial=0.0)
+    fits = [None] * cols.shape[1]
+    for d in range(0, min(max_degree, len(vs) - 1) + 1):
+        vand = np.vander(vs, d + 1, increasing=True)
+        coeffs, *_ = np.linalg.lstsq(vand, cols, rcond=None)
+        resid = np.max(np.abs(vand @ coeffs - cols), axis=0)
+        for k in range(len(fits)):
+            if fits[k] is None and resid[k] <= gates[k]:
+                fits[k] = coeffs[:, k]
+        if all(c is not None for c in fits):
+            return fits
+    raise FitError(f"no polynomial of degree <= {max_degree} fits the samples")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fit_columns_picks_the_oracle_degree(seed):
+    rng = np.random.default_rng(seed)
+    # g and h of their own degrees, so that the columns stop at different
+    # degrees; seed 0 has h = 0, a column that fits at degree 0
+    deg = int(rng.integers(1, 7))
+    g = RegularSeries(tuple(Quaternion(*rng.uniform(-1, 1, 2)) for _ in range(deg + 1)))
+    h = RegularSeries(tuple(Quaternion(0.0, 0.0, *rng.uniform(-1, 1, 2))
+                            for _ in range(int(rng.integers(0, deg + 1)) * (seed > 0))))
+    f = g + h
+    vs = rng.uniform(-1.5, 1.5, 2 * (2 * deg + 6)).view(complex)
+    vs, cols = _curve_columns([CurveSample(vs, twistor_transform(f, vs))])
+    got = _fit_columns(vs, cols, 24, 1e-9)
+    want = oracle_fit_columns(vs, cols, 24, 1e-9)
+    assert [len(c) for c in got] == [len(c) for c in want]
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
+    # too low a degree cap fails both ways
+    if deg > 1:
+        for fit in (_fit_columns, oracle_fit_columns):
+            with pytest.raises(FitError):
+                fit(vs, cols, deg - 1, 1e-9)
+
+
 def test_reconstruct_flags_pole():
     def rational(v):
         return CurveSample(v, KleinPoint.of(1, 0, -(v - 1j), v + 1j, 0,
@@ -337,6 +465,13 @@ def test_reconstruct_flags_pole():
     assert abs(h) <= 1e-12
     with pytest.raises(PoleDetected):
         normalized_curve_values([rational(1j)])
+    # a batch is flagged as its worst point is
+    vs = np.array([0.5 + 0j, 1j])
+    batch = CurveSample(vs, KleinPoint.of(1, 0, -(vs - 1j), vs + 1j, 0, vs * vs + 1))
+    with pytest.raises(PoleDetected, match="1j"):
+        normalized_curve_values([batch])
+    assert normalized_curve_values([CurveSample(vs[:1], KleinPoint(
+        batch.zeta.coords[:1]))]) == values
 
 
 def test_klein_point_json():

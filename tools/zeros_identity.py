@@ -35,7 +35,8 @@ interpreter, and compares one JSON line per item as bytes.
 
     python3 tools/zeros_identity.py OTHER_SRC [--workload zeros] [--seeds 1-10]
 
-Exits 0 when every line matches, 1 at the first difference.
+Prints every differing item and their count.  Exits 0 when every line
+matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -194,11 +195,15 @@ def main() -> int:
     if len(ours) != len(theirs):
         print(f"item counts differ: {len(ours)} here, {len(theirs)} there")
         return 1
+    differing = 0
     for n, (a, b) in enumerate(zip(ours, theirs)):
         if a != b:
+            differing += 1
             print(f"item {n} (seed {_seeds(args.seeds)[n // count]}, "
                   f"index {n % count}) differs:\n  here:  {a}\n  there: {b}")
-            return 1
+    if differing:
+        print(f"{differing} of {len(ours)} items differ")
+        return 1
     digest = hashlib.sha256("\n".join(ours).encode()).hexdigest()
     print(f"{len(ours)} items byte-identical, sha256 {digest}")
     return 0
