@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (malformed or non-finite input included), 3 domain error (an answer that
-overflows float64 included), 4 degenerate input.
+overflows float64, and a zero set that float64 cannot resolve, included),
+4 degenerate input.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import math
 import os
 import re
 import sys
+import warnings
 
-from .errors import DomainError, NotReal, OutsideRadius, ZeroPolynomial
+from .errors import ConditioningWarning, DomainError, OutsideRadius, ZeroPolynomial
 from .parabola import (discriminant_D, fiber_intersections, figure1_rows,
                        figure2_cells, j_minus, j_plus)
 from .parsing import ParseError, parse_polynomial
@@ -107,12 +109,17 @@ def cmd_zeros(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        zs = zeros(f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            zs = zeros(f)
     except ZeroPolynomial as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ValueError, NotReal) as exc:
+    except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ConditioningWarning as exc:
+        print(f"ill-conditioned: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     return _emit_json(args, zs.to_json())
 

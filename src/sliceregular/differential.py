@@ -18,7 +18,7 @@ import numpy as np
 from .quat_core import I, J, K, ONE, Quaternion, Sphere, hamilton, is_real
 from .regular_fn import (Q4, RegularSeries, _check_radius, _divide_linear,
                          _expansion, _horner, _minus_quotient, _norm,
-                         _slice_values, _sphere_zero)
+                         _slice_values, _sphere_zero, _terms)
 
 
 @dataclass(frozen=True)
@@ -136,14 +136,17 @@ def rank_classify(f: RegularSeries, q0: Quaternion) -> RankClass:
     and v (A1 + 2 Im(q0) A2) on the slice, on the real axis and off it.
     So with A1 negligible the rank is 0 where 2 Im(q0) A2 vanishes, that
     is where A2 is negligible or q0 is real, and 2 elsewhere.  Raises
-    ValueError unless |q0|^2 is finite.
+    ValueError unless |q0|^2 is finite.  A1 and A2 are negligible within
+    1e-10 of the terms that cancel in them (their Taylor coefficients on
+    the real axis), at any scale of f and q0.
     """
     p = _point(q0)
     a1, a2 = _expansion_pair(f, p)
-    tol = 1e-10 * max(1.0, f.coefficient_scale())
-    if _norm(a1) <= tol:
+    r = abs(p)
+    if _norm(a1) <= 1e-10 * _terms(f.coeffs, r, 1):
         real = p.x == p.y == p.z == 0.0
-        rank = Rank.RANK0 if real or _norm(a2) <= tol else Rank.RANK2
+        rank = (Rank.RANK0 if real or _norm(a2) <= 1e-10 * _terms(f.coeffs, r, 2)
+                else Rank.RANK2)
     else:
         rank = Rank.RANK2 if _in_perp(p, a1, a2) else Rank.RANK4
     return RankClass(rank, a1, a2)
@@ -167,8 +170,9 @@ def _singularity(f: RegularSeries, p: Quaternion) -> tuple[bool, Q4 | None, Q4]:
     if not g:
         return False, None, value
     if is_real(p):
-        # real point: singular iff (q - x0)^2 divides f - f(q0)
-        if _norm(_horner(g, p)) <= 1e-8 * scale:
+        # real point: singular iff A1 = g(q0-bar), which is f'(x0) on the
+        # real axis, vanishes against the terms that cancel in it
+        if _norm(_horner(g, p.conj())) <= 1e-8 * _terms(f.coeffs, abs(p), 1):
             return True, p, value
         return False, None, value
     w, r = p.w, p.im_norm()

@@ -1,26 +1,30 @@
 """Quaternionic polynomials and truncated power series with right coefficients.
 
 The ring operation is the star product (convolution of coefficient
-sequences); conjugation and symmetrization turn zero finding into a
-real-coefficient problem whose complex roots label the candidate
-spheres.  Multiplicities are then extracted by synthetic division.
+sequences).  The zeros of f lie on the spheres x + yS whose x + yi are
+roots of the symmetrization f^s; they come from the eigenvalues of a
+complex block companion of f, and their multiplicities from how those
+eigenvalues group.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import numpy as np
 
-from .errors import NotReal, OutsideRadius, ZeroPolynomial
+from .errors import ConditioningWarning, NotReal, OutsideRadius, ZeroPolynomial
 from .quat_core import ONE, Quaternion, Sphere, hamilton
 
-# Tolerances for zero extraction (see module tests for their calibration).
-CLUSTER_TOL = 1e-7       # merge radius for roots of the symmetrization
-REAL_SNAP_TOL = 1e-8     # |Im| below this snaps a root to the real axis
-DIVISION_TOL = 1e-8      # relative remainder norm accepted as exact division
+# Tolerances of the zero finder, both relative backward errors, chosen
+# on the 10,000 polynomials of the benchmark's zeros-stream seeds 1-10:
+# the one its grouping allows the companion's eigenvalues, and the one
+# within which a value counts as zero against the terms that cancel in it.
+GROUP_TOL = 1e-7
+RESIDUAL_TOL = 1e-8
 
 
 def _trim(coeffs, zero=(0.0, 0.0, 0.0, 0.0)):
@@ -428,148 +432,286 @@ def _sphere_zero(coeffs: list, x: float, y: float, alpha: Q4, beta: Q4,
     return p if _norm(_horner(coeffs, p)) <= tol else None
 
 
-def _zero_on_sphere(coeffs: list, x: float, y: float, tol: float) -> Q4 | None:
-    """The isolated zero of f on x + yS, if any; none where beta is
-    within tol of 0."""
-    alpha, beta = _slice_values(coeffs, x, y)
-    if _norm(beta) <= tol:
-        return None
-    return _sphere_zero(coeffs, x, y, alpha, beta, 1e-6, tol)
+def _slice_pair(coeffs, v):
+    """(g(v), h(v), g(v-bar), h(v-bar)) for a_n = b_n + c_n j, by one complex
+    Horner loop, g = b_n + v g and h = c_n + v h, for v and v-bar at once;
+    v is a complex number or an array of them.
+
+    On a complex v these are eval_series's floats: its quaternion Horner
+    step at v in L_i does the same products in the same order, and adds
+    the zero products of the j-part besides, which change only the sign
+    of an exactly zero sum, and so a value only where a coefficient has
+    a -0.0 component.
+    """
+    vc = v.conjugate()
+    g = h = gc = hc = 0j
+    for w, x, y, z in reversed(coeffs):
+        b, c = complex(w, x), complex(y, z)
+        g, h, gc, hc = b + v * g, c + v * h, b + vc * gc, c + vc * hc
+    return g, h, gc, hc
 
 
-def _merge(points: list[tuple[complex, int]], tol: float) -> list[tuple[complex, int]]:
-    """Greedy merge of weighted points within tol, by weighted mean."""
-    clusters: list[tuple[complex, int]] = []
-    for z, k in points:
-        for idx, (center, n) in enumerate(clusters):
-            if abs(z - center) <= tol * (1.0 + abs(center)):
-                clusters[idx] = ((center * n + z * k) / (n + k), n + k)
+# zeros() works on complex pairs: a quaternion b + cj is the pair (b, c),
+# and (b, c)(b', c') = (b b' - c conj(c'), b c' + c conj(b')).
+
+
+def _pair_mul(b, c, b2, c2):
+    return b * b2 - c * c2.conjugate(), b * c2 + c * b2.conjugate()
+
+
+def _scaled_monic(coeffs: list) -> tuple[list, np.ndarray, int]:
+    """(e, w, k): the monic e_n = 2^(k(n-d)) a_n a_d^-1, whose zeros are
+    f's times 2^-k, and the 2d eigenvalues w of its complex block
+    companion, each coefficient entering as its adjoint [[b, c],
+    [-conj c, conj b]]: they are the roots of e^s (Seródio, Pereira &
+    Vitória, 2001).  2^k rounds M = max |a_n / a_d|^(1/(d-n)), with a_0 / 2
+    for a_0, to a power of two, so that the zeros are at most the
+    Fujiwara bound 2 M 2^-k <= 2 sqrt 2; exponents come first, so that
+    nothing overflows."""
+    if not all(map(math.isfinite, chain.from_iterable(coeffs))):
+        raise ValueError("the companion matrix of f overflows float64: "
+                         "a coefficient is not finite")
+    d = len(coeffs) - 1
+    exps = [math.frexp(max(map(abs, a)))[1] for a in coeffs]
+    logs = [math.log2(math.hypot(*[math.ldexp(t, -x) for t in a])) + x if any(a) else -math.inf
+            for a, x in zip(coeffs, exps)]
+    logs[0] -= 1.0
+    k = round(max((logs[n] - logs[d]) / (d - n) for n in range(d)))
+    lw, lx, ly, lz = (math.ldexp(t, -exps[d]) for t in coeffs[d])
+    s = 1.0 / (lw * lw + lx * lx + ly * ly + lz * lz)
+    inv = (lw * s, -lx * s, -ly * s, -lz * s)  # a_d^-1 2^exps[d]
+    e = [hamilton([math.ldexp(t, k * (n - d) - exps[d]) for t in a], inv)
+         for n, a in enumerate(coeffs[:d])]
+    b = np.array([complex(w, x) for w, x, _, _ in e])
+    c = np.array([complex(y, z) for _, _, y, z in e])
+    m = np.zeros((2 * d, 2 * d), complex)
+    m[2:, :-2] = np.eye(2 * d - 2)
+    m[0::2, -2], m[0::2, -1] = -b, -c
+    m[1::2, -2], m[1::2, -1] = c.conjugate(), -b.conjugate()
+    return e + [_ONE4], np.linalg.eigvals(m), k
+
+
+def _radii(n: int, shrink: float) -> np.ndarray:
+    """r(k) for k = 0..n, relative to a group's modulus: k folded
+    eigenvalues of a root of multiplicity k/2 of e^s, perturbed by
+    GROUP_TOL, spread by about 8 GROUP_TOL^(2/k).  Beyond a triple root
+    r stays at r(6), so that a 34-fold root, spread by eps^(1/34) = 0.35,
+    does not count."""
+    with np.errstate(divide="ignore"):
+        return shrink * 8.0 * GROUP_TOL ** (2.0 / np.minimum(np.arange(n + 1), 6))
+
+
+def _tight(values: np.ndarray) -> bool:
+    """Whether k values are the roots of t^k + s_2 t^(k-2) + ... + s_k in
+    t = z - c, c their mean, with every |s_j| <= GROUP_TOL (8 |c|)^j: one
+    k-fold root perturbed as r(k) assumes, whatever the shape of the
+    spread, where distinct roots in a row fail at s_2 = -sum(t^2) / 2."""
+    t = values - values.mean()
+    bound = GROUP_TOL * (8.0 * abs(values.mean())) ** np.arange(2, len(t) + 1)
+    return bool(abs(np.sum(t * t)) <= 2.0 * bound[0]
+                and np.all(np.abs(np.poly(t)[2:]) <= bound))
+
+
+def _groups(w: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
+    """Indices of w in groups of even size, largest first.  A group of
+    k >= 4 is a value and its k - 1 nearest others, folded to the upper
+    half-plane, within r(k) |z| of it and _tight (unfolded, where its mean
+    is real to r(k)).  When none is left, the rest pair off as mutual
+    nearest neighbours, of which the closest two are always one."""
+    z = w.real + 1j * np.abs(w.imag)
+    left, out = np.arange(len(z)), []
+    while left.size >= 4:
+        dist = np.abs(z[left, None] - z[left])
+        near = np.sort(dist, axis=1)[:, 3::2]  # the 4th, 6th, ... nearest
+        ok = near <= radii[4:left.size + 1:2] * np.abs(z[left, None])
+        for col in np.flatnonzero(ok.any(axis=0))[::-1]:
+            seed = np.argmin(np.where(ok[:, col], near[:, col], np.inf))
+            picked = np.argsort(dist[seed], kind="stable")[:2 * col + 4]
+            c = z[left[picked]].mean()
+            if _tight((w if c.imag <= radii[2 * col + 4] * abs(c) else z)[left[picked]]):
+                out.append(left[picked])
+                left = np.delete(left, picked)
                 break
         else:
-            clusters.append((z, k))
-    return clusters
+            break
+    dist = np.abs(z[left, None] - z[left])
+    np.fill_diagonal(dist, np.inf)
+    while left.size:
+        nn = dist.argmin(axis=1)
+        first = np.flatnonzero((nn[nn] == np.arange(left.size)) & (np.arange(left.size) < nn))
+        out += list(np.stack((left[first], left[nn[first]]), axis=1))
+        keep = np.ones(left.size, bool)
+        keep[first] = keep[nn[first]] = False
+        left, dist = left[keep], dist[keep][:, keep]
+    return out
 
 
-def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
-    """Fold to the closed upper half-plane and merge nearby roots.
+def _terms(coeffs: list, r, order: int = 0):
+    """sum C(n, order) |a_n| r^(n - order): the size of the terms that
+    cancel in the order-th Taylor coefficient of f at |q| = r."""
+    out = 0.0
+    for n in range(len(coeffs) - 1, order - 1, -1):
+        out = out * r + math.comb(n, order) * _norm(coeffs[n])
+    return out
 
-    Conjugate pairs land on top of each other; perturbed multiple roots
-    spread symmetrically, so the cluster mean cancels the leading error.
-    A looser second pass absorbs sub-clusters of higher-order roots.
+
+def _slice_parts(coeffs: list, v):
+    """alpha and beta of f(x + yI) = alpha + I beta at v = x + yi, as
+    pairs, by the representation formula from f(v) and f(v-bar)."""
+    g, h, gc, hc = _slice_pair(coeffs, v)
+    return (0.5 * (g + gc), 0.5 * (h + hc)), (-0.5j * (g - gc), -0.5j * (h - hc))
+
+
+def _newton(e: list, v: np.ndarray, order: int, reach: np.ndarray) -> np.ndarray:
+    """v after a Newton step on the order-th derivative of e^s, where the
+    step is within reach.  On the slice e^s(v) = g(v) g^(v) + h(v) h^(v),
+    g^(v) = conj g(conj v), so Leibniz's rule gives its derivatives from
+    the split pair's Horner loop over the differentiated coefficients."""
+    parts = []
+    for _ in range(order + 2):
+        parts.append(_slice_pair(e, v))
+        e = [(n * w, n * x, n * y, n * z) for n, (w, x, y, z) in enumerate(e)][1:]
+    at = [sum(math.comb(k, j) * (parts[j][0] * np.conj(parts[k - j][2])
+                                 + parts[j][1] * np.conj(parts[k - j][3]))
+              for j in range(k + 1)) for k in (order, order + 1)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = at[0] / at[1]
+    return np.where(np.abs(step) <= reach, v - step, v)
+
+
+def _locate(v, alpha, beta, scale):
+    """The points x + y u at v = x + yi, u the unit of -alpha beta^-1, and
+    whether each is an isolated zero: |alpha + u beta| is within
+    RESIDUAL_TOL of the terms that cancel and |beta| is not, as it is
+    where f vanishes on the whole sphere.  Values so small that their
+    products underflow fail."""
+    (ab, ac), (bb, bc) = alpha, beta
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cb, cc = _pair_mul(ab, ac, bb.conjugate(), -bc)  # -alpha conj(beta), up to sign
+        size = np.hypot(cb.imag, np.abs(cc))
+        ub, uc = -1j * (cb.imag / size), -cc / size
+        rb, rc = _pair_mul(ub, uc, bb, bc)
+    residual = np.hypot(np.abs(ab + rb), np.abs(ac + rc))
+    points = zip(v.real.tolist(), (v.imag * ub.imag).tolist(),
+                 (v.imag * uc.real).tolist(), (v.imag * uc.imag).tolist())
+    return list(points), ((residual <= RESIDUAL_TOL * scale)
+                          & (np.hypot(np.abs(bb), np.abs(bc)) > RESIDUAL_TOL * scale))
+
+
+def _read(e: list, w: np.ndarray, groups: list, radii: np.ndarray):
+    """(entries, failed): each group read as a real point, a sphere or an
+    isolated point, an entry being (x, y), the point (None for the sphere
+    x + yS) and the multiplicity; and the groups that do not check out.
+
+    2 mu eigenvalues whose folded mean is real to r(k) are a real point
+    of multiplicity mu; elsewhere a sphere carrying mu = 2m + n:
+    (q - x)^2 + y^2 divides e m times, and the quotient, with no
+    spherical factor there, has one zero of multiplicity n on it
+    (Gentili & Stoppato, 2008).  A pair is _tight where s_2 =
+    -(z_1 - z_2)^2 / 4 is.  A mean that spreads beyond RESIDUAL_TOL / 100
+    takes a Newton step as a simple root of the derivative of e^s one
+    below its multiplicity there: mu off the real axis, 2 mu on it.
     """
-    half = sorted((complex(z.real, abs(z.imag)) for z in roots),
-                  key=lambda z: (z.real, z.imag))
-    clusters = _merge([(z, 1) for z in half], CLUSTER_TOL)
-    return _merge(clusters, 3e-5)
+    z = w.real + 1j * np.abs(w.imag)
+    size = np.array([len(g) for g in groups])
+    label, start = np.repeat(np.arange(len(groups)), size), np.cumsum(size) - size
+    members = np.concatenate(groups)
+    center = (np.bincount(label, z.real[members]) + 1j * np.bincount(label, z.imag[members])) / size
+    real = center.imag <= radii[size] * np.abs(center)
+    v = np.where(real, center.real, center)
+    values = np.where(real[label], w[members], z[members])  # a real root spreads both ways
+    tight = (size > 2) | (np.abs(values[start] - values[start + 1])
+                          <= 16.0 * math.sqrt(GROUP_TOL) * np.abs(v))
+    spread = np.maximum.reduceat(np.abs(values - v[label]), start)
+    order = np.where(real, size, size // 2) - 1
+    rough = spread > 0.01 * RESIDUAL_TOL * np.abs(v)
+    for k in set(order[rough].tolist()):  # not np.unique, which imports numpy.ma
+        at = rough & (order == k)
+        v[at] = _newton(e, v[at], int(k), radii[size[at]] * np.abs(v[at]) + spread[at])
+    v = np.where(real, v.real, v)
+    alpha, beta = _slice_parts(e, v)
+    scale = _terms(e, np.abs(v))
+    points, located = _locate(v, alpha, beta, scale)
+    vanish = np.hypot(np.abs(alpha[0]), np.abs(alpha[1])) <= RESIDUAL_TOL * scale
+    entries, failed = [], []
+    for n, group in enumerate(groups):
+        mu, key = int(size[n]) // 2, (v[n].real, v[n].imag)
+        if real[n]:
+            read = [(key, (key[0], 0.0, 0.0, 0.0), mu)] if vanish[n] else None
+        else:
+            read = _read_sphere(e, v[n], mu, points[n] if located[n] else None)
+        if tight[n] and read:
+            entries += read
+        else:
+            failed.append(group)
+    return entries, failed
 
 
-def _polish(coeffs: np.ndarray, centers: list[complex]) -> list[complex]:
-    """Guarded Newton iteration on f^s from every cluster center at once.
-
-    Each root steps until the derivative vanishes there, the step falls
-    below 1e-15 relative, or 8 steps are done.  Near a multiple root the
-    tiny derivative amplifies round-off, so a polish that drifts beyond
-    the cluster radius is discarded and the (already mean-cancelled)
-    cluster center kept.  Moduli are hypot(re, im), as abs() of a
-    complex scalar computes them.  Where f^s or its derivative overflows
-    at a point, the step is not finite and the center is kept too.
-
-    Each step evaluates f^s and its derivative in one Horner loop over
-    the live points taken twice, against the coefficient rows
-    [c_k]*m + [d_k]*m.  The derivative, padded with a leading 0.0,
-    starts from exact zeros as np.polyval's zeros_like does, so every
-    point sees the complex operations np.polyval would do.
-    """
-    if not centers:
-        return []
-    rows = np.stack((coeffs, np.concatenate(([0.0], np.polyder(coeffs)))), axis=1)
-    z0 = np.array(centers, dtype=complex)
-    z = z0.copy()
-    live = np.arange(len(z))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(8):
-            m = live.size
-            x = np.concatenate((z[live], z[live]))
-            y = np.zeros_like(x)
-            for row in np.repeat(rows, m, axis=1):
-                y = y * x + row
-            moving = y[m:] != 0
-            live = live[moving]
-            step = y[:m][moving] / y[m:][moving]
-            z[live] -= step
-            zl = z[live]
-            done = ~(np.hypot(step.real, step.imag)
-                     >= 1e-15 * (1.0 + np.hypot(zl.real, zl.imag)))
-            live = live[~done]
-            if not live.size:
-                break
-        d = z - z0
-        drifted = ~(np.hypot(d.real, d.imag)
-                    <= CLUSTER_TOL * (1.0 + np.hypot(z0.real, z0.imag)))
-    z[drifted] = z0[drifted]
-    return z.tolist()
+def _read_sphere(e: list, v: complex, mu: int, point) -> list | None:
+    """The entries of the sphere at v = x + yi carrying mu, point being e's
+    isolated zero there or None, or None if they do not check out.  The
+    division by (q - x)^2 + y^2 is exact while its remainder r0 + q r1,
+    the dividend on the sphere, is within RESIDUAL_TOL of its terms."""
+    x, y, rho = v.real, v.imag, abs(v)
+    m = 0
+    while m < mu // 2:
+        quot, rem = _divide_real_quadratic(e, x, y)
+        r0, r1 = (rem + [_ZERO4, _ZERO4])[:2]
+        if _norm(r0) + rho * _norm(r1) > RESIDUAL_TOL * _terms(e, rho):
+            break
+        e, m = quot, m + 1
+    if m and mu > 2 * m:  # the quotient's own zero
+        found, located = _locate(np.array([v]), *_slice_parts(e, np.array([v])),
+                                 _terms(e, rho))
+        point = found[0] if located[0] else None
+    if mu > 2 * m and point is None:
+        return None
+    return [((x, y), None, 2 * m)] * bool(m) + [((x, y), point, mu - 2 * m)] * (mu > 2 * m)
 
 
 def zeros(f: RegularSeries) -> ZeroSet:
     """Zero set of a nonzero polynomial, with multiplicities.
 
-    Roots of the symmetrization f^s seed candidate spheres and real
-    points; spherical multiplicity is the largest power of
-    (q-x)^2 + y^2 dividing f, and isolated chains are peeled off by
-    synthetic division at zeros located on each sphere.  Raises
-    ValueError when the coefficients of f^s or of its monic companion
-    matrix overflow float64, or when its leading coefficient underflows
-    to 0.
+    With q = 2^k q' putting the zeros near the unit circle, the 2d
+    eigenvalues of the block companion are the roots of f^s; they are
+    grouped (_groups), and each group is read as a real point, a sphere
+    or an isolated point and checked against f (_read).  The groups that
+    do not check out are grouped again at radii 1/64 as large; if some
+    still do not, a ConditioningWarning says so, and the multiplicities
+    sum to less than the degree.  Raises ValueError for a coefficient or
+    a zero beyond float64.
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial vanishes identically")
     if not f.is_polynomial:
         raise ValueError("zeros is defined for polynomials only")
-    out = ZeroSet()
-    if f.degree == 0:
-        return out
     coeffs = list(map(tuple, f.coeffs))
-    tol = DIVISION_TOL * max(1.0, f.coefficient_scale())
-    fs_coeffs = np.array(_symmetrize(coeffs)[::-1])
-    if not np.all(np.isfinite(fs_coeffs)):
-        raise ValueError("the symmetrization f^s overflows float64")
-    if len(fs_coeffs) <= 2 * f.degree:
-        # the leading coefficient |a_d|^2 underflowed, taking roots with it
-        raise ValueError("the symmetrization f^s underflows float64")
-    with np.errstate(over="ignore"):
-        monic = fs_coeffs[1:] / fs_coeffs[0]
-    if not np.all(np.isfinite(monic)):
-        raise ValueError("the companion matrix of f^s overflows float64")
-    clusters = _cluster_roots(np.roots(fs_coeffs))
-    # plain Newton converges (at least linearly) for any multiplicity
-    for z in _polish(fs_coeffs, [center for center, _size in clusters]):
-        if abs(z.imag) <= REAL_SNAP_TOL * (1.0 + abs(z)):
-            p = (z.real, 0.0, 0.0, 0.0)
-            g, n = coeffs, 0
-            while g:
-                g2, r = _divide_linear(g, p)
-                if _norm(r) > tol:
-                    break
-                g, n = g2, n + 1
-            if n > 0:
-                out.points.append((Quaternion(*p), n))
-            continue
-        x, y = z.real, abs(z.imag)
-        g, m = coeffs, 0
-        while len(g) >= 3:
-            g2, rem = _divide_real_quadratic(g, x, y)
-            if max(map(_norm, rem), default=0.0) > tol:
+    low = 0
+    while coeffs[low] == _ZERO4:  # f = q^low g: the real point 0, exactly
+        low += 1
+    entries, failed, k = [((0.0, 0.0), _ZERO4, low)] if low else [], [], 0
+    if len(coeffs) > low + 1:
+        e, w, k = _scaled_monic(coeffs[low:])
+        failed = [np.arange(len(w))]
+        for shrink in (1.0, 1.0 / 64.0):
+            radii = _radii(len(w), shrink)
+            left = np.concatenate(failed)
+            read, failed = _read(e, w, [left[g] for g in _groups(w[left], radii)], radii)
+            entries += read
+            if not failed:
                 break
-            g, m = g2, m + 1
-        if m > 0:
-            out.spheres.append((Sphere(x, y), 2 * m))
-        p1 = _zero_on_sphere(g, x, y, tol)
-        if p1 is not None:
-            first, n = p1, 0
-            while p1 is not None:
-                g, _ = _divide_linear(g, p1)
-                n += 1
-                p1 = _zero_on_sphere(g, x, y, tol) if g else None
-            out.points.append((Quaternion(*first), n))
+    out = ZeroSet()
+    try:
+        for (x, y), p, mult in sorted(entries, key=lambda t: t[0]):
+            if p is None:
+                out.spheres.append((Sphere(math.ldexp(x, k), math.ldexp(y, k)), mult))
+            else:
+                out.points.append((Quaternion(*[math.ldexp(t, k) for t in p]), mult))
+    except OverflowError:
+        raise ValueError("a zero of f overflows float64") from None
+    if failed:
+        warnings.warn(ConditioningWarning(
+            f"{sum(map(len, failed))} companion eigenvalues form no group that "
+            f"checks out: the multiplicities sum to {out.total_multiplicity}, "
+            f"not the degree {f.degree}"), stacklevel=2)
     return out
-

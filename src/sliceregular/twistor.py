@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import FitError, OutsideRadius, PoleDetected
 from .quat_core import Quaternion
-from .regular_fn import RegularSeries
+from .regular_fn import RegularSeries, _slice_pair
 
 PROJ_TOL = 1e-9
 
@@ -151,26 +151,37 @@ class KleinPoint(ProjectivePoint):
 
 
 def twistor_project(Z: ProjectivePoint3) -> HP1Point:
-    """[Z0, Z1, Z2, Z3] -> [Z0 + Z1 j, Z2 + Z3 j]."""
+    """[Z0, Z1, Z2, Z3] -> [Z0 + Z1 j, Z2 + Z3 j]; raises ValueError for
+    a batch, since an HP1Point holds one point."""
+    if Z.coords.ndim != 1:
+        raise ValueError(f"twistor_project takes one point, got a batch of "
+                         f"shape {Z.coords.shape}")
     q1 = Quaternion.from_complex_pair(Z[0], Z[1])
     q2 = Quaternion.from_complex_pair(Z[2], Z[3])
     return HP1Point(q1, q2)
 
 
-def on_quadric(Z: ProjectivePoint3, tol: float = 1e-10) -> bool:
-    """Z0 Z3 = Z1 Z2, the graph of the standard structure."""
-    scale = max(1.0, abs(Z[0] * Z[3]) + abs(Z[1] * Z[2]))
-    return abs(Z[0] * Z[3] - Z[1] * Z[2]) <= tol * scale
+def _verdicts(Z: ProjectivePoint3, ok):
+    """One bool for a point, or the array of a batch's row verdicts."""
+    return bool(ok) if Z.coords.ndim == 1 else ok
 
 
-def in_q_plus(Z: ProjectivePoint3, tol: float = 1e-10) -> bool:
-    if not on_quadric(Z, tol):
-        return False
-    if abs(Z[0]) > tol and (Z[2] / Z[0]).imag > 0:
-        return True
-    if abs(Z[1]) > tol and (Z[3] / Z[1]).imag > 0:
-        return True
-    return False
+def on_quadric(Z: ProjectivePoint3, tol: float = 1e-10):
+    """Z0 Z3 = Z1 Z2, the graph of the standard structure; one verdict
+    per row of a batch."""
+    z0, z1, z2, z3 = Z.coords.T
+    scale = np.maximum(1.0, abs(z0 * z3) + abs(z1 * z2))
+    return _verdicts(Z, abs(z0 * z3 - z1 * z2) <= tol * scale)
+
+
+def in_q_plus(Z: ProjectivePoint3, tol: float = 1e-10):
+    """On the quadric, with Im(Z2 / Z0) > 0 where |Z0| > tol, or else
+    Im(Z3 / Z1) > 0 where |Z1| > tol; one verdict per row of a batch."""
+    z0, z1, z2, z3 = Z.coords.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = (abs(z0) > tol) & ((z2 / z0).imag > 0)
+        second = (abs(z1) > tol) & ((z3 / z1).imag > 0)
+    return _verdicts(Z, on_quadric(Z, tol) & (first | second))
 
 
 @dataclass(frozen=True)
@@ -195,30 +206,12 @@ class SplitPair:
     def values(self, v):
         """(g(v), h(v), g^(v), h^(v)), as arrays for an array of v; raises
         OutsideRadius if any |v| >= radius."""
-        g, h, gr, hr = _slice_pair(self.series, v)
+        if not self.series.is_polynomial and np.any(np.abs(v) >= self.series.radius):
+            raise OutsideRadius(f"|v| >= radius {self.series.radius}")
+        g, h, gr, hr = _slice_pair(self.series.coeffs, v)
         if self.reflected is not None:
-            _, _, gr, hr = _slice_pair(self.reflected, v)
+            _, _, gr, hr = _slice_pair(self.reflected.coeffs, v)
         return g, h, gr.conjugate(), hr.conjugate()
-
-
-def _slice_pair(f: RegularSeries, v):
-    """(g(v), h(v), g(v-bar), h(v-bar)) for a_n = b_n + c_n j, by one complex
-    Horner loop, g = b_n + v g and h = c_n + v h, for v and v-bar at once.
-
-    On a complex v these are eval_series's floats: its quaternion Horner
-    step at v in L_i does the same products in the same order, and adds
-    the zero products of the j-part besides, which change only the sign
-    of an exactly zero sum, and so a value only where a coefficient has
-    a -0.0 component.
-    """
-    if not f.is_polynomial and np.any(np.abs(v) >= f.radius):
-        raise OutsideRadius(f"|v| >= radius {f.radius}")
-    vc = v.conjugate()
-    g = h = gc = hc = 0j
-    for w, x, y, z in reversed(f.coeffs):
-        b, c = complex(w, x), complex(y, z)
-        g, h, gc, hc = b + v * g, c + v * h, b + vc * gc, c + vc * hc
-    return g, h, gc, hc
 
 
 @_on_points

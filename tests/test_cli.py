@@ -459,13 +459,12 @@ def test_verify_determinism(tmp_path):
     ["classify", "1e160", "0", "0", "0"],
     ["classify", "1e100", "0", "0", "0"],
     ["eval", "1e300q^2", "[1e300,0,0,0]"],
-    ["zeros", "1e300q^2+1e300q+1e300"],
-    ["zeros", "1e-200q^2+1e-200"],
     ["zeros", "(q+i)^34"],
 ], ids=["classify-norm-overflow", "classify-square-overflow",
-        "classify-sextic-overflow", "eval-nan", "zeros-symmetrization",
-        "zeros-symmetrization-underflow", "zeros-not-real"])
+        "classify-sextic-overflow", "eval-nan", "zeros-not-real"])
 def test_overflow_exits_3(argv, capsys):
+    # (q+i)^34: a 34-fold zero spreads by eps^(1/34), which no float64
+    # method resolves; zeros reports it with a ConditioningWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 3
@@ -473,6 +472,38 @@ def test_overflow_exits_3(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("expr, x, y", [
+    ("1e300q^2+1e300q+1e300", -0.5, math.sqrt(3.0) / 2.0),
+    ("1e-200q^2+1e-200", 0.0, 1.0),
+    ("1e-100q^2+1e-200", 0.0, 1e-50),
+], ids=["1e300-coefficients", "1e-200-coefficients", "radius-1e-50"])
+def test_zeros_at_extreme_coefficient_scales(expr, x, y, tmp_path):
+    # no f^s is formed, so its overflow and underflow no longer end the
+    # run: the zeros are found at the scale of f's own bound
+    out = tmp_path / "zeros.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--out", str(out), "zeros", expr]) == 0
+    report = read_json(out)
+    assert not report["points"] and len(report["spheres"]) == 1
+    sphere = report["spheres"][0]
+    assert abs(sphere["x"] - x) <= 1e-9 * y and abs(sphere["y"] - y) <= 1e-9 * y
+    assert sphere["multiplicity"] == 2
+
+
+def test_zeros_ill_conditioned_exits_3_under_warnings_as_errors(capsys):
+    # the ConditioningWarning is a documented outcome whatever the
+    # warning filters: one line on stderr, no traceback
+    for action in ("error", "default", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert main(["zeros", "(q+i)^34"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("ill-conditioned:")
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_tiny_coefficients_are_kept(tmp_path):
@@ -597,11 +628,12 @@ def _assert_documented_outcome(code, out, err):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(quadruples, min_size=1, max_size=4), st.booleans())
-# f^s overflows in the Newton polish of a finite root
+# zeros 1e-82 and 1e82: the small one is below the companion's precision
 @example([(-1.0, -1.0, -1.0, -1.0), (-1.0, 0.0, -1e82, 0.0),
           (-1.0, 0.0, -1.0, -1.0)], False)
-# the monic companion matrix of f^s overflows
+# a zero beyond float64
 @example([(-0.0, 0.0, 0.0, -1e87), (0.0, 0.0, -1e-68, -1e-68)], False)
+@example([(1e300, 0.0, 0.0, 0.0), (1e-300, 0.0, 0.0, 0.0)], True)
 def test_zeros_exits_with_a_documented_code(coeffs, as_expression):
     text = _polynomial_text(coeffs, as_expression)
     _assert_documented_outcome(*_run_cli(["zeros", text]))

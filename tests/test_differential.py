@@ -186,6 +186,20 @@ def test_rank_classify_agrees_with_jacobian_near_real_axis(q0, rank):
     assert is_singular(f, q0).singular == (rank != 4)
 
 
+@pytest.mark.parametrize("s", [10.0 ** e for e in range(-12, 13, 3)])
+@pytest.mark.parametrize("q0", [Quaternion(1e-3), Quaternion(1e-11),
+                                Quaternion(-1e-11), Quaternion(3e-11),
+                                Quaternion(1e-12), Quaternion()])
+def test_rank_gate_is_relative_on_the_real_axis(s, q0):
+    # s q^2 has A1 = 2 s q0 on the real axis: nonzero, and so rank 4 and
+    # not singular, for every nonzero q0 and every scale s
+    f = RegularSeries.polynomial(Quaternion(), Quaternion(), Quaternion(s))
+    rank = differential_at(f, q0).rank()
+    assert rank == (0 if q0 == Quaternion() else 4)
+    assert rank_classify(f, q0).rank.value == rank
+    assert is_singular(f, q0).singular == (rank != 4)
+
+
 @pytest.mark.parametrize("v", [
     Quaternion(0.0, 1e200), Quaternion(0.0, 1e-170), Quaternion(0.0, 5e-324),
     Quaternion(3e-200, 0.0, -4e-200), Quaternion(3e200, 0.0, -4e200),
@@ -281,13 +295,18 @@ def exact_derivative(f, q0, e):
     return total
 
 
+def oracle_terms(f, r, order):
+    """sum C(n, order) |a_n| r^(n - order): the terms that cancel in A_order."""
+    return sum(math.comb(n, order) * abs(a) * r ** (n - order)
+               for n, a in enumerate(f.coeffs) if n >= order)
+
+
 def oracle_rank_classify(f, q0):
     a1, a2 = oracle_expansion_pair(f, q0)
-    scale = max(1.0, f.coefficient_scale())
-    tol = 1e-10 * scale
-    if abs(a1) <= tol:
+    if abs(a1) <= 1e-10 * oracle_terms(f, abs(q0), 1):
         real = q0.im_norm() == 0.0
-        rank = Rank.RANK0 if real or abs(a2) <= tol else Rank.RANK2
+        rank = (Rank.RANK0 if real or abs(a2) <= 1e-10 * oracle_terms(f, abs(q0), 2)
+                else Rank.RANK2)
         return RankClass(rank, a1, a2)
     p = ONE + (2.0 * q0.im()) * a2 * a1.inverse()
     ptol = 1e-9 * (1.0 + abs(p))
@@ -308,8 +327,8 @@ def oracle_is_singular(f, q0):
     if g.is_zero:
         return SingularityCertificate(False, None)
     if oracle_is_real(q0):
-        r = eval_series(g, q0)
-        if abs(r) <= 1e-8 * scale:
+        r = eval_series(g, q0.conj())
+        if abs(r) <= 1e-8 * oracle_terms(f, abs(q0), 1):
             return SingularityCertificate(True, q0)
         return SingularityCertificate(False, None)
     sph = sphere_of(q0)

@@ -1,19 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sliceregular import (NotReal, OutsideRadius, Quaternion, RegularSeries,
-                          Sphere, ZeroPolynomial, ZeroSet, conjugate,
-                          divide_linear, divide_real_quadratic, eval_series,
-                          slice_values, spherical_expansion, star_mul,
-                          star_power, symmetrize, zeros)
+from sliceregular import (ConditioningWarning, NotReal, OutsideRadius,
+                          Quaternion, RegularSeries, Sphere, ZeroPolynomial,
+                          ZeroSet, conjugate, divide_linear,
+                          divide_real_quadratic, eval_series, slice_values,
+                          spherical_expansion, star_mul, star_power,
+                          symmetrize, zeros)
 from sliceregular import regular_fn
 from sliceregular.parsing import parse_polynomial
-from sliceregular.quat_core import I, J, K, ONE, imag_unit, sphere_of
-from sliceregular.regular_fn import (CLUSTER_TOL, DIVISION_TOL, _cluster_roots,
-                                     _polish, _zero_on_sphere)
+from sliceregular.quat_core import I, J, K, ONE, sphere_of
 
 RNG = np.random.default_rng(42)
 
@@ -287,8 +287,6 @@ def test_symmetrize_detects_bad_input(monkeypatch):
     monkeypatch.setattr(regular_fn, "_star_product", corrupted)
     with pytest.raises(NotReal):
         symmetrize(f)
-    with pytest.raises(NotReal):
-        zeros(f)
 
 
 def test_zero_multiset_consistency_random():
@@ -304,9 +302,8 @@ def test_zero_multiset_consistency_random():
 
 # ---------------------------------------------------------------------------
 # Bit-exactness oracles.  These are the Quaternion-object bodies that
-# star_mul, eval_series, divide_linear, divide_real_quadratic,
-# slice_values, _zero_on_sphere and the Newton polisher had before they
-# ran on float kernels.  The kernels must give the same floats, compared
+# star_mul, eval_series, divide_linear, divide_real_quadratic and
+# slice_values had before they ran on float kernels.  The kernels must give the same floats, compared
 # by repr so that signed zeros count.
 
 
@@ -379,39 +376,6 @@ def oracle_slice_values(f, x, y):
     alpha = 0.5 * (fp + fm)
     beta = oracle_mul(-I, 0.5 * (fp - fm))
     return alpha, beta
-
-
-def oracle_zero_on_sphere(f, x, y, scale):
-    alpha, beta = oracle_slice_values(f, x, y)
-    if abs(beta) <= DIVISION_TOL * max(1.0, scale):
-        return None
-    cand = -oracle_mul(alpha, beta.inverse())
-    if abs(cand.re()) > 1e-6 * max(1.0, abs(cand)):
-        return None
-    if abs(abs(cand) - 1.0) > 1e-6:
-        return None
-    unit = imag_unit(cand)
-    p = Quaternion(x) + y * unit
-    _, r = oracle_divide_linear(f, p)
-    if abs(r) > DIVISION_TOL * max(1.0, scale):
-        return None
-    return p
-
-
-def oracle_polish_simple_root(coeffs, z0):
-    deriv = np.polyder(coeffs)
-    z = z0
-    for _ in range(8):
-        dz = np.polyval(deriv, z)
-        if dz == 0:
-            break
-        step = np.polyval(coeffs, z) / dz
-        z = z - step
-        if abs(step) < 1e-15 * (1.0 + abs(z)):
-            break
-    if abs(z - z0) > CLUSTER_TOL * (1.0 + abs(z0)):
-        return z0
-    return z
 
 
 def bits(value):
@@ -521,45 +485,206 @@ def test_slice_values_matches_oracle(f, x, y):
             == [bits(v) for v in oracle_slice_values(f, x, y)])
 
 
-@ORACLE
-@given(series, quaternions, st.booleans())
-def test_zero_on_sphere_matches_oracle(g, p, plant):
-    # planting (q - p) as a left factor puts a zero at p on its sphere
-    f = star_mul(RegularSeries.linear(p), g) if plant else g
-    x, y = p.w, p.im_norm()
-    scale = f.coefficient_scale()
-    got = _zero_on_sphere(f.coeffs, x, y,
-                          DIVISION_TOL * max(1.0, scale))
-    assert bits(got) == bits(oracle_zero_on_sphere(f, x, y, scale))
+# ---------------------------------------------------------------------------
+# The zero counter: named inputs, repeated factors, and an exact oracle.
 
 
-def _polish_cases(f):
-    fs = np.array([c.w for c in reversed(symmetrize(f).coeffs)])
-    centers = [center for center, _ in _cluster_roots(np.roots(fs))]
-    return fs, centers
+def assert_zero_set(zs, points=(), spheres=(), rel=1e-7):
+    """zs has exactly these points (p, n) and spheres (x, y, m), in any
+    order, each within rel of its size."""
+    assert len(zs.points) == len(points), zs
+    assert len(zs.spheres) == len(spheres), zs
+    for p, n in points:
+        assert any(abs(q - p) <= rel * max(abs(p), 1e-300) and m == n
+                   for q, m in zs.points), (p, n, zs)
+    for x, y, n in spheres:
+        size = math.hypot(x, y)
+        assert any(abs(s.x - x) <= rel * size and abs(s.y - y) <= rel * size
+                   and m == n for s, m in zs.spheres), (x, y, n, zs)
 
 
-@ORACLE
-@given(st.lists(quaternions.filter(lambda q: not q.is_zero()), min_size=1,
-                max_size=8),
-       st.lists(st.integers(0, 7), max_size=3), st.floats(-3.0, 3.0))
-def test_polish_matches_oracle(roots, repeats, log_scale):
-    # products of linear factors, some repeated, so that multiple roots
-    # (tiny derivatives, drifting polishes) occur
-    f = RegularSeries.constant(10.0 ** log_scale * ONE)
-    for r in roots + [roots[n % len(roots)] for n in repeats]:
-        f = star_mul(f, RegularSeries.linear(r))
-    fs, centers = _polish_cases(f)
-    got = _polish(fs, centers)
-    assert [bits(z) for z in got] == [bits(complex(oracle_polish_simple_root(fs, z)))
-                                      for z in centers]
+ROOT3 = math.sqrt(3.0) / 2.0
+NAMED = {
+    "(q-1)^2": ([(ONE, 2)], []),
+    "(q-1)^3": ([(ONE, 3)], []),
+    "(q^2+1)^2": ([], [(0.0, 1.0, 4)]),
+    "(q^2+1)^3": ([], [(0.0, 1.0, 6)]),
+    "(q+i)^4": ([(-I, 4)], []),
+    "1e-10*(q-1)*(q-2)": ([(ONE, 1), (Quaternion(2.0), 1)], []),
+    "(q-1)^4*(q-2)": ([(ONE, 4), (Quaternion(2.0), 1)], []),
+    "(q-i)*(q-j)*(q^2+1)": ([(I, 2)], [(0.0, 1.0, 2)]),
+    "q^2 - 1e-12": ([(Quaternion(1e-6), 1), (Quaternion(-1e-6), 1)], []),
+    "1e-100q^2+1e-200": ([], [(0.0, 1e-50, 2)]),
+    "1e-200q^2+1e-200": ([], [(0.0, 1.0, 2)]),
+    "1e300q^2+1e300q+1e300": ([], [(-0.5, ROOT3, 2)]),
+    "q^3*(q-1)": ([(Quaternion(), 3), (ONE, 1)], []),
+    "(q-1)*(q-1e-9)*(q+1e-9)": ([(ONE, 1), (Quaternion(1e-9), 1),
+                                 (Quaternion(-1e-9), 1)], []),
+}
 
 
-def test_polish_stops_where_the_derivative_vanishes():
-    # q^2 + 1 has f^s' = 0 at 0, so the polisher must leave 0 where it is
-    fs = np.array([1.0, 0.0, 2.0, 0.0, 1.0])
-    centers = [0j, 1j, 0.5 + 0.5j, 1e-9 + 1.0000001j]
-    got = _polish(fs, centers)
-    assert got[0] == 0j
-    assert [bits(z) for z in got] == [bits(complex(oracle_polish_simple_root(fs, z)))
-                                      for z in centers]
+@pytest.mark.parametrize("text", sorted(NAMED))
+def test_zeros_of_named_inputs(text):
+    points, spheres = NAMED[text]
+    assert_zero_set(zeros(parse_polynomial(text)), points, spheres)
+
+
+def test_zeros_of_an_unresolvable_root_warns():
+    # a 34-fold root spreads by about eps^(1/34) = 0.35: no float64
+    # method resolves it, and the count must not come out silently wrong
+    with pytest.warns(ConditioningWarning, match="not the degree 34"):
+        zs = zeros(parse_polynomial("(q+i)^34"))
+    assert zs.total_multiplicity != 34
+
+
+def test_zeros_of_spheres_within_the_group_radius():
+    # spheres of radius 0.997, 1 and 1.003 put twelve eigenvalues within
+    # the group radius of a 6-fold root; (q^2 + 1) divides f once, and
+    # the quotient has no zero on the unit sphere, so the reading fails
+    # and the regrouping at a smaller radius parts the three spheres
+    zs = zeros(parse_polynomial("(q^2+1)*(q^2+1.006009)*(q^2+0.994009)"))
+    assert_zero_set(zs, [], [(0.0, 0.997, 2), (0.0, 1.0, 2), (0.0, 1.003, 2)], 1e-9)
+    # three points on those spheres lie in a row, not as a perturbed
+    # triple zero would, so the group is not tight
+    f = parse_polynomial("(q-i)*(q-1.003j)*(q-0.997k)")
+    zs = zeros(f)
+    assert not zs.spheres and [n for _, n in zs.points] == [1, 1, 1]
+    assert any(abs(p - I) <= 1e-9 for p, _ in zs.points)
+    for p, _ in zs.points:
+        assert abs(eval_series(f, p)) <= 1e-12
+
+
+ALPHAS = [Quaternion(0.5, 1.0, -0.5, 0.25), Quaternion(-1.25, 0.0, 0.75, 0.5),
+          Quaternion(0.75), Quaternion(-0.5, 0.0, 0.0, 2.0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("alpha", ALPHAS, ids=["generic", "generic2", "real", "k"])
+def test_zeros_of_repeated_linear_factors(alpha, n):
+    # (q - alpha)^n (q - beta): one point of multiplicity n, and one more
+    beta = Quaternion(2.0, -1.0, 0.5, 0.0)
+    f = star_mul(star_power(RegularSeries.linear(alpha), n), RegularSeries.linear(beta))
+    zs = zeros(f)
+    assert zs.total_multiplicity == n + 1 and not zs.spheres
+    assert any(abs(p - alpha) <= 1e-7 and m == n for p, m in zs.points), zs
+    for p, _ in zs.points:
+        assert abs(eval_series(f, p)) <= 1e-9 * max(1.0, f.coefficient_scale())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("x, y", [(0.0, 1.0), (1.5, 0.5), (-0.25, 3.0)])
+def test_zeros_of_repeated_spherical_factors(x, y, n):
+    # ((q - x)^2 + y^2)^n: a sphere of multiplicity 2n; times (q - p)
+    # with p on it, one point of multiplicity 1 besides
+    quad = RegularSeries.polynomial(Quaternion(x * x + y * y), Quaternion(-2.0 * x), ONE)
+    assert_zero_set(zeros(star_power(quad, n)), [], [(x, y, 2 * n)])
+    p = Quaternion(x, 0.0, 0.6 * y, 0.8 * y)
+    f = star_mul(star_power(quad, n), RegularSeries.linear(p))
+    assert_zero_set(zeros(f), [(p, 1)], [(x, y, 2 * n)])
+
+
+def test_zeros_of_repeated_factors_on_one_sphere():
+    # (q - i)(q - j)(q - k): three factors on the unit sphere with no
+    # spherical factor among them, so one point of multiplicity 3
+    f = star_mul(star_mul(RegularSeries.linear(I), RegularSeries.linear(J)),
+                 RegularSeries.linear(K))
+    zs = zeros(f)
+    assert not zs.spheres and len(zs.points) == 1 and zs.points[0][1] == 3
+    assert abs(zs.points[0][0] - I) <= 1e-7
+
+
+def exact_product(factors, lead):
+    """Coefficients of (q - alpha_1)^n_1 * ... * lead as sympy Rationals,
+    with the products of quaternions done exactly."""
+    import sympy
+
+    def mul(p, q):
+        return tuple(oracle_mul(Quaternion(*p), Quaternion(*q)))  # exact on Rationals
+
+    def star(a, b):
+        out = [(0,) * 4] * (len(a) + len(b) - 1)
+        for k, p in enumerate(a):
+            for n, q in enumerate(b):
+                out[k + n] = tuple(s + t for s, t in zip(out[k + n], mul(p, q)))
+        return out
+
+    coeffs = [tuple(map(sympy.Rational, lead))]
+    for alpha, n in factors:
+        linear = [tuple(-sympy.Rational(t) for t in alpha), (1, 0, 0, 0)]
+        for _ in range(n):
+            coeffs = star(linear, coeffs)
+    return coeffs
+
+
+def exact_zero_structure(coeffs):
+    """(real points, spheres) of the exact polynomial from the exact
+    factorization of f^s = f * f^c over the rationals.
+
+    A real root r of f^s of multiplicity 2 mu is a real point of
+    multiplicity mu.  A quadratic factor (q - x)^2 + y^2 of multiplicity
+    mu is a sphere carrying mu = 2m + n, where m is the power of the
+    quadratic that divides f, and n the multiplicity of the one isolated
+    zero on it.
+    """
+    import sympy
+    q = sympy.Symbol("q")
+    comps = [sum(c[k] * q ** n for n, c in enumerate(coeffs)) for k in range(4)]
+    conj = [sympy.expand(comps[0])] + [sympy.expand(-t) for t in comps[1:]]
+    fs = sympy.expand(comps[0] * conj[0] - sum(a * b for a, b in zip(comps[1:], conj[1:])))
+    reals, spheres = [], []
+    for factor, mult in sympy.factor_list(fs, q)[1]:
+        coeffs = sympy.Poly(factor, q).all_coeffs()
+        if len(coeffs) == 2:
+            reals.append((float(-coeffs[1] / coeffs[0]), mult // 2))
+            continue
+        a, b, c = coeffs
+        x = -b / (2 * a)
+        m = 0
+        while 2 * (m + 1) <= mult and all(
+                sympy.rem(comp, factor ** (m + 1), q) == 0 for comp in comps):
+            m += 1
+        spheres.append((float(x), math.sqrt(float(c / a - x * x)), mult, m))
+    return reals, spheres
+
+
+# Rational components k/4 in [-2, 2].
+quarter = st.integers(-8, 8).map(lambda k: k / 4.0)
+rational_quaternions = st.builds(Quaternion, quarter, quarter, quarter, quarter)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(rational_quaternions, st.integers(1, 3)),
+                min_size=1, max_size=3),
+       rational_quaternions.filter(lambda c: not c.is_zero()))
+@example([(Quaternion(0.0, 1.0), 2), (Quaternion(0.0, 0.0, 1.0), 1)], ONE)
+@example([(Quaternion(0.5, 1.0), 2), (Quaternion(0.5, -1.0), 2)], ONE)
+@example([(Quaternion(1.0), 3), (Quaternion(0.0, 1.0), 1)], ONE)
+def test_zeros_match_exact_factorization(factors, lead):
+    # products of linear factors, repeated, on shared spheres or not,
+    # against sympy's factorization of f^s over the rationals; f itself
+    # is the exact product rounded to float64
+    exact = exact_product(factors, lead)
+    f = RegularSeries(tuple(Quaternion(*map(float, c)) for c in exact))
+    reals, spheres = exact_zero_structure(exact)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        zs = zeros(f)
+    for p, _ in zs.points:
+        assert abs(eval_series(f, p)) <= 1e-9 * max(1.0, f.coefficient_scale())
+    if caught:
+        # zeros of high multiplicity on spheres a few percent apart can
+        # be beyond float64; then the answer is short, and says so
+        assert all(w.category is ConditioningWarning for w in caught)
+        assert zs.total_multiplicity < f.degree
+        return
+    assert zs.total_multiplicity == f.degree
+    # a multiple zero near another is placed to about 1e-5 (its group's
+    # mean), however exactly it is counted
+    want_points = [(Quaternion(r), mu) for r, mu in reals]
+    want_spheres = [(x, y, 2 * m) for x, y, _, m in spheres if m]
+    got_real = [(p, n) for p, n in zs.points if p.im_norm() == 0.0]
+    assert_zero_set(ZeroSet(zs.spheres, got_real), want_points, want_spheres, 1e-4)
+    for x, y, mu, m in spheres:
+        on_sphere = [(p, n) for p, n in zs.points if Sphere(x, y).contains(p, 1e-4)]
+        assert sum(n for _, n in on_sphere) == mu - 2 * m, (x, y, zs)
+        assert len(on_sphere) <= 1

@@ -132,6 +132,28 @@ def test_quadric_graph_membership():
     assert not on_quadric(ProjectivePoint3.of(1, 0, 1, 1))
 
 
+def test_point_tests_act_on_the_last_axis():
+    # a batch from lift gets one verdict per row, each the verdict on that
+    # row's point; twistor_project, whose HP1Point holds one point, names
+    # the batch's shape instead of numpy's "truth value ... ambiguous"
+    vs = np.array([0.5j, 1j, 0.2 - 0.7j, 1.5 + 0.3j, -2.0 - 0.1j])
+    Z = lift(F, 1j, vs)
+    points = [lift(F, 1j, complex(v)) for v in vs]
+    assert on_quadric(Z).tolist() == [on_quadric(p) for p in points]
+    assert in_q_plus(Z).tolist() == [in_q_plus(p) for p in points]
+    rows = ProjectivePoint3(np.array([[1, 0, 1, 1], [1, 0.5, 1j, 0.5j],
+                                      [0, 1, 0, 1j], [1, 0.5, -1j, -0.5j]]))
+    assert on_quadric(rows).tolist() == [False, True, True, True]
+    assert in_q_plus(rows).tolist() == [False, True, True, False]
+    assert [in_q_plus(ProjectivePoint3(r)) for r in rows.coords] == [False, True, True, False]
+    with pytest.raises(ValueError, match=r"shape \(5, 4\)"):
+        twistor_project(Z)
+    # j_involution already acts on a batch, row by row
+    J = j_involution(Z)
+    assert all(ProjectivePoint3(J.coords[n]).equals(j_involution(p), 1e-12)
+               for n, p in enumerate(points))
+
+
 def test_split_roundtrip():
     rng = np.random.default_rng(0)
     f = rand_poly(rng)

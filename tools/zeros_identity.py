@@ -9,7 +9,7 @@ interpreter, and compares one JSON line per item as bytes.
   (1000 per seed) goes through `parse_polynomial` or
   `RegularSeries.from_json` and `zeros`.  The line holds the loaded
   coefficients and `zeros(f).to_json()`, or the exception `zeros`
-  raised.
+  raised, and the warnings it gave.
 - `geometry`: every target c of `bench/inputs.geometry_items` (2000
   per seed).  The line holds the exit code and output of
   `sliceregular classify c`, and at each preimage p of c the results
@@ -34,9 +34,15 @@ interpreter, and compares one JSON line per item as bytes.
   CSV.  The items do not depend on the seed, so give one seed.
 
     python3 tools/zeros_identity.py OTHER_SRC [--workload zeros] [--seeds 1-10]
+                                    [--rtol R]
 
 Prints every differing item and their count.  Exits 0 when every line
-matches, 1 otherwise.
+matches, 1 otherwise.  With --rtol R two lines that differ as bytes
+still match when they agree within R: every number x of one is within
+R (1 + |x|) of the other's, strings are equal, and a list of objects,
+such as the points or the spheres of a zero set, is compared as a
+multiset of entries.  The tool then prints how many items are
+byte-identical, how many agree within R and how many differ.
 """
 
 from __future__ import annotations
@@ -76,11 +82,14 @@ def _dump_zeros(seeds: list[int]) -> None:
                 f = RegularSeries.from_json(json.loads(req["text"]))
             else:
                 f = parse_polynomial(req["text"])
-            try:
-                answer = zeros(f).to_json()
-            except ValueError as exc:
-                answer = f"{type(exc).__name__}: {exc}"
-            print(json.dumps([[c.to_json() for c in f.coeffs], answer]))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    answer = zeros(f).to_json()
+                except ValueError as exc:
+                    answer = f"{type(exc).__name__}: {exc}"
+            print(json.dumps([[c.to_json() for c in f.coeffs], answer,
+                              [str(w.message) for w in caught]]))
 
 
 def _dump_geometry(seeds: list[int]) -> None:
@@ -165,6 +174,28 @@ def _dump_paper(seeds: list[int]) -> None:
             print(json.dumps([name, code, digest]))
 
 
+def _close(a, b, rtol: float) -> bool:
+    """Whether two JSON values agree within rtol, as the module docstring says."""
+    if isinstance(a, bool) or isinstance(b, bool) or a is None or isinstance(a, str):
+        return a == b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return abs(a - b) <= rtol * (1.0 + abs(a))
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_close(a[k], b[k], rtol) for k in a))
+    if not (isinstance(a, list) and isinstance(b, list) and len(a) == len(b)):
+        return False
+    if a and all(isinstance(t, dict) for t in a):
+        rest = list(b)
+        for t in a:
+            match = next((n for n, u in enumerate(rest) if _close(t, u, rtol)), None)
+            if match is None:
+                return False
+            del rest[match]
+        return True
+    return all(_close(s, t, rtol) for s, t in zip(a, b))
+
+
 def _run(src: str, workload: str, seeds: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -179,6 +210,8 @@ def main() -> int:
     ap.add_argument("other_src", nargs="?")
     ap.add_argument("--workload", choices=sorted(COUNT), default="zeros")
     ap.add_argument("--seeds", default="1-10")
+    ap.add_argument("--rtol", type=float, default=None,
+                    help="also accept lines that agree within this relative tolerance")
     ap.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.dump:
@@ -195,12 +228,20 @@ def main() -> int:
     if len(ours) != len(theirs):
         print(f"item counts differ: {len(ours)} here, {len(theirs)} there")
         return 1
-    differing = 0
+    differing = within = 0
     for n, (a, b) in enumerate(zip(ours, theirs)):
-        if a != b:
-            differing += 1
-            print(f"item {n} (seed {_seeds(args.seeds)[n // count]}, "
-                  f"index {n % count}) differs:\n  here:  {a}\n  there: {b}")
+        if a == b:
+            continue
+        if args.rtol is not None and _close(json.loads(a), json.loads(b), args.rtol):
+            within += 1
+            continue
+        differing += 1
+        print(f"item {n} (seed {_seeds(args.seeds)[n // count]}, "
+              f"index {n % count}) differs:\n  here:  {a}\n  there: {b}")
+    if args.rtol is not None:
+        print(f"{len(ours) - within - differing} of {len(ours)} items byte-identical, "
+              f"{within} agree within {args.rtol:g}, {differing} differ")
+        return 1 if differing else 0
     if differing:
         print(f"{differing} of {len(ours)} items differ")
         return 1
