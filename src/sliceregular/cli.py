@@ -9,8 +9,6 @@ overflows float64, and a zero set that float64 cannot resolve, included),
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -163,21 +161,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     if args.name == "fig1":
-        writer.writerow(["x", "y", "z", "label"])
-        for row in figure1_rows(200 if args.samples is None else args.samples):
-            writer.writerow([f"{row[0]:.9g}", f"{row[1]:.9g}",
-                             f"{row[2]:.9g}", row[3]])
+        rows = figure1_rows(200 if args.samples is None else args.samples)
+        lines = ["x,y,z,label"] + [f"{x:.9g},{y:.9g},{z:.9g},{label}"
+                                   for x, y, z, label in rows]
     elif args.name == "fig2":
-        writer.writerow(["x", "y", "z"])
-        for x, y, z in figure2_cells(args.grid, args.extent):
-            writer.writerow([f"{x:.9g}", f"{y:.9g}", f"{z:.9g}"])
+        centers, cells = figure2_cells(args.grid, args.extent)
+        label = [f"{c:.9g}" for c in centers.tolist()]  # each centre once
+        lines = ["x,y,z"] + [f"{label[i]},{label[j]},{label[k]}"
+                             for i, j, k in cells.tolist()]
     else:
         print(f"unknown figure {args.name!r}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, buf.getvalue())
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -164,25 +164,28 @@ def _singularity(f: RegularSeries, p: Quaternion) -> tuple[bool, Q4 | None, Q4]:
     The quotient of f - f(p) by (q - p) is probed for a zero on the
     sphere through p.  It is the quotient of f itself: synthetic
     division reads the constant coefficient only for the remainder.
+    Its values on the sphere are gated against the terms that cancel
+    in them, sum n |a_n| |p|^(n-1), so the verdict holds at any scale
+    of f.
     """
-    scale = max(1.0, f.coefficient_scale())
+    terms = _terms(f.coeffs, abs(p), 1)
     g, value = _divide_linear(f.coeffs, p)
     if not g:
         return False, None, value
     if is_real(p):
         # real point: singular iff A1 = g(q0-bar), which is f'(x0) on the
-        # real axis, vanishes against the terms that cancel in it
-        if _norm(_horner(g, p.conj())) <= 1e-8 * _terms(f.coeffs, abs(p), 1):
+        # real axis, vanishes
+        if _norm(_horner(g, p.conj())) <= 1e-8 * terms:
             return True, p, value
         return False, None, value
     w, r = p.w, p.im_norm()
     alpha, beta = _slice_values(g, w, r)
-    if _norm(beta) <= 1e-9 * scale:
-        if _norm(alpha) <= 1e-9 * scale:
+    if _norm(beta) <= 1e-9 * terms:
+        if _norm(alpha) <= 1e-9 * terms:
             # g vanishes on the whole sphere: spherical multiplicity >= 2
             return True, p.conj(), value
         return False, None, value
-    witness = _sphere_zero(g, w, r, alpha, beta, 1e-7, 1e-8 * scale)
+    witness = _sphere_zero(g, w, r, alpha, beta, 1e-7, 1e-8 * terms)
     return witness is not None, witness, value
 
 
@@ -201,10 +204,11 @@ def is_singular(f: RegularSeries, q0: Quaternion) -> SingularityCertificate:
 
 
 def is_degenerate_sphere(f: RegularSeries, sphere: Sphere) -> bool:
-    """True iff f is constant on the sphere, i.e. A1 vanishes there."""
+    """True iff f is constant on the sphere, i.e. A1 vanishes there
+    against the terms that cancel in it, at any scale of f."""
     if sphere.y <= 0:
         raise ValueError("degeneracy is defined for genuine spheres (y > 0)")
     p = _point(Quaternion(sphere.x, sphere.y))
     _check_radius(f, sphere.x, sphere.y)
     return (_norm(_expansion(f.coeffs, p, sphere.x, 1)[1])
-            <= 1e-9 * max(1.0, f.coefficient_scale()))
+            <= 1e-9 * _terms(f.coeffs, abs(p), 1))

@@ -372,23 +372,14 @@ def figure1_rows(samples: int = 200) -> list[tuple[float, float, float, str]]:
 
 
 def figure2_cells(grid: int = 60, extent: float = 2.0
-                  ) -> list[tuple[float, float, float]]:
-    """Centres of grid cells where K(x, y, z, 1/4) changes sign."""
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Grid cells where K(x, y, z, 1/4) changes sign: the centres of the
+    cells along an axis, and the (ix, iy, iz) index of each cell with a
+    corner value <= 0 and one >= 0 (NaN corners, where K overflows,
+    count for neither)."""
     axis = np.linspace(-extent, extent, grid + 1)
-    x, y, z = np.meshgrid(axis, axis, axis, indexing="ij")
-    vals = quartic_K_affine(x, y, z, 0.25)
-
-    def corner_any(mask):
-        out = np.zeros((grid, grid, grid), dtype=bool)
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    out |= mask[dx:dx + grid, dy:dy + grid, dz:dz + grid]
-        return out
-
-    crossing = (corner_any(vals < 0.0) & corner_any(vals > 0.0)) \
-        | corner_any(vals == 0.0)
-    centers = 0.5 * (axis[:-1] + axis[1:])
-    idx = np.argwhere(crossing)
-    return [(float(centers[ix]), float(centers[iy]), float(centers[iz]))
-            for ix, iy, iz in idx]
+    lo = hi = quartic_K_affine(axis[:, None, None], axis[:, None], axis, 0.25)
+    for ax in range(3):  # the least and greatest corner, one axis at a time
+        a, b = ((slice(None),) * ax + (s,) for s in (slice(1, None), slice(-1)))
+        lo, hi = np.fmin(lo[a], lo[b]), np.fmax(hi[a], hi[b])
+    return 0.5 * (axis[:-1] + axis[1:]), np.argwhere((lo <= 0.0) & (hi >= 0.0))

@@ -341,26 +341,29 @@ def suite_jjjj(res: SuiteResult, rng, samples: int = 100) -> None:
         res.check(distinct, f"distinctness at sample {found}")
 
 
-def sylvester_resultant_quartic(coeffs: np.ndarray) -> float:
+def sylvester_resultant_quartic(coeffs: np.ndarray) -> float | np.ndarray:
     """Resultant of a real quartic and its derivative via the 7x7 Sylvester
-    matrix; for a monic quartic this equals the discriminant."""
-    desc = coeffs[::-1]
-    ddesc = np.polyder(desc)
-    m = np.zeros((7, 7))
+    matrix; for a monic quartic this equals the discriminant.  coeffs is
+    one ascending coefficient vector or a stack of them, (..., 5), and the
+    answer a float or an array of the stack's shape, from one det call."""
+    desc = np.asarray(coeffs, dtype=float)[..., ::-1]
+    ddesc = desc[..., :-1] * np.arange(4, 0, -1)  # np.polyder's floats
+    m = np.zeros(desc.shape[:-1] + (7, 7))
     for r in range(3):
-        m[r, r:r + 5] = desc
+        m[..., r, r:r + 5] = desc
     for r in range(4):
-        m[3 + r, r:r + 4] = ddesc
-    return float(np.linalg.det(m))
+        m[..., 3 + r, r:r + 4] = ddesc
+    det = np.linalg.det(m)
+    return float(det) if det.ndim == 0 else det
 
 
 @_suite("discriminant-resultant")
 def suite_discriminant_resultant(res: SuiteResult, rng, samples: int = 1000) -> None:
     """The closed-form sextic is one sixteenth of the fibre discriminant."""
-    for n in range(samples):
-        c = random_quaternion(rng, 2.0)
-        poly = fiber_polynomial(c)
-        resultant = sylvester_resultant_quartic(poly)
+    # the doubles of `samples` calls of random_quaternion(rng, 2.0)
+    cs = [Quaternion(*c) for c in (2.0 * rng.uniform(-1.0, 1.0, (samples, 4))).tolist()]
+    resultants = sylvester_resultant_quartic([fiber_polynomial(c) for c in cs])
+    for n, (c, resultant) in enumerate(zip(cs, resultants.tolist())):
         d16 = 16.0 * discriminant_D(c)
         gap = abs(resultant - d16)
         rel = gap / (1.0 + abs(resultant) + abs(d16))
@@ -412,8 +415,28 @@ def suite_fiber_classification(res: SuiteResult, rng, samples: int = 20) -> None
     res.check(fc.kind == FiberKind.AT_FOCUS, "focus")
 
 
-def _quartic_monomials():
-    return [e for e in itertools.product(range(5), repeat=4) if sum(e) == 4]
+def monomial_rows(z: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents of the monomials of that degree in z's coordinates,
+    one row each in lexicographic order, and their values at each point:
+    rows[n, m] = prod_k z[n, k] ** exponents[m, k]."""
+    exponents = np.array([e for e in itertools.product(range(degree + 1), repeat=z.shape[-1])
+                          if sum(e) == degree])
+    return exponents, np.prod(z[:, None, :] ** exponents, axis=-1)
+
+
+def fibre_chart_points(ts: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Points [1, lam, w1, conj(w1) lam] of the fibre over each w1 = t^2 + it
+    of the parabola, then its point at infinity [0, 1, 0, conj(w1)], one
+    row each, scaled by the row's largest modulus."""
+    w1 = ts * ts + 1j * ts
+    z = np.zeros((len(ts), len(lams) + 1, 4), dtype=complex)
+    z[:, :-1, 0] = z[:, -1, 1] = 1.0
+    z[:, :-1, 1] = lams
+    z[:, :-1, 2] = w1[:, None]
+    z[:, :-1, 3] = np.conj(w1)[:, None] * lams
+    z[:, -1, 3] = np.conj(w1)
+    z = z.reshape(-1, 4)
+    return z / np.abs(z).max(axis=1, keepdims=True)
 
 
 # K = (Z1 Z2 - Z0 Z3)^2 + 2 Z0 Z1 (Z1 Z2 + Z0 Z3) expanded on monomials
@@ -426,28 +449,16 @@ _K_EXPANDED = {
 @_suite("nullstellensatz")
 def suite_nullstellensatz(res: SuiteResult, rng, samples: int = 40) -> None:
     """Quartics vanishing on fibres over the parabola are multiples of K."""
-    monomials = _quartic_monomials()
-    rows = []
-    ts = np.linspace(-2.0, 2.0, samples)
-    lams = [0.0, 1.0, -1.0, 1j, 0.5 - 0.5j, 2.0 + 1j]
-    for t in ts:
-        w1 = complex(t * t, t)
-        for lam in lams:
-            z = np.array([1.0, lam, w1, np.conj(w1) * lam], dtype=complex)
-            z = z / np.max(np.abs(z))
-            rows.append([np.prod(z ** np.array(e)) for e in monomials])
-        # include the point at infinity of the fibre, [0, 1, 0, w1-bar]
-        z = np.array([0.0, 1.0, 0.0, np.conj(w1)], dtype=complex)
-        z = z / np.max(np.abs(z))
-        rows.append([np.prod(z ** np.array(e)) for e in monomials])
-    mat = np.array(rows)
+    lams = np.array([0.0, 1.0, -1.0, 1j, 0.5 - 0.5j, 2.0 + 1j])
+    exponents, mat = monomial_rows(
+        fibre_chart_points(np.linspace(-2.0, 2.0, samples), lams), 4)
     sv = np.linalg.svd(mat, compute_uv=False)
     res.check(sv[-1] <= 1e-8 * sv[0], f"rank deficiency (s_min {sv[-1]:.2e})",
               sv[-1] / sv[0])
     res.check(sv[-2] > 1e-6 * sv[0], f"deficiency exactly 1 (s_34 {sv[-2]:.2e})")
     _, _, vh = np.linalg.svd(mat)
     null = vh[-1]
-    k_vec = np.array([_K_EXPANDED.get(e, 0.0) for e in monomials], dtype=complex)
+    k_vec = np.array([_K_EXPANDED.get(tuple(e), 0.0) for e in exponents.tolist()], complex)
     k_vec = k_vec / np.linalg.norm(k_vec)
     proj = null - (np.vdot(k_vec, null)) * k_vec
     res.check(float(np.linalg.norm(proj)) <= 1e-6,

@@ -1,14 +1,18 @@
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sliceregular.cli import MAX_GRID, main
+from sliceregular.parabola import quartic_K_affine
 from sliceregular.parsing import MAX_DEGREE, ParseError, _check_degree, parse_polynomial
 from sliceregular.quat_core import I, J, K, ONE, Quaternion
 from sliceregular.regular_fn import RegularSeries, star_mul
@@ -444,6 +448,61 @@ def test_figure_determinism(tmp_path):
         assert main(["--seed", "3", "--out", str(path), "figure", "fig2",
                      "--grid", "8", "--extent", "1.0"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# The digests that the benchmark checks its two figure requests against.
+FIGURE_SHA256 = {
+    "fig1": "5db31b89db915415ee3c1dc85815aa4e555b4e809d454c3ab340c6a897cb11ff",
+    "fig2": "ec6a53230eb062ad545378bc60f55e69dd2051f2834d1129cf20cf133cf09255",
+}
+
+
+def figure_text(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("fig1", ["figure", "fig1"]),
+    ("fig2", ["figure", "fig2", "--grid", "60"]),
+])
+def test_figure_bytes_are_pinned(name, argv):
+    digest = hashlib.sha256(figure_text(argv).encode()).hexdigest()
+    assert digest == FIGURE_SHA256[name]
+
+
+def oracle_figure2_csv(grid, extent):
+    """fig2 cell by cell: a crossing cell has corners of both signs or a
+    zero corner, and each is written as one csv.writer row."""
+    axis = np.linspace(-extent, extent, grid + 1)
+    vals = quartic_K_affine(*np.meshgrid(axis, axis, axis, indexing="ij"), 0.25)
+
+    def corner_any(mask):
+        out = np.zeros((grid, grid, grid), dtype=bool)
+        for dx in (0, 1):
+            for dy in (0, 1):
+                for dz in (0, 1):
+                    out |= mask[dx:dx + grid, dy:dy + grid, dz:dz + grid]
+        return out
+
+    crossing = (corner_any(vals < 0.0) & corner_any(vals > 0.0)) \
+        | corner_any(vals == 0.0)
+    centers = 0.5 * (axis[:-1] + axis[1:])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "y", "z"])
+    for ix, iy, iz in np.argwhere(crossing):
+        writer.writerow([f"{float(centers[n]):.9g}" for n in (ix, iy, iz)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("grid", [1, 2, 7, 8, 13])
+@pytest.mark.parametrize("extent", [0.5, 1.0, 2.0])
+def test_figure2_matches_row_oracle(grid, extent):
+    argv = ["figure", "fig2", "--grid", str(grid), "--extent", repr(extent)]
+    assert figure_text(argv) == oracle_figure2_csv(grid, extent)
 
 
 def test_verify_determinism(tmp_path):

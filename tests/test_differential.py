@@ -200,6 +200,24 @@ def test_rank_gate_is_relative_on_the_real_axis(s, q0):
     assert is_singular(f, q0).singular == (rank != 4)
 
 
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+def test_singularity_gates_are_relative_off_the_real_axis(s):
+    # every verdict is the one at s = 1: s (q^2 + qi) has rank 4 at
+    # 0.3 + 0.5i + 0.2j, s (q^3 + q) is not constant on the sphere 2S,
+    # and s (q^2 + 1) vanishes on S, so it is singular and constant there
+    f = RegularSeries.polynomial(Quaternion(), Quaternion(0.0, s), Quaternion(s))
+    q0 = Quaternion(0.3, 0.5, 0.2)
+    assert rank_classify(f, q0).rank == Rank.RANK4
+    assert differential_at(f, q0).rank() == 4
+    assert not is_singular(f, q0).singular
+    cubic = RegularSeries.polynomial(Quaternion(), Quaternion(s), Quaternion(),
+                                     Quaternion(s))
+    assert not is_degenerate_sphere(cubic, Sphere(0.0, 2.0))
+    spherical = RegularSeries.polynomial(Quaternion(s), Quaternion(), Quaternion(s))
+    assert is_singular(spherical, Quaternion(0.0, 0.6, 0.8)).singular
+    assert is_degenerate_sphere(spherical, Sphere(0.0, 1.0))
+
+
 @pytest.mark.parametrize("v", [
     Quaternion(0.0, 1e200), Quaternion(0.0, 1e-170), Quaternion(0.0, 5e-324),
     Quaternion(3e-200, 0.0, -4e-200), Quaternion(3e200, 0.0, -4e200),
@@ -321,20 +339,20 @@ def oracle_rank_classify(f, q0):
 def oracle_is_singular(f, q0):
     if not f.is_polynomial:
         raise ValueError("is_singular expects a polynomial")
-    scale = max(1.0, f.coefficient_scale())
+    terms = oracle_terms(f, abs(q0), 1)
     shifted = f.shift(eval_series(f, q0))
     g, _ = divide_linear(shifted, q0)
     if g.is_zero:
         return SingularityCertificate(False, None)
     if oracle_is_real(q0):
         r = eval_series(g, q0.conj())
-        if abs(r) <= 1e-8 * oracle_terms(f, abs(q0), 1):
+        if abs(r) <= 1e-8 * terms:
             return SingularityCertificate(True, q0)
         return SingularityCertificate(False, None)
     sph = sphere_of(q0)
     alpha, beta = slice_values(g, sph.x, sph.y)
-    if abs(beta) <= 1e-9 * scale:
-        if abs(alpha) <= 1e-9 * scale:
+    if abs(beta) <= 1e-9 * terms:
+        if abs(alpha) <= 1e-9 * terms:
             return SingularityCertificate(True, q0.conj())
         return SingularityCertificate(False, None)
     cand = -(alpha * beta.inverse())
@@ -342,7 +360,7 @@ def oracle_is_singular(f, q0):
         return SingularityCertificate(False, None)
     witness = Quaternion(sph.x) + sph.y * oracle_imag_unit(cand)
     _, r = divide_linear(g, witness)
-    if abs(r) <= 1e-8 * scale:
+    if abs(r) <= 1e-8 * terms:
         return SingularityCertificate(True, witness)
     return SingularityCertificate(False, None)
 
@@ -359,7 +377,7 @@ def oracle_is_degenerate_sphere(f, sphere):
         raise ValueError("degeneracy is defined for genuine spheres (y > 0)")
     q0 = Quaternion(sphere.x, sphere.y)
     exp = oracle_spherical_expansion(f, sphere, q0, 1)
-    return abs(exp.a(1)) <= 1e-9 * max(1.0, f.coefficient_scale())
+    return abs(exp.a(1)) <= 1e-9 * oracle_terms(f, abs(q0), 1)
 
 
 def bits(value):

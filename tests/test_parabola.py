@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -14,6 +15,8 @@ from sliceregular import (DomainError, FiberKind, NotOnSurface, ProjectivePoint3
                           singular_locus_class, zeros)
 from sliceregular.parabola import F_PAR, figure1_rows, figure2_cells
 from sliceregular.quat_core import I
+from sliceregular.verify import (fibre_chart_points, monomial_rows,
+                                 sylvester_resultant_quartic)
 
 
 def test_f_par_values():
@@ -311,7 +314,70 @@ def test_figure_data():
     rows = figure1_rows(36)
     labels = {r[3] for r in rows}
     assert labels == {"parabola", "paraboloid", "sphere"}
-    cells = figure2_cells(grid=12, extent=1.0)
-    assert cells  # the slice surface crosses the sampled box
-    for x, y, z in cells:
-        assert abs(x) <= 1.0 and abs(y) <= 1.0 and abs(z) <= 1.0
+    centers, cells = figure2_cells(grid=12, extent=1.0)
+    assert centers.shape == (12,) and np.all(np.abs(centers) <= 1.0)
+    assert len(cells)  # the slice surface crosses the sampled box
+    assert cells.shape[1] == 3 and 0 <= cells.min() and cells.max() < 12
+
+
+# ---------------------------------------------------------------------------
+# the batch kernels of the nullstellensatz and discriminant suites, against
+# the per-row and per-matrix code they replaced, bit for bit
+
+
+def bit_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def oracle_chart_points(ts, lams):
+    rows = []
+    for t in ts:
+        w1 = complex(t * t, t)
+        for lam in lams:
+            z = np.array([1.0, lam, w1, np.conj(w1) * lam], dtype=complex)
+            rows.append(z / np.max(np.abs(z)))
+        # the point at infinity of the fibre, [0, 1, 0, w1-bar]
+        z = np.array([0.0, 1.0, 0.0, np.conj(w1)], dtype=complex)
+        rows.append(z / np.max(np.abs(z)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7, 40])
+def test_monomial_matrix_matches_row_loop(samples):
+    ts = np.linspace(-2.0, 2.0, samples)
+    lams = [0.0, 1.0, -1.0, 1j, 0.5 - 0.5j, 2.0 + 1j]
+    z = oracle_chart_points(ts, lams)
+    assert bit_equal(fibre_chart_points(ts, np.array(lams)), z)
+    assert np.all(z[6::7, [0, 2]] == 0.0)  # the rows at infinity
+    monomials = [e for e in itertools.product(range(5), repeat=4) if sum(e) == 4]
+    exponents, rows = monomial_rows(z, 4)
+    assert exponents.tolist() == [list(e) for e in monomials]
+    oracle = np.array([[np.prod(p ** np.array(e)) for e in monomials] for p in z])
+    assert np.array_equal(rows, oracle)
+    assert bit_equal(rows, oracle)
+
+
+def oracle_sylvester(coeffs):
+    desc = coeffs[::-1]
+    ddesc = np.polyder(desc)
+    m = np.zeros((7, 7))
+    for r in range(3):
+        m[r, r:r + 5] = desc
+    for r in range(4):
+        m[3 + r, r:r + 4] = ddesc
+    return float(np.linalg.det(m))
+
+
+def test_sylvester_stack_matches_per_matrix_builder():
+    rng = np.random.default_rng(17)
+    quartics = rng.uniform(-2.0, 2.0, (4, 50, 5))
+    # the branch case c = j/2, R(v) = (v^2 + 1/2)^2, with its double roots
+    quartics[1, 7] = fiber_polynomial(Quaternion(0, 0, 0.5, 0))
+    quartics[2, :, -1] = 1.0  # monic: the resultant is the discriminant
+    stacked = sylvester_resultant_quartic(quartics)
+    oracle = np.array([[oracle_sylvester(q) for q in row] for row in quartics])
+    assert bit_equal(stacked, oracle)
+    assert abs(stacked[1, 7]) <= 1e-12
+    for q in (quartics[0, 0], fiber_polynomial(Quaternion(0, 0, 0.5, 0))):
+        one = sylvester_resultant_quartic(q)
+        assert type(one) is float and repr(one) == repr(oracle_sylvester(q))

@@ -30,8 +30,11 @@ interpreter, and compares one JSON line per item as bytes.
 - `paper`: the 14 verify suites at the acceptance seed and sample
   counts, and `figure fig1` and `figure fig2 --grid 60`, as
   `bench/inputs.py` lists them.  The line of a suite holds its
-  summary, the line of a figure the exit code and the sha256 of its
-  CSV.  The items do not depend on the seed, so give one seed.
+  summary and the sha256 of every check it made, in order, as the
+  pair (verdict, residual) that `SuiteResult.check` was given, so a
+  residual that moves below the maximum shows too.  The line of a
+  figure holds the exit code and the sha256 of its CSV.  The items do
+  not depend on the seed, so give one seed.
 
     python3 tools/zeros_identity.py OTHER_SRC [--workload zeros] [--seeds 1-10]
                                     [--rtol R]
@@ -157,15 +160,25 @@ def _dump_parse(seeds: list[int]) -> None:
 
 
 def _dump_paper(seeds: list[int]) -> None:
-    """Print one JSON line per suite summary and per figure digest."""
+    """Print one JSON line per suite and per figure digest."""
     from inputs import ACCEPTANCE_SEED, PAPER_FIGURES, PAPER_SUITES
     from sliceregular.cli import main
-    from sliceregular.verify import run_suite
+    from sliceregular.verify import SuiteResult, run_suite
 
+    checks = []
+    check = SuiteResult.check
+
+    def recorded(self, ok, label, residual=0.0):
+        checks.append([bool(ok), float(residual)])
+        check(self, ok, label, residual)
+
+    SuiteResult.check = recorded
     for _ in seeds:
         for name, samples in PAPER_SUITES:
+            checks.clear()
             result = run_suite(name, seed=ACCEPTANCE_SEED, samples=samples)
-            print(json.dumps([name, result.summary()]))
+            digest = hashlib.sha256(json.dumps(checks).encode()).hexdigest()
+            print(json.dumps([name, result.summary(), digest]))
         for name, argv in PAPER_FIGURES:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
