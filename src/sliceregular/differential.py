@@ -3,7 +3,8 @@
 Everything is driven by the first two expansion coefficients A1, A2 at
 the sphere through the base point: the differential sends v to
 v A1 + (q0 v - v q0-bar) A2, on the real axis, where the second term
-vanishes, and off it alike.
+vanishes, and off it alike.  The rank read off them is the one
+singularity decision: is_singular and ocs.induced_ocs use it too.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .quat_core import I, J, K, ONE, Quaternion, Sphere, hamilton, is_real
-from .regular_fn import (Q4, RegularSeries, _check_radius, _divide_linear,
-                         _expansion, _horner, _minus_quotient, _norm,
-                         _slice_values, _sphere_zero, _terms)
+from .quat_core import I, J, K, ONE, Quaternion, Sphere, hamilton
+from .regular_fn import (Q4, RegularSeries, _check_radius, _expansion, _norm,
+                         _terms)
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,17 @@ def _point(q0: Quaternion) -> Quaternion:
     return q0
 
 
-def _expansion_pair(f: RegularSeries, p: Quaternion) -> tuple[Quaternion, Quaternion]:
-    """A1 and A2 about p on the sphere through p."""
+def _expansion_at(f: RegularSeries, p: Quaternion) -> list[Quaternion]:
+    """A0 = f(p), A1 and A2 about p on the sphere through p."""
     _check_radius(f, p.w, p.im_norm())
-    _, a1, a2 = _expansion(f.coeffs, p, p.w, 2)
-    return Quaternion(*a1), Quaternion(*a2)
+    return [Quaternion(*a) for a in _expansion(f.coeffs, p, p.w, 2)]
 
 
 def _derivatives(f: RegularSeries, q0: Quaternion,
                  directions: tuple[Quaternion, ...]) -> list[Quaternion]:
     """v A1 + (q0 v - v q0-bar) A2 for each v: the derivatives along them."""
     p = _point(q0)
-    a1, a2 = _expansion_pair(f, p)
+    _, a1, a2 = _expansion_at(f, p)
     return [v * a1 + (p * v - v * p.conj()) * a2 for v in directions]
 
 
@@ -112,6 +111,21 @@ def differential_at(f: RegularSeries, q0: Quaternion) -> RealLinearMap4:
     return RealLinearMap4(np.array(_derivatives(f, q0, (ONE, I, J, K))).T)
 
 
+def _minus_quotient(a: Q4, b: Q4) -> Q4:
+    """-a b^-1, with b^-1 = conj(b) * (1/|b|^2) as Quaternion.inverse
+    computes it where |b|^2 is a normal float."""
+    bw, bx, by, bz = b
+    t = 1.0 / (bw * bw + bx * bx + by * by + bz * bz)
+    cw, cx, cy, cz = hamilton(a, (bw * t, -bx * t, -by * t, -bz * t))
+    return (-cw, -cx, -cy, -cz)
+
+
+def _negligible(f: RegularSeries, a: Q4, r: float, order: int) -> bool:
+    """Whether the expansion coefficient A_order of f on a sphere of norm r
+    is within 1e-10 of the terms that cancel in it."""
+    return _norm(a) <= 1e-10 * _terms(f.coeffs, r, order)
+
+
 def _in_perp(p: Quaternion, a1: Q4, a2: Q4) -> bool:
     """Whether 1 + 2 Im(p) A2 A1^-1 is orthogonal to 1 and to I_p, with
     the Quaternion operators inlined: rank_classify is on the hot path
@@ -129,6 +143,27 @@ def _in_perp(p: Quaternion, a1: Q4, a2: Q4) -> bool:
     return abs(w * 0.0 + x * (px / n) + y * (py / n) + z * (pz / n)) <= ptol
 
 
+def _classify(f: RegularSeries, p: Quaternion
+              ) -> tuple[Rank, Quaternion | None, Quaternion, Quaternion, Quaternion]:
+    """(rank, witness, A0, A1, A2) at a checked point p: the one decision
+    behind rank_classify, is_singular and induced_ocs.
+
+    Below rank 4 the witness is the zero on the sphere of the linear
+    part A1 + (q - p-bar) A2 of the quotient of f - f(p) by (q - p):
+    p-bar - A1 A2^-1, or p-bar where A1 is negligible, with p-bar the
+    point 2 Re(p) - p that the expansion divides at.
+    """
+    a0, a1, a2 = _expansion_at(f, p)
+    r = abs(p)
+    if _negligible(f, a1, r, 1):
+        real = p.x == p.y == p.z == 0.0
+        rank = Rank.RANK0 if real or _negligible(f, a2, r, 2) else Rank.RANK2
+        return rank, Quaternion(2.0 * p.w) - p, a0, a1, a2
+    if _in_perp(p, a1, a2):
+        return Rank.RANK2, Quaternion(2.0 * p.w) - p - a1 * a2.inverse(), a0, a1, a2
+    return Rank.RANK4, None, a0, a1, a2
+
+
 def rank_classify(f: RegularSeries, q0: Quaternion) -> RankClass:
     """Rank of the differential from the expansion coefficients alone.
 
@@ -140,15 +175,7 @@ def rank_classify(f: RegularSeries, q0: Quaternion) -> RankClass:
     1e-10 of the terms that cancel in them (their Taylor coefficients on
     the real axis), at any scale of f and q0.
     """
-    p = _point(q0)
-    a1, a2 = _expansion_pair(f, p)
-    r = abs(p)
-    if _norm(a1) <= 1e-10 * _terms(f.coeffs, r, 1):
-        real = p.x == p.y == p.z == 0.0
-        rank = (Rank.RANK0 if real or _norm(a2) <= 1e-10 * _terms(f.coeffs, r, 2)
-                else Rank.RANK2)
-    else:
-        rank = Rank.RANK2 if _in_perp(p, a1, a2) else Rank.RANK4
+    rank, _, _, a1, a2 = _classify(f, _point(q0))
     return RankClass(rank, a1, a2)
 
 
@@ -158,57 +185,25 @@ class SingularityCertificate:
     witness: Quaternion | None  # the q0-tilde of the factorization, if any
 
 
-def _singularity(f: RegularSeries, p: Quaternion) -> tuple[bool, Q4 | None, Q4]:
-    """(singular, witness, f(p)) for a polynomial f at a checked point p.
-
-    The quotient of f - f(p) by (q - p) is probed for a zero on the
-    sphere through p.  It is the quotient of f itself: synthetic
-    division reads the constant coefficient only for the remainder.
-    Its values on the sphere are gated against the terms that cancel
-    in them, sum n |a_n| |p|^(n-1), so the verdict holds at any scale
-    of f.
-    """
-    terms = _terms(f.coeffs, abs(p), 1)
-    g, value = _divide_linear(f.coeffs, p)
-    if not g:
-        return False, None, value
-    if is_real(p):
-        # real point: singular iff A1 = g(q0-bar), which is f'(x0) on the
-        # real axis, vanishes
-        if _norm(_horner(g, p.conj())) <= 1e-8 * terms:
-            return True, p, value
-        return False, None, value
-    w, r = p.w, p.im_norm()
-    alpha, beta = _slice_values(g, w, r)
-    if _norm(beta) <= 1e-9 * terms:
-        if _norm(alpha) <= 1e-9 * terms:
-            # g vanishes on the whole sphere: spherical multiplicity >= 2
-            return True, p.conj(), value
-        return False, None, value
-    witness = _sphere_zero(g, w, r, alpha, beta, 1e-7, 1e-8 * terms)
-    return witness is not None, witness, value
-
-
 def is_singular(f: RegularSeries, q0: Quaternion) -> SingularityCertificate:
-    """Whether f - f(q0) has total multiplicity >= 2 at the sphere through q0.
+    """Whether f - f(q0) has total multiplicity >= 2 at the sphere through q0,
+    that is whether the differential has rank below 4 there.
 
-    The quotient of f - f(q0) by (q - q0) is probed for a zero on the
-    sphere; that zero is the factorization witness.  Raises ValueError
+    The witness is the zero on that sphere of the quotient of f - f(q0)
+    by (q - q0).  A constant is singular everywhere.  Raises ValueError
     for a series, or unless |q0|^2 is finite.
     """
     if not f.is_polynomial:
         raise ValueError("is_singular expects a polynomial")
-    singular, witness, _ = _singularity(f, _point(q0))
-    return SingularityCertificate(
-        singular, None if witness is None else Quaternion(*witness))
+    rank, witness, *_ = _classify(f, _point(q0))
+    return SingularityCertificate(rank is not Rank.RANK4, witness)
 
 
 def is_degenerate_sphere(f: RegularSeries, sphere: Sphere) -> bool:
-    """True iff f is constant on the sphere, i.e. A1 vanishes there
-    against the terms that cancel in it, at any scale of f."""
+    """True iff f is constant on the sphere, i.e. A1 is negligible there
+    as rank_classify reads it, at any scale of f."""
     if sphere.y <= 0:
         raise ValueError("degeneracy is defined for genuine spheres (y > 0)")
     p = _point(Quaternion(sphere.x, sphere.y))
     _check_radius(f, sphere.x, sphere.y)
-    return (_norm(_expansion(f.coeffs, p, sphere.x, 1)[1])
-            <= 1e-9 * _terms(f.coeffs, abs(p), 1))
+    return _negligible(f, _expansion(f.coeffs, p, sphere.x, 1)[1], abs(p), 1)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import PoleHit, SingularPoint
 from .quat_core import I, J, K, ONE, Quaternion, conj_by_unit, imag_unit
-from .regular_fn import RegularSeries, eval_series
-from .differential import _point, _singularity
+from .regular_fn import RegularSeries
+from .differential import Rank, _classify, _point
 
 __all__ = [
     "OCSValue", "MobiusCoeffs", "j_standard", "induced_ocs", "mobius",
@@ -54,17 +54,16 @@ def induced_ocs(f: RegularSeries, q: Quaternion) -> tuple[Quaternion, OCSValue]:
 
     The structure at the image point is left multiplication by I_q (not
     by the imaginary unit of the image).  Fails with SingularPoint where
-    the differential of f is not invertible, and with ValueError unless
-    |q|^2 is finite.  The singularity test computes f(q) on the way.
+    the differential of f is not invertible, as rank_classify decides
+    it, and with ValueError unless |q|^2 is finite.  f(q) is the
+    expansion coefficient A0 that decision computes on the way.
     """
     p = _point(q)
     unit = imag_unit(p)  # RealArgument on the real axis
-    if not f.is_polynomial:
-        return eval_series(f, q), OCSValue(unit)
-    singular, _, value = _singularity(f, p)
-    if singular:
+    rank, _, value, *_ = _classify(f, p)
+    if rank is not Rank.RANK4:
         raise SingularPoint(f"differential of f not invertible at {q}")
-    return Quaternion(*value), OCSValue(unit)
+    return value, OCSValue(unit)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from itertools import chain, zip_longest
 import numpy as np
 
 from .errors import ConditioningWarning, NotReal, OutsideRadius, ZeroPolynomial
-from .quat_core import ONE, Quaternion, Sphere, hamilton
+from .quat_core import I, ONE, Quaternion, Sphere, hamilton
 
 # Tolerances of the zero finder, both relative backward errors, chosen
 # on the 10,000 polynomials of the benchmark's zeros-stream seeds 1-10:
@@ -128,7 +128,6 @@ class RegularSeries:
 Q4 = tuple[float, float, float, float]
 _ZERO4: Q4 = (0.0, 0.0, 0.0, 0.0)
 _ONE4: Q4 = (1.0, 0.0, 0.0, 0.0)
-_MINUS_I: Q4 = (-0.0, -1.0, -0.0, -0.0)  # -I, signed zeros included
 
 
 def _norm(a: Q4) -> float:
@@ -232,25 +231,6 @@ def _divide_real_quadratic(coeffs: list, x: float, y: float) -> tuple[list, list
         w, x1, y1, z1 = rem[n - 2]
         rem[n - 2] = (w - bw * c0, x1 - bx * c0, y1 - by * c0, z1 - bz * c0)
     return _trim(quot), _trim(rem[:2])
-
-
-def _slice_values(coeffs: list, x: float, y: float) -> tuple[Q4, Q4]:
-    # _horner at (x, y, 0, 0) and (x, -y, 0, 0) at once; 0.0 * a keeps its signed zeros
-    aw = ax = ay = az = bw = bx = by = bz = 0.0
-    m = -y
-    for cw, cx, cy, cz in reversed(coeffs):
-        aw, ax, ay, az, bw, bx, by, bz = (cw + (x * aw - y * ax - 0.0 * ay - 0.0 * az),
-                                          cx + (x * ax + y * aw + 0.0 * az - 0.0 * ay),
-                                          cy + (x * ay - y * az + 0.0 * aw + 0.0 * ax),
-                                          cz + (x * az + y * ay - 0.0 * ax + 0.0 * aw),
-                                          cw + (x * bw - m * bx - 0.0 * by - 0.0 * bz),
-                                          cx + (x * bx + m * bw + 0.0 * bz - 0.0 * by),
-                                          cy + (x * by - m * bz + 0.0 * bw + 0.0 * bx),
-                                          cz + (x * bz + m * by - 0.0 * bx + 0.0 * bw))
-    alpha = ((aw + bw) * 0.5, (ax + bx) * 0.5, (ay + by) * 0.5, (az + bz) * 0.5)
-    beta = hamilton(_MINUS_I, ((aw - bw) * 0.5, (ax - bx) * 0.5,
-                               (ay - by) * 0.5, (az - bz) * 0.5))
-    return alpha, beta
 
 
 def _symmetrize(coeffs: list) -> list[float]:
@@ -366,13 +346,15 @@ def _check_radius(f: RegularSeries, x: float, y: float) -> None:
 
 def _expansion(coeffs: list, p: Q4, x: float, n_coeffs: int) -> list[Q4]:
     """A_0, ..., A_n about p on a sphere with real part x: the remainders
-    of alternating synthetic division at p and at 2x - p."""
+    of alternating synthetic division at p and at 2x - p, the last one
+    from the Horner loop, which builds no quotient."""
     pw, px, py, pz = p
     p_bar = (2.0 * x - pw, 0.0 - px, 0.0 - py, 0.0 - pz)  # Quaternion(2x) - p
     out = []
-    for n in range(n_coeffs + 1):
+    for n in range(n_coeffs):
         coeffs, r = _divide_linear(coeffs, p_bar if n % 2 else p)
         out.append(r)
+    out.append(_horner(coeffs, p_bar if n_coeffs % 2 else p))
     return out
 
 
@@ -399,37 +381,14 @@ class ZeroSet:
 
 
 def slice_values(f: RegularSeries, x: float, y: float) -> tuple[Quaternion, Quaternion]:
-    """(alpha, beta) with f(x + yI) = alpha + I beta for every I in S."""
-    alpha, beta = _slice_values(f.coeffs, x, y)
-    return Quaternion(*alpha), Quaternion(*beta)
-
-
-def _minus_quotient(a: Q4, b: Q4) -> Q4:
-    """-a b^-1, with b^-1 = conj(b) * (1/|b|^2) as Quaternion.inverse
-    computes it where |b|^2 is a normal float."""
-    bw, bx, by, bz = b
-    t = 1.0 / (bw * bw + bx * bx + by * by + bz * bz)
-    cw, cx, cy, cz = hamilton(a, (bw * t, -bx * t, -by * t, -bz * t))
-    return (-cw, -cx, -cy, -cz)
-
-
-def _sphere_zero(coeffs: list, x: float, y: float, alpha: Q4, beta: Q4,
-                 unit_tol: float, tol: float) -> Q4 | None:
-    """The one zero of f on x + yS that is not the whole sphere, if any.
-
-    With f(x + yI) = alpha + I beta and beta nonzero, a zero exists iff
-    c = -alpha beta^-1 is an imaginary unit, to unit_tol; it is then
-    x + yc, with c snapped to unit length, and is accepted only if the
-    division remainder there is within tol.
-    """
-    c = _minus_quotient(alpha, beta)
-    size = _norm(c)
-    if abs(c[0]) > unit_tol * max(1.0, size) or abs(size - 1.0) > unit_tol:
-        return None
-    _, ux, uy, uz = c
-    n = math.sqrt(ux * ux + uy * uy + uz * uz)
-    p = (x + 0.0 * y, 0.0 + ux / n * y, 0.0 + uy / n * y, 0.0 + uz / n * y)
-    return p if _norm(_horner(coeffs, p)) <= tol else None
+    """(alpha, beta) with f(x + yI) = alpha + I beta for every I in S: the
+    half sum of f(x + yi) and f(x - yi), and -I times their half
+    difference, from the split pair in quaternion float operations."""
+    g, h, gc, hc = _slice_pair(f.coeffs, complex(x, y))
+    alpha = Quaternion((g.real + gc.real) * 0.5, (g.imag + gc.imag) * 0.5,
+                       (h.real + hc.real) * 0.5, (h.imag + hc.imag) * 0.5)
+    return alpha, -I * Quaternion((g.real - gc.real) * 0.5, (g.imag - gc.imag) * 0.5,
+                                  (h.real - hc.real) * 0.5, (h.imag - hc.imag) * 0.5)
 
 
 def _slice_pair(coeffs, v):

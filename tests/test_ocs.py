@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from sliceregular import (MobiusCoeffs, OCSValue, PoleHit, Quaternion,
-                          RealArgument, SingularPoint, conj_by_unit,
-                          eval_series, induced_ocs, is_so2h, j_standard,
-                          mobius)
+                          RealArgument, RegularSeries, SingularPoint,
+                          conj_by_unit, eval_series, induced_ocs, is_so2h,
+                          j_standard, mobius)
 from sliceregular.parsing import parse_polynomial
 from sliceregular.quat_core import I, J, ONE
 
@@ -46,8 +46,10 @@ def test_induced_structure_uses_source_unit():
 
 
 def test_induced_structure_rejects_singular_point():
-    with pytest.raises(SingularPoint):
-        induced_ocs(F, Quaternion(0, -0.5, 1, 0))
+    # a series inside its radius is tested as its truncation
+    for f in (F, RegularSeries(F.coeffs, radius=4.0)):
+        with pytest.raises(SingularPoint):
+            induced_ocs(f, Quaternion(0, -0.5, 1, 0))
 
 
 def test_mobius_identity_and_translation():

@@ -16,7 +16,8 @@ interpreter, and compares one JSON line per item as bytes.
   of `rank_classify`, `induced_ocs` (the value and unit, or the
   exception type and message) and `differential_at` (the matrix and
   the warnings it raised: none, so a warning that appears there shows
-  as a difference), for q -> q^2 + qi.  The twistor layer is compared
+  as a difference) and `is_singular` (the verdict and the witness), for
+  q -> q^2 + qi.  The twistor layer is compared
   at p too: `eval_series` there, the chart point (u, v) of
   `phi_inverse`, and `lift` at (u, v) and `twistor_transform` at v as
   JSON, or the exception one of them raised.
@@ -32,9 +33,11 @@ interpreter, and compares one JSON line per item as bytes.
   `bench/inputs.py` lists them.  The line of a suite holds its
   summary and the sha256 of every check it made, in order, as the
   pair (verdict, residual) that `SuiteResult.check` was given, so a
-  residual that moves below the maximum shows too.  The line of a
-  figure holds the exit code and the sha256 of its CSV.  The items do
-  not depend on the seed, so give one seed.
+  residual that moves below the maximum shows too.  Under --rtol it
+  holds the verdict, the failure labels and that list of pairs itself
+  instead, so that residuals that moved in the last bits can agree
+  within R.  The line of a figure holds the exit code and the sha256
+  of its CSV.  The items do not depend on the seed, so give one seed.
 
     python3 tools/zeros_identity.py OTHER_SRC [--workload zeros] [--seeds 1-10]
                                     [--rtol R]
@@ -99,8 +102,8 @@ def _dump_geometry(seeds: list[int]) -> None:
     """Print one JSON line per target: classify, then each preimage."""
     from inputs import geometry_items
     from sliceregular import (Quaternion, differential_at, eval_series,
-                              induced_ocs, lift, phi_inverse, preimages,
-                              rank_classify, twistor_transform)
+                              induced_ocs, is_singular, lift, phi_inverse,
+                              preimages, rank_classify, twistor_transform)
     from sliceregular.cli import main
     from sliceregular.parabola import F_PAR
 
@@ -113,6 +116,8 @@ def _dump_geometry(seeds: list[int]) -> None:
             line = [code, out.getvalue()]
             for p in preimages(Quaternion(*c)):
                 rc = rank_classify(F_PAR, p)
+                cert = is_singular(F_PAR, p)
+                witness = None if cert.witness is None else cert.witness.to_json()
                 try:
                     value, ocs = induced_ocs(F_PAR, p)
                     structure = [value.to_json(), ocs.unit.to_json()]
@@ -132,7 +137,8 @@ def _dump_geometry(seeds: list[int]) -> None:
                 line.append([p.to_json(), rc.rank.value, rc.a1.to_json(),
                              rc.a2.to_json(), structure, matrix,
                              [str(w.message) for w in caught],
-                             eval_series(F_PAR, p).to_json(), twistor])
+                             eval_series(F_PAR, p).to_json(), twistor,
+                             [cert.singular, witness]])
             print(json.dumps(line))
 
 
@@ -159,8 +165,9 @@ def _dump_parse(seeds: list[int]) -> None:
             print(json.dumps(line))
 
 
-def _dump_paper(seeds: list[int]) -> None:
-    """Print one JSON line per suite and per figure digest."""
+def _dump_paper(seeds: list[int], full: bool = False) -> None:
+    """Print one JSON line per suite and per figure digest; with full, a
+    suite's line holds its checks instead of their digest."""
     from inputs import ACCEPTANCE_SEED, PAPER_FIGURES, PAPER_SUITES
     from sliceregular.cli import main
     from sliceregular.verify import SuiteResult, run_suite
@@ -177,6 +184,9 @@ def _dump_paper(seeds: list[int]) -> None:
         for name, samples in PAPER_SUITES:
             checks.clear()
             result = run_suite(name, seed=ACCEPTANCE_SEED, samples=samples)
+            if full:
+                print(json.dumps([name, result.passed, result.failures, checks]))
+                continue
             digest = hashlib.sha256(json.dumps(checks).encode()).hexdigest()
             print(json.dumps([name, result.summary(), digest]))
         for name, argv in PAPER_FIGURES:
@@ -209,12 +219,14 @@ def _close(a, b, rtol: float) -> bool:
     return all(_close(s, t, rtol) for s, t in zip(a, b))
 
 
-def _run(src: str, workload: str, seeds: str) -> list[str]:
+def _run(src: str, workload: str, seeds: str, rtol: float | None) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--dump",
-                          "--workload", workload, "--seeds", seeds], env=env,
-                         check=True, capture_output=True, text=True)
+    argv = [sys.executable, os.path.abspath(__file__), "--dump",
+            "--workload", workload, "--seeds", seeds]
+    if rtol is not None:
+        argv += ["--rtol", repr(rtol)]
+    out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
     return out.stdout.splitlines()
 
 
@@ -229,14 +241,17 @@ def main() -> int:
     args = ap.parse_args()
     if args.dump:
         sys.path.insert(0, os.path.join(ROOT, "bench"))
-        dump = {"zeros": _dump_zeros, "geometry": _dump_geometry,
-                "parse": _dump_parse, "paper": _dump_paper}[args.workload]
-        dump(_seeds(args.seeds))
+        seeds = _seeds(args.seeds)
+        if args.workload == "paper":
+            _dump_paper(seeds, full=args.rtol is not None)
+        else:
+            {"zeros": _dump_zeros, "geometry": _dump_geometry,
+             "parse": _dump_parse}[args.workload](seeds)
         return 0
     if args.other_src is None:
         ap.error("OTHER_SRC is required")
-    ours = _run(os.path.join(ROOT, "src"), args.workload, args.seeds)
-    theirs = _run(args.other_src, args.workload, args.seeds)
+    ours = _run(os.path.join(ROOT, "src"), args.workload, args.seeds, args.rtol)
+    theirs = _run(args.other_src, args.workload, args.seeds, args.rtol)
     count = COUNT[args.workload]
     if len(ours) != len(theirs):
         print(f"item counts differ: {len(ours)} here, {len(theirs)} there")
