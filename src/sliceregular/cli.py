@@ -182,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sliceregular",
         description="Quaternionic polynomial evaluation, zero sets, and "
                     "twistor-geometry verification.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--out", default=None, help="output file path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -208,10 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("figure", help="emit figure data as CSV")
     p.add_argument("name", help="fig1 or fig2")
+    p.add_argument("--samples", type=int, default=None, help="fig1's sample count")
     p.add_argument("--grid", type=int, default=60)
     p.add_argument("--extent", type=float, default=2.0)
     p.set_defaults(fn=cmd_figure)
@@ -221,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _size_error(args) -> str | None:
     """Why a count or an extent is out of range, checked before anything
     is allocated; None when all are in range."""
-    if args.samples is not None and args.samples < 1:
-        return f"--samples must be at least 1, got {args.samples}"
+    samples = getattr(args, "samples", None)  # verify and figure only
+    if samples is not None and samples < 1:
+        return f"--samples must be at least 1, got {samples}"
     if args.command == "figure":
         if not 1 <= args.grid <= MAX_GRID:
             return f"--grid must be from 1 to {MAX_GRID}, got {args.grid}"

@@ -30,11 +30,12 @@ class RealLinearMap4:
     def apply(self, v: Quaternion) -> Quaternion:
         return Quaternion(*(self.matrix @ np.array(v)))
 
-    def rank(self, rel_tol: float = 1e-8) -> int:
+    def rank(self) -> int:
+        """The number of singular values above 1e-8 of the largest."""
         s = np.linalg.svd(self.matrix, compute_uv=False)
         if s[0] == 0.0:
             return 0
-        return int(np.sum(s > rel_tol * s[0]))
+        return int(np.sum(s > 1e-8 * s[0]))
 
     def to_json(self) -> list:
         return [float(t) for t in self.matrix.reshape(-1)]
@@ -113,9 +114,17 @@ def differential_at(f: RegularSeries, q0: Quaternion) -> RealLinearMap4:
 
 def _minus_quotient(a: Q4, b: Q4) -> Q4:
     """-a b^-1, with b^-1 = conj(b) * (1/|b|^2) as Quaternion.inverse
-    computes it where |b|^2 is a normal float."""
+    computes it; where |b|^2 is not a normal float, a and b are first
+    scaled by the power of two that brings b's largest component into
+    [1/2, 1), which leaves the quotient as it is."""
     bw, bx, by, bz = b
-    t = 1.0 / (bw * bw + bx * bx + by * by + bz * bz)
+    n = bw * bw + bx * bx + by * by + bz * bz
+    if not sys.float_info.min <= n < math.inf:
+        e = -math.frexp(max(map(abs, b)))[1]
+        a = [math.ldexp(t, e) for t in a]
+        bw, bx, by, bz = (math.ldexp(t, e) for t in b)
+        n = bw * bw + bx * bx + by * by + bz * bz
+    t = 1.0 / n
     cw, cx, cy, cz = hamilton(a, (bw * t, -bx * t, -by * t, -bz * t))
     return (-cw, -cx, -cy, -cz)
 

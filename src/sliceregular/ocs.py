@@ -37,8 +37,9 @@ class OCSValue:
         """Left-multiplication matrix in the basis 1, i, j, k."""
         return np.array([self.apply(e) for e in (ONE, I, J, K)]).T
 
-    def close_to(self, other: "OCSValue", tol: float = 1e-9) -> bool:
-        return abs(self.unit - other.unit) <= tol
+    def close_to(self, other: "OCSValue") -> bool:
+        """Whether the two units are within 1e-9 of each other."""
+        return abs(self.unit - other.unit) <= 1e-9
 
     def __neg__(self) -> "OCSValue":
         return OCSValue(-self.unit)
@@ -131,14 +132,14 @@ def mobius(m: MobiusCoeffs, q: Quaternion) -> Quaternion:
     return value
 
 
-def is_so2h(m: MobiusCoeffs, tol: float = 1e-10) -> bool:
-    """Whether all four coefficients are real multiples of one unit, to tol relative."""
+def is_so2h(m: MobiusCoeffs) -> bool:
+    """Whether all four coefficients are real multiples of one unit, to 1e-10 relative."""
     coeffs = [m.a, m.b, m.c, m.d]
     ref = max(coeffs, key=lambda c: math.hypot(*c))
     scale = math.hypot(*ref)  # > 0: the coefficients are invertible
     eps = Quaternion(*(t / scale for t in ref))  # 1 / scale overflows below 6e-309
     for c in coeffs:
         t = c.dot(eps)
-        if math.hypot(*(c - t * eps)) > tol * scale:
+        if math.hypot(*(c - t * eps)) > 1e-10 * scale:
             return False
     return True

@@ -19,7 +19,7 @@ from .errors import DomainError, NotOnSurface
 from .ocs import OCSValue, j_standard
 from .quat_core import I as QI, Quaternion, is_real
 from .regular_fn import RegularSeries
-from .twistor import ProjectivePoint3
+from .twistor import PROJ_TOL, ProjectivePoint3
 
 GEOM_TOL = 1e-10
 MAP_TOL = 1e-9
@@ -38,33 +38,33 @@ def f_par(q: Quaternion) -> Quaternion:
     return q * q + q * QI
 
 
-# Each membership test below scales tol by the size of the terms it
-# compares: a coordinate that should vanish by 1 + |c|, an equation by
-# the sum of the magnitudes of its terms.
+# Each membership test below scales its tolerance by the size of the
+# terms it compares: a coordinate that should vanish by 1 + |c|, an
+# equation by the sum of the magnitudes of its terms.
 
 
-def on_parabola(c: Quaternion, tol: float = MAP_TOL) -> bool:
+def on_parabola(c: Quaternion) -> bool:
     """Membership in gamma = {t^2 + it : t real}."""
-    s = tol * (1.0 + abs(c))
+    s = MAP_TOL * (1.0 + abs(c))
     return (abs(c.y) <= s and abs(c.z) <= s
-            and abs(c.w - c.x ** 2) <= tol * (1.0 + abs(c.w) + c.x ** 2))
+            and abs(c.w - c.x ** 2) <= MAP_TOL * (1.0 + abs(c.w) + c.x ** 2))
 
 
-def _quadric_tol(c: Quaternion, tol: float) -> float:
-    """tol scaled by the terms of x0 - 1/4 + x2^2 + x3^2."""
-    return tol * (abs(c.w) + 0.25 + c.y ** 2 + c.z ** 2)
+def _quadric_tol(c: Quaternion) -> float:
+    """GEOM_TOL scaled by the terms of x0 - 1/4 + x2^2 + x3^2."""
+    return GEOM_TOL * (abs(c.w) + 0.25 + c.y ** 2 + c.z ** 2)
 
 
-def on_paraboloid(c: Quaternion, tol: float = GEOM_TOL) -> bool:
+def on_paraboloid(c: Quaternion) -> bool:
     """Membership in the branch locus x1 = 0, x0 = 1/4 - (x2^2 + x3^2)."""
-    return (abs(c.x) <= tol * (1.0 + abs(c))
-            and abs(c.w - 0.25 + c.y ** 2 + c.z ** 2) <= _quadric_tol(c, tol))
+    return (abs(c.x) <= GEOM_TOL * (1.0 + abs(c))
+            and abs(c.w - 0.25 + c.y ** 2 + c.z ** 2) <= _quadric_tol(c))
 
 
-def in_solid(c: Quaternion, tol: float = GEOM_TOL) -> bool:
+def in_solid(c: Quaternion) -> bool:
     """Membership in the closed solid paraboloid x1 = 0, x0 <= 1/4 - (x2^2+x3^2)."""
-    return (abs(c.x) <= tol * (1.0 + abs(c))
-            and c.w <= 0.25 - c.y ** 2 - c.z ** 2 + _quadric_tol(c, tol))
+    return (abs(c.x) <= GEOM_TOL * (1.0 + abs(c))
+            and c.w <= 0.25 - c.y ** 2 - c.z ** 2 + _quadric_tol(c))
 
 
 def _in_plane_li(c: Quaternion) -> bool:
@@ -236,21 +236,21 @@ _EXTRA_CUSPS = [ProjectivePoint3.of(0.0, 1.0, 0.0, 0.25),
                 ProjectivePoint3.of(1.0, 0.0, 0.25, 0.0)]
 
 
-def singular_locus_class(Z: ProjectivePoint3, tol: float = 1e-9) -> SurfaceClass:
+def singular_locus_class(Z: ProjectivePoint3) -> SurfaceClass:
     """Stratum of the quartic at Z: smooth, double curve, cusp or pinch point."""
-    if abs(quartic_K(Z)) > tol:
+    if abs(quartic_K(Z)) > PROJ_TOL:
         raise NotOnSurface(f"K({Z}) does not vanish")
     for vtx in _VERTICES:
-        if Z.equals(vtx, tol):
+        if Z.equals(vtx):
             return SurfaceClass.PINCH_POINT
     z0, z1, z2, z3 = (Z[k] for k in range(4))
-    if abs(z0) <= tol and abs(z1) <= tol:
+    if abs(z0) <= PROJ_TOL and abs(z1) <= PROJ_TOL:
         return SurfaceClass.CUSP
-    on_m02 = abs(z0) <= tol and abs(z2) <= tol
-    on_m13 = abs(z1) <= tol and abs(z3) <= tol
+    on_m02 = abs(z0) <= PROJ_TOL and abs(z2) <= PROJ_TOL
+    on_m13 = abs(z1) <= PROJ_TOL and abs(z3) <= PROJ_TOL
     if on_m02 or on_m13:
         for cusp in _EXTRA_CUSPS:
-            if Z.equals(cusp, tol):
+            if Z.equals(cusp):
                 return SurfaceClass.CUSP
         return SurfaceClass.DOUBLE_CURVE
     return SurfaceClass.SMOOTH

@@ -131,8 +131,8 @@ _ONE4: Q4 = (1.0, 0.0, 0.0, 0.0)
 
 
 def _norm(a: Q4) -> float:
-    w, x, y, z = a
-    return math.sqrt(w * w + x * x + y * y + z * z)
+    """|a|, by hypot, which neither under- nor overflows where |a| is in range."""
+    return math.hypot(*a)
 
 
 def _series(coeffs, radius: float) -> RegularSeries:
@@ -192,30 +192,17 @@ def _divide_linear(coeffs: list, p: Q4) -> tuple[list, Q4]:
     """Synthetic division by q - p: (quotient, remainder), the remainder
     being the Horner value at p."""
     pw, px, py, pz = p
-    quot = [_ZERO4] * max(len(coeffs) - 1, 0)
-    aw = ax = ay = az = 0.0
-    for n in range(len(coeffs) - 1, -1, -1):
-        cw, cx, cy, cz = coeffs[n]
-        # acc = c_n + p * acc, with hamilton(p, acc) inlined: this is the hot loop
-        aw, ax, ay, az = (cw + (pw * aw - px * ax - py * ay - pz * az),
-                          cx + (pw * ax + px * aw + py * az - pz * ay),
-                          cy + (pw * ay - px * az + py * aw + pz * ax),
-                          cz + (pw * az + px * ay - py * ax + pz * aw))
-        if n:
-            quot[n - 1] = (aw, ax, ay, az)
-    return _trim(quot), (aw, ax, ay, az)
-
-
-def _horner(coeffs, p: Q4) -> Q4:
-    """The Horner value at p: _divide_linear's remainder, without the quotient."""
-    pw, px, py, pz = p
+    steps = [_ZERO4]  # acc after each step: the quotient, top first, then the remainder
     aw = ax = ay = az = 0.0
     for cw, cx, cy, cz in reversed(coeffs):
-        aw, ax, ay, az = (cw + (pw * aw - px * ax - py * ay - pz * az),
-                          cx + (pw * ax + px * aw + py * az - pz * ay),
-                          cy + (pw * ay - px * az + py * aw + pz * ax),
-                          cz + (pw * az + px * ay - py * ax + pz * aw))
-    return aw, ax, ay, az
+        # acc = c_n + p * acc, with hamilton(p, acc) inlined: this is the hot loop
+        acc = (cw + (pw * aw - px * ax - py * ay - pz * az),
+               cx + (pw * ax + px * aw + py * az - pz * ay),
+               cy + (pw * ay - px * az + py * aw + pz * ax),
+               cz + (pw * az + px * ay - py * ax + pz * aw))
+        steps.append(acc)
+        aw, ax, ay, az = acc
+    return _trim(steps[-2:0:-1]), steps[-1]
 
 
 def _divide_real_quadratic(coeffs: list, x: float, y: float) -> tuple[list, list]:
@@ -259,7 +246,7 @@ def eval_series(f: RegularSeries, q: Quaternion) -> Quaternion:
     """Horner evaluation of sum q^n a_n; raises OutsideRadius for |q| >= R."""
     if not f.is_polynomial and abs(q) >= f.radius:
         raise OutsideRadius(f"|q| = {abs(q)} >= radius {f.radius}")
-    return Quaternion(*_horner(f.coeffs, q))
+    return Quaternion(*_divide_linear(f.coeffs, q)[1])
 
 
 def conjugate(f: RegularSeries) -> RegularSeries:
@@ -346,15 +333,13 @@ def _check_radius(f: RegularSeries, x: float, y: float) -> None:
 
 def _expansion(coeffs: list, p: Q4, x: float, n_coeffs: int) -> list[Q4]:
     """A_0, ..., A_n about p on a sphere with real part x: the remainders
-    of alternating synthetic division at p and at 2x - p, the last one
-    from the Horner loop, which builds no quotient."""
+    of alternating synthetic division at p and at 2x - p."""
     pw, px, py, pz = p
     p_bar = (2.0 * x - pw, 0.0 - px, 0.0 - py, 0.0 - pz)  # Quaternion(2x) - p
     out = []
-    for n in range(n_coeffs):
+    for n in range(n_coeffs + 1):
         coeffs, r = _divide_linear(coeffs, p_bar if n % 2 else p)
         out.append(r)
-    out.append(_horner(coeffs, p_bar if n_coeffs % 2 else p))
     return out
 
 
@@ -436,9 +421,8 @@ def _scaled_monic(coeffs: list) -> tuple[list, np.ndarray, int]:
             for a, x in zip(coeffs, exps)]
     logs[0] -= 1.0
     k = round(max((logs[n] - logs[d]) / (d - n) for n in range(d)))
-    lw, lx, ly, lz = (math.ldexp(t, -exps[d]) for t in coeffs[d])
-    s = 1.0 / (lw * lw + lx * lx + ly * ly + lz * lz)
-    inv = (lw * s, -lx * s, -ly * s, -lz * s)  # a_d^-1 2^exps[d]
+    # a_d^-1 2^exps[d]
+    inv = Quaternion(*[math.ldexp(t, -exps[d]) for t in coeffs[d]]).inverse()
     e = [hamilton([math.ldexp(t, k * (n - d) - exps[d]) for t in a], inv)
          for n, a in enumerate(coeffs[:d])]
     b = np.array([complex(w, x) for w, x, _, _ in e])

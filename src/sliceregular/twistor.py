@@ -130,11 +130,11 @@ class HP1Point:
             raise ZeroDivisionError("the point at infinity has no affine form")
         return self.q1.inverse() * self.q2
 
-    def equals(self, other: "HP1Point", tol: float = PROJ_TOL) -> bool:
+    def equals(self, other: "HP1Point") -> bool:
         if self.is_infinite or other.is_infinite:
             return self.is_infinite and other.is_infinite
         a, b = self.affine_point(), other.affine_point()
-        return abs(a - b) <= tol * (1.0 + abs(a) + abs(b))
+        return abs(a - b) <= PROJ_TOL * (1.0 + abs(a) + abs(b))
 
 
 class KleinPoint(ProjectivePoint):
@@ -166,22 +166,22 @@ def _verdicts(Z: ProjectivePoint3, ok):
     return bool(ok) if Z.coords.ndim == 1 else ok
 
 
-def on_quadric(Z: ProjectivePoint3, tol: float = 1e-10):
-    """Z0 Z3 = Z1 Z2, the graph of the standard structure; one verdict
-    per row of a batch."""
+def on_quadric(Z: ProjectivePoint3):
+    """Z0 Z3 = Z1 Z2, the graph of the standard structure, to 1e-10
+    relative; one verdict per row of a batch."""
     z0, z1, z2, z3 = Z.coords.T
     scale = np.maximum(1.0, abs(z0 * z3) + abs(z1 * z2))
-    return _verdicts(Z, abs(z0 * z3 - z1 * z2) <= tol * scale)
+    return _verdicts(Z, abs(z0 * z3 - z1 * z2) <= 1e-10 * scale)
 
 
-def in_q_plus(Z: ProjectivePoint3, tol: float = 1e-10):
-    """On the quadric, with Im(Z2 / Z0) > 0 where |Z0| > tol, or else
-    Im(Z3 / Z1) > 0 where |Z1| > tol; one verdict per row of a batch."""
+def in_q_plus(Z: ProjectivePoint3):
+    """On the quadric, with Im(Z2 / Z0) > 0 where |Z0| > 1e-10, or else
+    Im(Z3 / Z1) > 0 where |Z1| > 1e-10; one verdict per row of a batch."""
     z0, z1, z2, z3 = Z.coords.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        first = (abs(z0) > tol) & ((z2 / z0).imag > 0)
-        second = (abs(z1) > tol) & ((z3 / z1).imag > 0)
-    return _verdicts(Z, on_quadric(Z, tol) & (first | second))
+        first = (abs(z0) > 1e-10) & ((z2 / z0).imag > 0)
+        second = (abs(z1) > 1e-10) & ((z3 / z1).imag > 0)
+    return _verdicts(Z, on_quadric(Z) & (first | second))
 
 
 @dataclass(frozen=True)
@@ -366,19 +366,19 @@ def _pair_series(g: np.ndarray, h: np.ndarray) -> RegularSeries:
     return RegularSeries(tuple([Quaternion.from_complex_pair(b, c) for b, c in pairs]))
 
 
-def reconstruct(samples: list[CurveSample], max_degree: int = 24,
-                fit_tol: float = 1e-9) -> SplitPair:
+def reconstruct(samples: list[CurveSample]) -> SplitPair:
     """Recover the split pair of the regular map behind a sampled curve.
 
     After normalizing zeta_6 = 1, g = -zeta_3, h = zeta_2, g^ = zeta_4 and
-    h^ = zeta_5 are fitted by increasing-degree interpolation.  A curve
+    h^ = zeta_5 are fitted by increasing-degree interpolation, up to
+    degree 24, each to 1e-9 of its column's largest value.  A curve
     whose reflected series (with coefficients conj g^_n + conj h^_n j)
     differs from the series of g, h beyond 1e-8 of their coefficient
     scale does not extend symmetrically; it keeps its reflected series,
     so that its symmetric is False.
     """
     vs, cols = _curve_columns(samples)
-    g, h, ghat, hhat = _fit_columns(vs, cols, max_degree, fit_tol)
+    g, h, ghat, hhat = _fit_columns(vs, cols, 24, 1e-9)
     series = _pair_series(g, h)
     reflected = _pair_series(np.conj(ghat), np.conj(hhat))
     scale = max(series.coefficient_scale(), reflected.coefficient_scale())

@@ -371,9 +371,9 @@ def test_zeros_point_case(tmp_path):
     ["figure", "fig2", "--extent", "inf"],
     ["figure", "fig2", "--extent", "0"],
     ["figure", "fig2", "--extent", "-2"],
-    ["--samples", "0", "verify", "twistor-commute"],
-    ["--samples", "-2", "verify", "jjjj"],
-    ["--samples", "0", "figure", "fig1"],
+    ["verify", "twistor-commute", "--samples", "0"],
+    ["verify", "jjjj", "--samples", "-2"],
+    ["figure", "fig1", "--samples", "0"],
 ], ids=["short-coefficient", "coeffs-not-a-list", "string-component",
         "classify-nan", "classify-inf", "nan-point", "nan-coefficient",
         "deeply-nested", "superscript-digit", "arabic-indic-digit",
@@ -419,8 +419,8 @@ def test_classify_command(tmp_path):
 
 def test_verify_command(tmp_path):
     out = tmp_path / "r.txt"
-    assert main(["--samples", "50", "--out", str(out),
-                 "verify", "transform-spot"]) == 0
+    assert main(["--out", str(out), "verify", "transform-spot",
+                 "--samples", "50"]) == 0
     assert out.read_text().startswith("PASS transform-spot")
 
 
@@ -430,7 +430,7 @@ def test_verify_unknown_suite_exits_2():
 
 def test_figure_commands(tmp_path):
     out = tmp_path / "fig1.csv"
-    assert main(["--samples", "25", "--out", str(out), "figure", "fig1"]) == 0
+    assert main(["--out", str(out), "figure", "fig1", "--samples", "25"]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "x,y,z,label"
     assert len(lines) > 1
@@ -445,7 +445,7 @@ def test_figure_commands(tmp_path):
 def test_figure_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
-        assert main(["--seed", "3", "--out", str(path), "figure", "fig2",
+        assert main(["--out", str(path), "figure", "fig2",
                      "--grid", "8", "--extent", "1.0"]) == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -508,8 +508,8 @@ def test_figure2_matches_row_oracle(grid, extent):
 def test_verify_determinism(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for path in (a, b):
-        assert main(["--seed", "5", "--samples", "40", "--out", str(path),
-                     "verify", "klein-reality"]) == 0
+        assert main(["--out", str(path), "verify", "klein-reality",
+                     "--seed", "5", "--samples", "40"]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -646,8 +646,21 @@ def test_grid_and_samples_at_their_bounds(tmp_path):
     out = tmp_path / "fig.csv"
     assert main(["--out", str(out), "figure", "fig2", "--grid", "1"]) == 0
     assert out.read_text().splitlines()[0] == "x,y,z"
-    assert main(["--out", str(out), "--samples", "1", "figure", "fig1"]) == 0
-    assert main(["--out", str(out), "--samples", "1", "verify", "jjjj"]) == 0
+    assert main(["--out", str(out), "figure", "fig1", "--samples", "1"]) == 0
+    assert main(["--out", str(out), "verify", "jjjj", "--samples", "1"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "3", "zeros", "q"], ["--samples", "5", "verify", "jjjj"],
+    ["figure", "fig2", "--seed", "3"],
+], ids=["seed-before-command", "samples-before-command", "figure-seed"])
+def test_seed_and_samples_only_where_read(argv, capsys):
+    # --seed belongs to verify, --samples to verify and figure: anywhere
+    # else they are a usage error, not an option that does nothing
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "sliceregular: error:" in capsys.readouterr().err
 
 
 # Components from 1e-300 to 1e300 in size, either sign, signed zeros and

@@ -209,16 +209,27 @@ def test_rank_gate_is_relative_on_the_real_axis(s, q0):
     assert is_singular(f, q0).singular == (rank != 4)
 
 
-@pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("s", [1e-300, 1e-170, 1e-12, 1.0, 1e12, 1e160, 1e200, 1e300])
 def test_singularity_gates_are_relative_off_the_real_axis(s):
-    # every verdict is the one at s = 1: s (q^2 + qi) has rank 4 at
-    # 0.3 + 0.5i + 0.2j, s (q^3 + q) is not constant on the sphere 2S,
-    # and s (q^2 + 1) vanishes on S, so it is singular and constant there
+    # every verdict is the one at s = 1, also where |A1|^2 and |A2|^2
+    # leave float64: s (q^2 + qi) has rank 4 at 0.3 + 0.5i + 0.2j and at
+    # the real point 0.2, and rank 2 on its singular plane with the
+    # witness of s = 1; s (q^3 + q) is not constant on the sphere 2S, and
+    # s (q^2 + 1) vanishes on S, so it is singular and constant there
     f = RegularSeries.polynomial(Quaternion(), Quaternion(0.0, s), Quaternion(s))
-    q0 = Quaternion(0.3, 0.5, 0.2)
+    q0, plane = Quaternion(0.3, 0.5, 0.2), Quaternion(0.0, -0.5, 0.3, 0.1)
     assert rank_classify(f, q0).rank == Rank.RANK4
+    assert rank_classify(f, Quaternion(0.2)).rank == Rank.RANK4
+    assert rank_classify(f, plane).rank == Rank.RANK2
     assert differential_at(f, q0).rank() == 4
     assert not is_singular(f, q0).singular
+    cert = is_singular(f, plane)
+    assert cert.singular and abs(cert.witness - is_singular(F, plane).witness) <= 1e-15
+    value, ocs = induced_ocs(f, q0)
+    assert max(map(abs, value - s * eval_series(F, q0))) <= 1e-15 * s
+    assert ocs.unit == induced_ocs(F, q0)[1].unit
+    with pytest.raises(SingularPoint):
+        induced_ocs(f, plane)
     cubic = RegularSeries.polynomial(Quaternion(), Quaternion(s), Quaternion(),
                                      Quaternion(s))
     assert not is_degenerate_sphere(cubic, Sphere(0.0, 2.0))

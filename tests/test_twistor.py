@@ -392,7 +392,7 @@ def test_j_involution_properties():
     # the projection of jZ is the same point of HP1 (the fibre is j-stable)
     h1 = twistor_project(Z)
     h2 = twistor_project(j_involution(Z))
-    assert h1.equals(h2, 1e-9)
+    assert h1.equals(h2)
 
 
 def test_fiber_plucker_sigma_fixed():

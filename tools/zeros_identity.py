@@ -11,16 +11,17 @@ interpreter, and compares one JSON line per item as bytes.
   coefficients and `zeros(f).to_json()`, or the exception `zeros`
   raised, and the warnings it gave.
 - `geometry`: every target c of `bench/inputs.geometry_items` (2000
-  per seed).  The line holds the exit code and output of
-  `sliceregular classify c`, and at each preimage p of c the results
-  of `rank_classify`, `induced_ocs` (the value and unit, or the
-  exception type and message) and `differential_at` (the matrix and
-  the warnings it raised: none, so a warning that appears there shows
-  as a difference) and `is_singular` (the verdict and the witness), for
-  q -> q^2 + qi.  The twistor layer is compared
-  at p too: `eval_series` there, the chart point (u, v) of
-  `phi_inverse`, and `lift` at (u, v) and `twistor_transform` at v as
-  JSON, or the exception one of them raised.
+  per seed).  The line holds the exit code of `sliceregular classify c`
+  and its report, parsed from JSON so that --rtol compares its numbers
+  (the printed text where it exits nonzero), and at each preimage p of
+  c the results of `rank_classify`, `induced_ocs` (the value and unit,
+  or the exception type and message) and `differential_at` (the matrix
+  and the warnings it raised: none, so a warning that appears there
+  shows as a difference) and `is_singular` (the verdict and the
+  witness), for q -> q^2 + qi.  The twistor layer is compared at p too:
+  `eval_series` there, the chart point (u, v) of `phi_inverse`, and
+  `lift` at (u, v) and `twistor_transform` at v as JSON, or the
+  exception one of them raised.
 - `parse`: every expression e of `zeros_items` and every prefix of it
   that ends at a token boundary goes through `parse_polynomial`, so the
   parser's error paths are compared too, and then the negated variant
@@ -113,7 +114,8 @@ def _dump_geometry(seeds: list[int]) -> None:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(["classify", *map(repr, c)])
-            line = [code, out.getvalue()]
+            text = out.getvalue()
+            line = [code, json.loads(text) if code == 0 else text]
             for p in preimages(Quaternion(*c)):
                 rc = rank_classify(F_PAR, p)
                 cert = is_singular(F_PAR, p)
