@@ -19,7 +19,7 @@ import warnings
 from .errors import ConditioningWarning, DomainError, OutsideRadius, ZeroPolynomial
 from .parabola import (discriminant_D, fiber_intersections, figure1_rows,
                        figure2_cells, j_minus, j_plus)
-from .parsing import ParseError, parse_polynomial
+from .parsing import ParseError, _check_degree, parse_polynomial
 from .quat_core import Quaternion
 from .regular_fn import RegularSeries, eval_series, zeros
 from .verify import SUITES, run_suite
@@ -103,6 +103,9 @@ def cmd_eval(args) -> int:
 def cmd_zeros(args) -> int:
     try:
         f = _load_polynomial(args.poly)
+        # the expression grammar caps degrees as it parses; a JSON series
+        # meets the same cap here, since zeros() grows as degree^3
+        _check_degree(f.degree, "degree")
     except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quat_core import I, J, K, ONE, Quaternion, Sphere, hamilton
+from .quat_core import I, J, K, ONE, Quaternion, Sphere, _last_call, hamilton
 from .regular_fn import (Q4, RegularSeries, _check_radius, _expansion, _norm,
                          _terms)
 
@@ -152,10 +152,12 @@ def _in_perp(p: Quaternion, a1: Q4, a2: Q4) -> bool:
     return abs(w * 0.0 + x * (px / n) + y * (py / n) + z * (pz / n)) <= ptol
 
 
+@_last_call
 def _classify(f: RegularSeries, p: Quaternion
               ) -> tuple[Rank, Quaternion | None, Quaternion, Quaternion, Quaternion]:
     """(rank, witness, A0, A1, A2) at a checked point p: the one decision
-    behind rank_classify, is_singular and induced_ocs.
+    behind rank_classify, is_singular and induced_ocs, remembered for
+    the last (f, p), f by identity and p by its float bits.
 
     Below rank 4 the witness is the zero on the sphere of the linear
     part A1 + (q - p-bar) A2 of the quotient of f - f(p) by (q - p):
@@ -183,6 +185,11 @@ def rank_classify(f: RegularSeries, q0: Quaternion) -> RankClass:
     ValueError unless |q0|^2 is finite.  A1 and A2 are negligible within
     1e-10 of the terms that cancel in them (their Taylor coefficients on
     the real axis), at any scale of f and q0.
+
+    A repeat call with the f and q0 of the last call here, in
+    is_singular or in ocs.induced_ocs returns the remembered decision;
+    f is compared by identity and q0 by its float bits (0.0 and -0.0
+    differ).
     """
     rank, _, _, a1, a2 = _classify(f, _point(q0))
     return RankClass(rank, a1, a2)
@@ -200,7 +207,9 @@ def is_singular(f: RegularSeries, q0: Quaternion) -> SingularityCertificate:
 
     The witness is the zero on that sphere of the quotient of f - f(q0)
     by (q - q0).  A constant is singular everywhere.  Raises ValueError
-    for a series, or unless |q0|^2 is finite.
+    for a series, or unless |q0|^2 is finite.  A repeat call with the
+    f (by identity) and q0 (by float bits) of the last decision returns
+    it remembered, as in rank_classify.
     """
     if not f.is_polynomial:
         raise ValueError("is_singular expects a polynomial")

@@ -57,7 +57,9 @@ def induced_ocs(f: RegularSeries, q: Quaternion) -> tuple[Quaternion, OCSValue]:
     by the imaginary unit of the image).  Fails with SingularPoint where
     the differential of f is not invertible, as rank_classify decides
     it, and with ValueError unless |q|^2 is finite.  f(q) is the
-    expansion coefficient A0 that decision computes on the way.
+    expansion coefficient A0 that decision computes on the way.  A
+    repeat call with the f (by identity) and q (by float bits) of the
+    last decision returns it remembered, as in rank_classify.
     """
     p = _point(q)
     unit = imag_unit(p)  # RealArgument on the real axis

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NotOnSurface
 from .ocs import OCSValue, j_standard
-from .quat_core import I as QI, Quaternion, is_real
+from .quat_core import I as QI, Quaternion, _last_call, is_real
 from .regular_fn import RegularSeries
 from .twistor import PROJ_TOL, ProjectivePoint3
 
@@ -128,7 +128,16 @@ def preimages(c: Quaternion) -> list[Quaternion]:
     paraboloid the fibre is the branch point -i/2 + i w2 j, and
     elsewhere one scalar equation for (2 Re q)^2 gives both points.
     Raises ValueError when c is not finite or |c|^2 overflows float64.
+
+    A repeat call on the c of the last call, the same float bits (so
+    0.0 and -0.0 differ), returns the remembered points in a new list.
     """
+    return list(_fibre(c))
+
+
+@_last_call
+def _fibre(c: Quaternion) -> tuple[Quaternion, ...]:
+    """preimages(c) as a tuple."""
     if not math.isfinite(c.norm_sq()):
         raise ValueError(f"the target must be finite with |c|^2 finite in "
                          f"float64, got {c}")
@@ -136,12 +145,12 @@ def preimages(c: Quaternion) -> list[Quaternion]:
     c2_sq = c.y * c.y + c.z * c.z
     if _in_plane_li(c):
         root = cmath.sqrt(4.0 * c1 - 1.0)
-        pts = [Quaternion.from_complex(0.5 * (-1j + root)),
-               Quaternion.from_complex(0.5 * (-1j - root))]
+        pts = (Quaternion.from_complex(0.5 * (-1j + root)),
+               Quaternion.from_complex(0.5 * (-1j - root)))
     elif on_paraboloid(c) and abs(c1 + c2_sq - 0.25) <= MAP_TOL * (1.0 + abs(c)):
         # the branch point -i/2 + i c2 j, where the two sheets meet; the
         # second test keeps the image within MAP_TOL when |c| is large
-        return [Quaternion.from_complex_pair(-0.5j, 1j * c2)]
+        return (Quaternion.from_complex_pair(-0.5j, 1j * c2),)
     else:
         # q = z + wj: z^2 + iz - |w|^2 = c1 and (2 Re z - i) w = c2, so
         # 2z + i = +-r with r^2 = 4(c1 + mu) - 1, mu = |w|^2 = |c2|^2/(1 + y),
@@ -161,15 +170,17 @@ def preimages(c: Quaternion) -> list[Quaternion]:
             # r comes from the stable complex square root
             r = cmath.sqrt(4.0 * (c1 + c2_sq / (1.0 + scale * t)) - 1.0)
             u = r.real
-        pts = [Quaternion.from_complex_pair(0.5 * (-r - 1j), c2 / (-u - 1j)),
-               Quaternion.from_complex_pair(0.5 * (r - 1j), c2 / (u - 1j))]
+        pts = (Quaternion.from_complex_pair(0.5 * (-r - 1j), c2 / (-u - 1j)),
+               Quaternion.from_complex_pair(0.5 * (r - 1j), c2 / (u - 1j)))
     if abs(pts[0] - pts[1]) <= MAP_TOL * (1.0 + abs(pts[0])):
         pts = pts[:1]
     return pts
 
 
+@_last_call
 def _extended_pair(c: Quaternion) -> tuple[OCSValue, OCSValue]:
-    pts = preimages(c)  # first, so a non-finite c raises the boundary error
+    """(J+, J-) at c, remembered for the last c as preimages is."""
+    pts = _fibre(c)  # first, so a non-finite c raises the boundary error
     # a preimage that is_real at its own scale puts c on the parabola to
     # working precision, even where on_parabola's tolerance is tighter
     if on_parabola(c) or any(map(is_real, pts)):
@@ -187,12 +198,22 @@ def _extended_pair(c: Quaternion) -> tuple[OCSValue, OCSValue]:
 
 
 def j_plus(c: Quaternion) -> OCSValue:
-    """The structure induced by the right-half-space branch of the cover."""
+    """The structure induced by the right-half-space branch of the cover.
+
+    Raises DomainError on the parabola and inside the solid paraboloid,
+    where the structures are undefined, and ValueError when c is not
+    finite or |c|^2 overflows float64.  J+ and J- come from one
+    computation, remembered for the last c of either, compared by its
+    float bits as in preimages.
+    """
     return _extended_pair(c)[0]
 
 
 def j_minus(c: Quaternion) -> OCSValue:
-    """The structure induced by the left-half-space branch of the cover."""
+    """The structure induced by the left-half-space branch of the cover.
+
+    Raises and remembers as j_plus does.
+    """
     return _extended_pair(c)[1]
 
 
@@ -287,7 +308,7 @@ def fiber_polynomial(c: Quaternion) -> np.ndarray:
     return np.array([c.norm_sq(), -2.0 * c.x, 1.0 - 2.0 * c.w, 0.0, 1.0])
 
 
-def _ruling_parameters(pts: list[Quaternion]) -> list[complex]:
+def _ruling_parameters(pts: tuple[Quaternion, ...]) -> list[complex]:
     """Re p -+ i |Im p| for each preimage p: the roots of R(v), which is
     the symmetrization of q^2 + qi - c; a branch point gives double roots."""
     if len(pts) == 1:
@@ -304,7 +325,7 @@ def fiber_intersections(c: Quaternion) -> FiberClass:
 
     Raises ValueError when c is not finite or |c|^2 overflows float64.
     """
-    roots = tuple(_ruling_parameters(preimages(c)))
+    roots = tuple(_ruling_parameters(_fibre(c)))
     in_li = _in_plane_li(c)
     if in_li and abs(c.complex_pair()[0] - 0.25) <= GEOM_TOL:
         kind = FiberKind.AT_FOCUS

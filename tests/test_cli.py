@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sliceregular import cli
 from sliceregular.cli import MAX_GRID, main
 from sliceregular.parabola import quartic_K_affine
 from sliceregular.parsing import MAX_DEGREE, ParseError, _check_degree, parse_polynomial
@@ -607,6 +608,37 @@ def test_degree_cap_admits_max_degree():
     assert parse_polynomial(f"q^{MAX_DEGREE}").degree == MAX_DEGREE
     assert parse_polynomial(f"q^{MAX_DEGREE - 1}*q").degree == MAX_DEGREE
     assert parse_polynomial("q^0003").degree == 3
+
+
+def _power_json(degree: int) -> str:
+    """q^degree as a JSON series: degree zero coefficients and a one."""
+    return json.dumps({"coeffs": [[0.0] * 4] * degree + [[1.0, 0.0, 0.0, 0.0]]})
+
+
+def test_degree_cap_holds_for_json_zeros(tmp_path, capsys, monkeypatch):
+    # the zero finder grows as degree^3, so a JSON series above the cap
+    # of the expression grammar exits 2 before it starts
+    path = tmp_path / "f.json"
+    path.write_text(_power_json(MAX_DEGREE + 1))
+    started = []
+    monkeypatch.setattr(cli, "zeros", started.append)
+    for poly in (_power_json(MAX_DEGREE + 1), str(path)):  # 258 coefficients
+        assert main(["zeros", poly]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: degree 257 exceeds MAX_DEGREE")
+        assert len(captured.err.splitlines()) == 1
+    assert started == []
+
+
+def test_degree_cap_admits_json_of_max_degree(tmp_path):
+    out = tmp_path / "z.json"
+    assert main(["--out", str(out), "zeros", _power_json(MAX_DEGREE)]) == 0
+    assert read_json(out)["points"] == [{"point": [0.0, 0.0, 0.0, 0.0],
+                                         "multiplicity": MAX_DEGREE}]
+    # eval's cost is linear in the degree, so it takes any degree
+    assert main(["--out", str(out), "eval", _power_json(2 * MAX_DEGREE),
+                 "[0.5,0,0,0]"]) == 0
 
 
 def test_classify_negative_scientific_coordinate(tmp_path):

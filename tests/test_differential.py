@@ -13,6 +13,7 @@ from sliceregular import (ConditioningWarning, OCSValue, OutsideRadius,
                           induced_ocs, is_degenerate_sphere, is_singular,
                           rank_classify, slice_values, spherical_expansion,
                           star_mul)
+from sliceregular.differential import _classify
 from sliceregular.parsing import parse_polynomial
 from sliceregular.quat_core import I, J, K, ONE, REAL_EPS, sphere_of
 from sliceregular.regular_fn import SphericalExpansion
@@ -652,3 +653,82 @@ def test_non_finite_point_raises_value_error(fn, q0):
         with pytest.raises(ValueError, match="finite") as info:
             fn(F, q0)
     assert type(info.value) is ValueError
+
+
+# rank_classify, is_singular and induced_ocs remember the last decision.
+# The fresh decision comes from the function the memo wraps, and every
+# comparison is of float bits, in which -0.0 differs from 0.0.
+
+
+def _bits(*qs) -> list[tuple[str, ...]]:
+    return [tuple(map(float.hex, q)) for q in qs]
+
+
+def _check_against_fresh(f: RegularSeries, p: Quaternion) -> None:
+    rank, witness, a0, a1, a2 = _classify.__wrapped__(f, p)
+    rc = rank_classify(f, p)
+    assert rc.rank is rank and _bits(rc.a1, rc.a2) == _bits(a1, a2)
+    cert = is_singular(f, p)
+    assert cert.singular is (rank is not Rank.RANK4)
+    if witness is None:
+        assert cert.witness is None
+        value, _ = induced_ocs(f, p)
+        assert _bits(value) == _bits(a0)
+    else:
+        assert _bits(cert.witness) == _bits(witness)
+        with pytest.raises(SingularPoint):
+            induced_ocs(f, p)
+
+
+def test_decision_memo_keys_series_by_identity():
+    p = Quaternion(-0.5, -0.0, -0.0, 0.5)
+    fa = RegularSeries((Quaternion(1.0, 0.0), ONE))
+    fb = RegularSeries((Quaternion(1.0, -0.0), ONE))  # f(p) keeps this -0.0
+    fc = RegularSeries(fa.coeffs)
+    assert fa == fb == fc and fc is not fa
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (fa, fb, fc, fb, fa, fa):
+            _check_against_fresh(f, p)
+        assert _bits(induced_ocs(fa, p)[0]) != _bits(induced_ocs(fb, p)[0])
+
+
+def test_decision_memo_survives_id_reuse():
+    # each series is freed after its calls, so its id may be handed to
+    # the next one; the memo keeps the last one alive, so it is not
+    p = Quaternion(0.3, 0.5, -0.2, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(200):
+            _check_against_fresh(RegularSeries((Quaternion(float(k)), ONE, ONE)), p)
+
+
+def test_decision_memo_tells_points_apart():
+    a, b = Quaternion(0.3, 0.5, -0.2, 0.1), Quaternion(0.3, 0.5, -0.2, -0.1)
+    singular = Quaternion(0.0, -0.5, 0.3, 0.0)  # on F's singular plane
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (a, b, a, singular, a, singular, singular, b):
+            _check_against_fresh(F, p)
+
+
+def test_decision_errors_raise_on_every_call():
+    f = RegularSeries((ONE, ONE, ONE), radius=1.0)
+    inside, outside = Quaternion(0.1, 0.2), Quaternion(0.1, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            for fn in (rank_classify, induced_ocs):
+                for _ in range(2):
+                    with pytest.raises(OutsideRadius):
+                        fn(f, outside)
+                fn(f, inside)
+
+
+def test_decision_memo_tells_numpy_scalars_from_floats():
+    # a point of numpy scalars has the bits of its float twin, but its
+    # witness is computed, and answered, in numpy scalars
+    pf = Quaternion(0.0, -0.5, 0.3, 0.0)  # on F's singular plane
+    pn = Quaternion(*map(np.float64, pf))
+    for p, kind in ((pn, np.float64), (pf, float), (pn, np.float64), (pf, float)):
+        assert {type(t) for t in is_singular(F, p).witness} == {kind}

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -13,7 +15,8 @@ from sliceregular import (DomainError, FiberKind, NotOnSurface, ProjectivePoint3
                           lift, on_parabola, on_paraboloid,
                           osculating_sphere_point, preimages, quartic_K,
                           singular_locus_class, zeros)
-from sliceregular.parabola import F_PAR, figure1_rows, figure2_cells
+from sliceregular.parabola import (F_PAR, _extended_pair, _fibre, figure1_rows,
+                                   figure2_cells)
 from sliceregular.quat_core import I
 from sliceregular.verify import (fibre_chart_points, monomial_rows,
                                  sylvester_resultant_quartic)
@@ -181,6 +184,106 @@ def test_structures_domain_errors():
 def test_structures_agree_on_branch_locus():
     c = Quaternion(0.25 - 0.36, 0.0, 0.6, 0.0)
     assert j_plus(c).close_to(j_minus(c))
+
+
+# preimages, j_plus and j_minus remember their last target.  The fresh
+# answers below come from the functions the memo wraps (__wrapped__),
+# and every comparison is of float bits, in which -0.0 differs from 0.0.
+
+
+def _bits(pts) -> list[tuple[str, ...]]:
+    return [tuple(map(float.hex, p)) for p in pts]
+
+
+def _fresh_units(c: Quaternion) -> list[tuple[str, ...]]:
+    return _bits([s.unit for s in _extended_pair.__wrapped__(c)])
+
+
+def test_preimages_memo_tells_signed_zeros_apart():
+    plus, minus = Quaternion(-5.0, 0.0, 0.0, 0.0), Quaternion(-5.0, -0.0, 0.0, 0.0)
+    assert plus == minus
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, second = preimages(plus), preimages(minus)
+    # the branch cut of cmath.sqrt orders the two fibres differently
+    assert first[0].x > 0.0 > second[0].x
+    assert _bits(first) == _bits(_fibre.__wrapped__(plus))
+    assert _bits(second) == _bits(_fibre.__wrapped__(minus))
+
+
+def test_preimages_returns_a_list_of_its_own():
+    c = Quaternion(0.3, 0.4, -0.2, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = preimages(c)
+        want = _bits(pts)
+        pts[0] = Quaternion(9.0)
+        pts.append(Quaternion(8.0))
+        assert _bits(preimages(c)) == want
+        assert _bits(preimages(c)) == want
+
+
+def test_repeat_targets_match_fresh_calls():
+    a, b = Quaternion(0.3, 0.4, -0.2, 0.7), Quaternion(-1.1, 0.2, 0.5, -0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fresh = {c: (_bits(_fibre.__wrapped__(c)), _fresh_units(c),
+                     fiber_intersections(c)) for c in (a, b)}
+        for c in (a, b, a, a, b):
+            pts, units, fc = fresh[c]
+            assert _bits(preimages(c)) == pts
+            assert _bits([j_plus(c).unit, j_minus(c).unit]) == units
+            assert _bits([j_minus(c).unit, j_plus(c).unit]) == units[::-1]
+            assert fiber_intersections(c) == fc
+
+
+def test_structure_errors_raise_on_every_call():
+    defined = Quaternion(0.3, 0.4, -0.2, 0.7)
+    fresh = dict(zip((j_plus, j_minus), _fresh_units(defined)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            for fn in (j_plus, j_minus):
+                for c in (Quaternion(0.49, 0.7), Quaternion(-1.0)):  # gamma, solid
+                    for _ in range(2):
+                        with pytest.raises(DomainError):
+                            fn(c)
+                for c in (Quaternion(math.nan), Quaternion(0.0, math.inf)):
+                    for _ in range(2):
+                        with pytest.raises(ValueError, match="must be finite"):
+                            fn(c)
+                # a target that succeeds in between leaves them raising
+                assert _bits([fn(defined).unit]) == [fresh[fn]]
+
+
+def test_memo_holds_under_threads():
+    # four threads, each cycling through four targets with a short
+    # switch interval: a key paired with another call's value would
+    # show as a wrong answer
+    targets = [Quaternion(0.25 * k - 1.0, 0.3, -0.2, 0.1 * k + 0.05) for k in range(4)]
+    want = [(_bits(_fibre.__wrapped__(c)), _fresh_units(c)) for c in targets]
+    wrong = []
+
+    def work(k: int) -> None:
+        for n in range(300):
+            m = (k + n) % len(targets)
+            c = targets[m]
+            got = (_bits(preimages(c)), _bits([j_plus(c).unit, j_minus(c).unit]))
+            if got != want[m]:
+                wrong.append((k, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_quartic_spot_values():
