@@ -1,7 +1,8 @@
 """Command-line front end: evaluate, find zeros, classify, verify, plot data.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(malformed or non-finite input included), 3 domain error (an answer that
+(malformed or non-finite input, and an --out that cannot be written,
+included), 3 domain error (an answer that
 overflows float64, and a zero set that float64 cannot resolve, included),
 4 degenerate input.
 """
@@ -33,6 +34,10 @@ EXIT_DEGENERATE = 4
 # The largest `figure --grid`: fig2 holds several (grid+1)^3 float64
 # arrays at once, each under 70 MB at 200 (the benchmark draws at 60).
 MAX_GRID = 200
+# The largest `figure fig1 --samples`: fig1 builds about three rows, each
+# a Python tuple and a CSV line, per sample; at this count about 300,000
+# rows, 100 MB and a second (Python 3.11, one core).
+MAX_FIG1_SAMPLES = 100_000
 
 
 def _read_json(load, text: str | bytes):
@@ -64,14 +69,21 @@ def _load_quaternion(text: str) -> Quaternion:
     return series.coeff(0)
 
 
-def _emit(args, text: str):
+def _emit(args, text: str) -> int:
+    """Write text to --out or stdout; an --out that cannot be written is
+    a usage error, so that verify's exit 1 stays a failed check."""
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+    return EXIT_OK
 
 
 def _emit_json(args, obj) -> int:
@@ -81,8 +93,7 @@ def _emit_json(args, obj) -> int:
     except ValueError:
         print("domain error: the answer overflows float64", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(args, text)
-    return EXIT_OK
+    return _emit(args, text)
 
 
 def cmd_eval(args) -> int:
@@ -159,8 +170,7 @@ def cmd_verify(args) -> int:
               + ", ".join(sorted(SUITES)), file=sys.stderr)
         return EXIT_USAGE
     result = run_suite(args.suite, seed=args.seed, samples=args.samples)
-    _emit(args, result.summary())
-    return EXIT_OK if result.passed else EXIT_VERIFY_FAIL
+    return _emit(args, result.summary()) or (EXIT_OK if result.passed else EXIT_VERIFY_FAIL)
 
 
 def cmd_figure(args) -> int:
@@ -176,8 +186,7 @@ def cmd_figure(args) -> int:
     else:
         print(f"unknown figure {args.name!r}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit(args, "\n".join(lines) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,6 +238,8 @@ def _size_error(args) -> str | None:
     if samples is not None and samples < 1:
         return f"--samples must be at least 1, got {samples}"
     if args.command == "figure":
+        if samples is not None and samples > MAX_FIG1_SAMPLES:
+            return f"--samples must be at most {MAX_FIG1_SAMPLES}, got {samples}"
         if not 1 <= args.grid <= MAX_GRID:
             return f"--grid must be from 1 to {MAX_GRID}, got {args.grid}"
         if not (math.isfinite(args.extent) and args.extent > 0.0):

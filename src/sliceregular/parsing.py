@@ -120,8 +120,11 @@ class _Parser:
             digits = exp.lstrip("0") or "0"
             if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
                 raise ParseError(f"exponent {exp:.20} exceeds MAX_DEGREE = {MAX_DEGREE}")
-            _check_degree((len(base) - 1) * int(digits), "power degree")
-            base = _star_power(base, int(digits))
+            n = int(digits)
+            _check_degree((len(base) - 1) * n, "power degree")
+            # q^n from n star products from 1 sums only +0.0 and 1.0
+            # products to +0.0 accumulators: the monomial, exactly
+            base = [_ZERO4] * n + [_ONE4] if base is _ATOMS["q"] else _star_power(base, n)
         return base
 
     def atom(self) -> list:

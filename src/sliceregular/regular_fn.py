@@ -377,22 +377,64 @@ def slice_values(f: RegularSeries, x: float, y: float) -> tuple[Quaternion, Quat
 
 
 def _slice_pair(coeffs, v):
-    """(g(v), h(v), g(v-bar), h(v-bar)) for a_n = b_n + c_n j, by one complex
-    Horner loop, g = b_n + v g and h = c_n + v h, for v and v-bar at once;
-    v is a complex number or an array of them.
+    """(g(v), h(v), g(v-bar), h(v-bar)) for a_n = b_n + c_n j, by the
+    complex Horner loop g = b_n + v g and h = c_n + v h, run at v and
+    v-bar together; v is a number, or a numpy array of them, which runs
+    on _slice_stack with one row.
 
-    On a complex v these are eval_series's floats: its quaternion Horner
-    step at v in L_i does the same products in the same order, and adds
-    the zero products of the j-part besides, which change only the sign
-    of an exactly zero sum, and so a value only where a coefficient has
-    a -0.0 component.
+    A number runs the loop on Python complex numbers, whose products
+    round as the quaternion ones do and numpy's need not: these are
+    eval_series's floats, since its quaternion Horner step at v in L_i
+    does the same products in the same order, and adds the zero
+    products of the j-part besides, which change only the sign of an
+    exactly zero sum, and so a value only where a coefficient has a
+    -0.0 component.
     """
+    if isinstance(v, np.ndarray):
+        return tuple(_slice_stack(np.array(coeffs, dtype=float).reshape(1, -1, 4), v)[:, 0])
     vc = v.conjugate()
     g = h = gc = hc = 0j
     for w, x, y, z in reversed(coeffs):
         b, c = complex(w, x), complex(y, z)
         g, h, gc, hc = b + v * g, c + v * h, b + vc * gc, c + vc * hc
     return g, h, gc, hc
+
+
+def _slice_stack(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The split pair's Horner loop for every row of a at every point of
+    v at once: (g(v), h(v), g(v-bar), h(v-bar)) as one complex array of
+    shape (4, rows) + v.shape.
+
+    a holds each row's coefficients a_n = b_n + c_n j as floats (rows,
+    n, 4), constant term first, a shorter row padded at the top with
+    +0.0.  Each level of the loop is one broadcast multiply-add over all
+    rows and points, with the operands in the loop's order; at a padded
+    level the state stays at +0, as b_n + v 0 with b_n = +0.0 is for a
+    finite v, so every row gets the floats of a loop of its own.
+    """
+    pairs = a.view(complex)  # (rows, n, 2): b_n, c_n
+    levels = np.concatenate((pairs, pairs), axis=2).transpose(1, 2, 0)[::-1, :, :, None]
+    flat = v.reshape(-1)
+    at = np.array([flat, flat, flat.conjugate(), flat.conjugate()])[:, None]
+    state = np.zeros((4, len(a), flat.size), complex)
+    for b in levels:
+        np.multiply(at, state, out=state)
+        state += b
+    return state.reshape(state.shape[:2] + v.shape)
+
+
+def _derivative_rows(coeffs: list, count: int) -> np.ndarray:
+    """The coefficients of f and of its first count - 1 derivatives, as
+    _slice_stack takes them: row k + 1 is n a_n of row k for n >= 1,
+    each n a_n the float product of the scalar code, which overflows to
+    inf without a warning."""
+    out = np.zeros((count, len(coeffs), 4))
+    row = np.array(coeffs, dtype=float).reshape(-1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(count):
+            out[k, :len(row)] = row
+            row = row[1:] * np.arange(1.0, len(row))[:, None]
+    return out
 
 
 # zeros() works on complex pairs: a quaternion b + cj is the pair (b, c),
@@ -505,18 +547,20 @@ def _slice_parts(coeffs: list, v):
     return (0.5 * (g + gc), 0.5 * (h + hc)), (-0.5j * (g - gc), -0.5j * (h - hc))
 
 
-def _newton(e: list, v: np.ndarray, order: int, reach: np.ndarray) -> np.ndarray:
-    """v after a Newton step on the order-th derivative of e^s, where the
-    step is within reach.  On the slice e^s(v) = g(v) g^(v) + h(v) h^(v),
-    g^(v) = conj g(conj v), so Leibniz's rule gives its derivatives from
-    the split pair's Horner loop over the differentiated coefficients."""
-    parts = []
-    for _ in range(order + 2):
-        parts.append(_slice_pair(e, v))
-        e = [(n * w, n * x, n * y, n * z) for n, (w, x, y, z) in enumerate(e)][1:]
-    at = [sum(math.comb(k, j) * (parts[j][0] * np.conj(parts[k - j][2])
-                                 + parts[j][1] * np.conj(parts[k - j][3]))
-              for j in range(k + 1)) for k in (order, order + 1)]
+def _newton(e: list, v: np.ndarray, order: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """v after a Newton step on the order-th derivative of e^s, each v at
+    its own order, where the step is within reach.  On the slice e^s(v) =
+    g(v) g^(v) + h(v) h^(v), g^(v) = conj g(conj v), so Leibniz's rule
+    gives its derivatives from the split pairs of e's derivatives, all of
+    them at every v from one _slice_stack."""
+    parts = _slice_stack(_derivative_rows(e, int(order.max()) + 2), v)
+    np.conjugate(parts[2:], out=parts[2:])  # the hats at v
+    at = np.empty((2,) + v.shape, complex)
+    for k in set(order.tolist()):  # not np.unique, which imports numpy.ma
+        sub = order == k
+        g, h, g_hat, h_hat = parts[:, :, sub]
+        at[:, sub] = [sum(math.comb(n, j) * (g[j] * g_hat[n - j] + h[j] * h_hat[n - j])
+                          for j in range(n + 1)) for n in (k, k + 1)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         step = at[0] / at[1]
     return np.where(np.abs(step) <= reach, v - step, v)
@@ -568,9 +612,9 @@ def _read(e: list, w: np.ndarray, groups: list, radii: np.ndarray):
     spread = np.maximum.reduceat(np.abs(values - v[label]), start)
     order = np.where(real, size, size // 2) - 1
     rough = spread > 0.01 * RESIDUAL_TOL * np.abs(v)
-    for k in set(order[rough].tolist()):  # not np.unique, which imports numpy.ma
-        at = rough & (order == k)
-        v[at] = _newton(e, v[at], int(k), radii[size[at]] * np.abs(v[at]) + spread[at])
+    if rough.any():
+        v[rough] = _newton(e, v[rough], order[rough],
+                           radii[size[rough]] * np.abs(v[rough]) + spread[rough])
     v = np.where(real, v.real, v)
     alpha, beta = _slice_parts(e, v)
     scale = _terms(e, np.abs(v))

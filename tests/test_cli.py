@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import warnings
 
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sliceregular import cli
-from sliceregular.cli import MAX_GRID, main
+from sliceregular.cli import MAX_FIG1_SAMPLES, MAX_GRID, _size_error, build_parser, main
 from sliceregular.parabola import quartic_K_affine
 from sliceregular.parsing import MAX_DEGREE, ParseError, _check_degree, parse_polynomial
 from sliceregular.quat_core import I, J, K, ONE, Quaternion
-from sliceregular.regular_fn import RegularSeries, star_mul
+from sliceregular.regular_fn import _ONE4, _ZERO4, RegularSeries, _star_power, star_mul
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +290,17 @@ def test_parse_matches_oracle(text):
     assert _parsed(parse_polynomial, text) == _parsed(oracle_parse_polynomial, text)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 255, 256])
+def test_powers_of_q_are_the_star_powers(n):
+    # q^n is built as the monomial, the floats of n star products from 1;
+    # any other base still takes the products
+    want = [tuple(map(repr, c)) for c in _star_power([_ZERO4, _ONE4], n)]
+    for text in (f"q^{n}", f"(q)^{n}"):
+        assert [tuple(map(repr, c)) for c in parse_polynomial(text).coeffs] == want
+    for text in (f"-q^{n}", f"(2q)^{n}", f"(-q)^{n}", f"q^{n}*q"):
+        assert _parsed(parse_polynomial, text) == _parsed(oracle_parse_polynomial, text)
+
+
 # ---------------------------------------------------------------------------
 # CLI commands
 
@@ -375,6 +387,11 @@ def test_zeros_point_case(tmp_path):
     ["verify", "twistor-commute", "--samples", "0"],
     ["verify", "jjjj", "--samples", "-2"],
     ["figure", "fig1", "--samples", "0"],
+    ["figure", "fig1", "--samples", str(MAX_FIG1_SAMPLES + 1)],
+    ["--out", os.path.join(__file__, "x.json"), "zeros", "q^2+1"],
+    ["--out", os.curdir, "zeros", "q^2+1"],
+    ["--out", os.curdir, "verify", "transform-spot", "--samples", "1"],
+    ["--out", os.path.join(__file__, "x.csv"), "figure", "fig1", "--samples", "4"],
 ], ids=["short-coefficient", "coeffs-not-a-list", "string-component",
         "classify-nan", "classify-inf", "nan-point", "nan-coefficient",
         "deeply-nested", "superscript-digit", "arabic-indic-digit",
@@ -382,13 +399,20 @@ def test_zeros_point_case(tmp_path):
         "eval-deeply-nested-expression", "negative-grid", "zero-grid",
         "grid-above-max", "nan-extent", "infinite-extent", "zero-extent",
         "negative-extent", "zero-samples-verify", "negative-samples-verify",
-        "zero-samples-fig1"])
+        "zero-samples-fig1", "samples-above-max-fig1", "out-under-a-file-zeros",
+        "out-a-directory-zeros", "out-a-directory-verify", "out-under-a-file-figure"])
 def test_malformed_input_exits_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_fig1_samples_cap_admits_the_cap():
+    # checked without drawing the figure at the cap
+    args = build_parser().parse_args(["figure", "fig1", "--samples", str(MAX_FIG1_SAMPLES)])
+    assert _size_error(args) is None
 
 
 def test_undecodable_json_file_exits_2(tmp_path):

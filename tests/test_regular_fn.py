@@ -493,6 +493,104 @@ def test_slice_values_matches_oracle(f, x, y):
         assert [bits(v) for v in got] == [bits(v) for v in want]
 
 
+# The loops that _slice_stack replaced, kept as oracles: the split
+# pair's Horner loop on an array, and the Newton step at one order,
+# which _read took once per order, on the group centres of that order.
+
+
+def oracle_slice_pair(coeffs, v):
+    vc = v.conjugate()
+    g = h = gc = hc = 0j
+    for w, x, y, z in reversed(coeffs):
+        b, c = complex(w, x), complex(y, z)
+        g, h, gc, hc = b + v * g, c + v * h, b + vc * gc, c + vc * hc
+    return g, h, gc, hc
+
+
+def oracle_step(e, v, order):
+    parts = []
+    for _ in range(order + 2):
+        parts.append(oracle_slice_pair(e, v))
+        e = [(n * w, n * x, n * y, n * z) for n, (w, x, y, z) in enumerate(e)][1:]
+    at = [sum(math.comb(k, j) * (parts[j][0] * np.conj(parts[k - j][2])
+                                 + parts[j][1] * np.conj(parts[k - j][3]))
+              for j in range(k + 1)) for k in (order, order + 1)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return at[0] / at[1]
+
+
+def complex_bits(values):
+    """The reprs of the real and imaginary part of every entry, flat."""
+    return [(repr(z.real), repr(z.imag)) for z in np.ravel(values).tolist()]
+
+
+# Degrees 1-16 as plain coefficient lists, with zero coefficients inside
+# and up to two trailing ones, of either sign, which nothing trims.
+coefficient_lists = st.builds(
+    lambda coeffs, pad: [tuple(c) for c in coeffs] + pad,
+    st.lists(quaternions, min_size=2, max_size=17),
+    st.lists(st.sampled_from([(0.0,) * 4, (-0.0,) * 4]), max_size=2))
+point_lists = st.lists(st.builds(complex, components, components), min_size=1, max_size=6)
+
+
+@st.composite
+def point_arrays(draw):
+    """A 1-d complex array, a strided view of one (as a column of a chart
+    array is), or a 0-d array."""
+    vs = draw(point_lists)
+    kind = draw(st.sampled_from(["1-d", "strided", "0-d"]))
+    if kind == "0-d":
+        return np.array(vs[0])
+    return np.repeat(vs, 2)[::2] if kind == "strided" else np.array(vs)
+
+
+@ORACLE
+@given(coefficient_lists, point_arrays())
+def test_slice_stack_matches_the_loop(coeffs, v):
+    # numpy's array products round alike at any shape or stride, and
+    # unlike its scalar ones: the loop's v-bar half at a 0-d array was
+    # scalar arithmetic, since conj of a 0-d array is a scalar, so a
+    # 0-d array now gives the values of a batch of one
+    got = regular_fn._slice_pair(coeffs, v)
+    want = oracle_slice_pair(coeffs, v.reshape(-1))
+    assert [complex_bits(t) for t in got] == [complex_bits(t) for t in want]
+    if v.ndim == 0:
+        assert all(type(t) is np.complex128 for t in got)
+    else:
+        assert all(t.shape == v.shape for t in got)
+
+
+@ORACLE
+@given(coefficient_lists, point_lists, st.data())
+@example([ONE, ONE, (-0.0,) * 4], [complex(-1.0, 1.0)], None)  # row 2 shows a -0.0 pad
+def test_newton_step_matches_one_pass_per_order(e, vs, data):
+    v = np.array(vs)
+    # each row of the stack, e and its derivatives to order 8, is its own loop's
+    stack = regular_fn._slice_stack(regular_fn._derivative_rows(e, 9), v)
+    row = e
+    for k in range(9):
+        want = oracle_slice_pair(row, v)  # 0j for a row of no coefficients
+        assert ([complex_bits(t) for t in stack[:, k]]
+                == [complex_bits(np.broadcast_to(t, v.shape)) for t in want])
+        row = [(n * w, n * x, n * y, n * z) for n, (w, x, y, z) in enumerate(row)][1:]
+    if data is None:
+        order, reach = np.zeros(v.size, int), ["inf"] * v.size
+    else:
+        order = np.array(data.draw(st.lists(st.integers(0, 7), min_size=v.size, max_size=v.size)))
+        reach = data.draw(st.lists(st.sampled_from(["inf", "zero", "at", "below"]),
+                                   min_size=v.size, max_size=v.size))
+    step = np.empty_like(v)
+    for k in set(order.tolist()):
+        at = order == k
+        step[at] = oracle_step(e, v[at], k)
+    # a step exactly as long as its reach is taken, one a bit longer is not
+    size = np.abs(step)
+    reach = np.choose([["inf", "zero", "at", "below"].index(r) for r in reach],
+                      [np.full(v.size, math.inf), np.zeros(v.size), size, np.nextafter(size, 0.0)])
+    want = np.where(size <= reach, v - step, v)
+    assert complex_bits(regular_fn._newton(e, v, order, reach)) == complex_bits(want)
+
+
 # ---------------------------------------------------------------------------
 # The zero counter: named inputs, repeated factors, and an exact oracle.
 
