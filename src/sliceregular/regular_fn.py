@@ -476,27 +476,28 @@ def _scaled_monic(coeffs: list) -> tuple[list, np.ndarray, int]:
     return e + [_ONE4], np.linalg.eigvals(m), k
 
 
-def _radii(n: int, tol: float, shrink: float) -> np.ndarray:
+def _radii(n: int, shrink: float) -> np.ndarray:
     """r(k) for k = 0..n, relative to a group's modulus: k folded
-    eigenvalues of a root of multiplicity k/2 of e^s, perturbed by tol,
-    spread by about 8 tol^(2/k).  Beyond a triple root r stays at r(6),
-    so that a 34-fold root, spread by eps^(1/34) = 0.35, does not count."""
+    eigenvalues of a root of multiplicity k/2 of e^s, perturbed by
+    GROUP_TOL, spread by about 8 GROUP_TOL^(2/k).  Beyond a triple root
+    r stays at r(6), so that a 34-fold root, spread by eps^(1/34) = 0.35,
+    does not count."""
     with np.errstate(divide="ignore"):
-        return shrink * 8.0 * tol ** (2.0 / np.minimum(np.arange(n + 1), 6))
+        return shrink * 8.0 * GROUP_TOL ** (2.0 / np.minimum(np.arange(n + 1), 6))
 
 
-def _tight(values: np.ndarray, tol: float) -> bool:
+def _tight(values: np.ndarray) -> bool:
     """Whether k values are the roots of t^k + s_2 t^(k-2) + ... + s_k in
-    t = z - c, c their mean, with every |s_j| <= tol (8 |c|)^j: one
+    t = z - c, c their mean, with every |s_j| <= GROUP_TOL (8 |c|)^j: one
     k-fold root perturbed as r(k) assumes, whatever the shape of the
     spread, where distinct roots in a row fail at s_2 = -sum(t^2) / 2."""
     t = values - values.mean()
-    bound = tol * (8.0 * abs(values.mean())) ** np.arange(2, len(t) + 1)
+    bound = GROUP_TOL * (8.0 * abs(values.mean())) ** np.arange(2, len(t) + 1)
     return bool(abs(np.sum(t * t)) <= 2.0 * bound[0]
                 and np.all(np.abs(np.poly(t)[2:]) <= bound))
 
 
-def _groups(w: np.ndarray, radii: np.ndarray, tol: float) -> list[np.ndarray]:
+def _groups(w: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
     """Indices of w in groups of even size, largest first.  A group of
     k >= 4 is a value and its k - 1 nearest others, folded to the upper
     half-plane, within r(k) |z| of it and _tight (unfolded, where its mean
@@ -512,7 +513,7 @@ def _groups(w: np.ndarray, radii: np.ndarray, tol: float) -> list[np.ndarray]:
             seed = np.argmin(np.where(ok[:, col], near[:, col], np.inf))
             picked = np.argsort(dist[seed], kind="stable")[:2 * col + 4]
             c = z[left[picked]].mean()
-            if _tight((w if c.imag <= radii[2 * col + 4] * abs(c) else z)[left[picked]], tol):
+            if _tight((w if c.imag <= radii[2 * col + 4] * abs(c) else z)[left[picked]]):
                 out.append(left[picked])
                 left = np.delete(left, picked)
                 break
@@ -546,11 +547,9 @@ def _slice_parts(coeffs: list, v):
     return (0.5 * (g + gc), 0.5 * (h + hc)), (-0.5j * (g - gc), -0.5j * (h - hc))
 
 
-def _newton(e: list, v: np.ndarray, order: np.ndarray,
-            reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton(e: list, v: np.ndarray, order: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """v after a Newton step on the order-th derivative of e^s, each v at
-    its own order, where the step is within reach, and the length of
-    every step, taken or not.  On the slice e^s(v) =
+    its own order, where the step is within reach.  On the slice e^s(v) =
     g(v) g^(v) + h(v) h^(v), g^(v) = conj g(conj v), so Leibniz's rule
     gives its derivatives from the split pairs of e's derivatives, all of
     them at every v from one _slice_stack."""
@@ -564,8 +563,7 @@ def _newton(e: list, v: np.ndarray, order: np.ndarray,
                           for j in range(n + 1)) for n in (k, k + 1)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         step = at[0] / at[1]
-    size = np.abs(step)
-    return np.where(size <= reach, v - step, v), size
+    return np.where(np.abs(step) <= reach, v - step, v)
 
 
 def _locate(v, alpha, beta, scale):
@@ -599,11 +597,7 @@ def _read(e: list, w: np.ndarray, groups: list, radii: np.ndarray):
     (Gentili & Stoppato, 2008).  A pair is _tight where s_2 =
     -(z_1 - z_2)^2 / 4 is.  A mean that spreads beyond RESIDUAL_TOL / 100
     takes a Newton step as a simple root of the derivative of e^s one
-    below its multiplicity there: mu off the real axis, 2 mu on it.  A
-    group whose step, taken or not, is more than 1/8 of the way to the
-    nearest eigenvalue outside it does not check out: it is a piece of a
-    wider cluster, as a pair of the ring of an 8-fold zero is, and its
-    residual, that of a point near a multiple zero, cannot tell.
+    below its multiplicity there: mu off the real axis, 2 mu on it.
     """
     z = w.real + 1j * np.abs(w.imag)
     size = np.array([len(g) for g in groups])
@@ -618,17 +612,9 @@ def _read(e: list, w: np.ndarray, groups: list, radii: np.ndarray):
     spread = np.maximum.reduceat(np.abs(values - v[label]), start)
     order = np.where(real, size, size // 2) - 1
     rough = spread > 0.01 * RESIDUAL_TOL * np.abs(v)
-    leap = np.zeros(len(groups), bool)
     if rough.any():
-        row = np.cumsum(rough) - 1  # a rough group's row in gap
-        gap = np.abs(z - v[rough, None])
-        own = rough[label]
-        gap[row[label[own]], members[own]] = np.inf
-        v[rough], step = _newton(e, v[rough], order[rough],
-                                 radii[size[rough]] * np.abs(v[rough]) + spread[rough])
-        # the pairs of a 9-fold zero step 0.12-0.27 of the gap, the groups
-        # of the benchmark's zeros-stream seeds 1-10 at most 0.04
-        leap[rough] = step > 0.125 * gap.min(axis=1)
+        v[rough] = _newton(e, v[rough], order[rough],
+                           radii[size[rough]] * np.abs(v[rough]) + spread[rough])
     v = np.where(real, v.real, v)
     alpha, beta = _slice_parts(e, v)
     scale = _terms(e, np.abs(v))
@@ -641,7 +627,7 @@ def _read(e: list, w: np.ndarray, groups: list, radii: np.ndarray):
             read = [(key, (key[0], 0.0, 0.0, 0.0), mu)] if vanish[n] else None
         else:
             read = _read_sphere(e, v[n], mu, points[n] if located[n] else None)
-        if tight[n] and read and not leap[n]:
+        if tight[n] and read:
             entries += read
         else:
             failed.append(group)
@@ -677,12 +663,10 @@ def zeros(f: RegularSeries) -> ZeroSet:
     eigenvalues of the block companion are the roots of f^s; they are
     grouped (_groups), and each group is read as a real point, a sphere
     or an isolated point and checked against f (_read).  The groups that
-    do not check out are grouped again at 16 GROUP_TOL, for the wider
-    spread of a zero of high multiplicity, and then at radii 1/64 as
-    large, for distinct zeros close together; if some still do not, a
-    ConditioningWarning says so, and the multiplicities sum to less than
-    the degree.  Raises ValueError for a coefficient or a zero beyond
-    float64.
+    do not check out are grouped again at radii 1/64 as large; if some
+    still do not, a ConditioningWarning says so, and the multiplicities
+    sum to less than the degree.  Raises ValueError for a coefficient or
+    a zero beyond float64.
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial vanishes identically")
@@ -696,10 +680,10 @@ def zeros(f: RegularSeries) -> ZeroSet:
     if len(coeffs) > low + 1:
         e, w, k = _scaled_monic(coeffs[low:])
         failed = [np.arange(len(w))]
-        for tol, shrink in ((GROUP_TOL, 1.0), (16.0 * GROUP_TOL, 1.0), (GROUP_TOL, 1.0 / 64.0)):
-            radii = _radii(len(w), tol, shrink)
+        for shrink in (1.0, 1.0 / 64.0):
+            radii = _radii(len(w), shrink)
             left = np.concatenate(failed)
-            read, failed = _read(e, w, [left[g] for g in _groups(w[left], radii, tol)], radii)
+            read, failed = _read(e, w, [left[g] for g in _groups(w[left], radii)], radii)
             entries += read
             if not failed:
                 break
