@@ -38,6 +38,14 @@ MAX_GRID = 200
 # a Python tuple and a CSV line, per sample; at this count about 300,000
 # rows, 100 MB and a second (Python 3.11, one core).
 MAX_FIG1_SAMPLES = 100_000
+# The largest `verify --samples`, for any suite.  Per sample,
+# nullstellensatz costs the most memory (six chart points, each a row of
+# 35 complex monomials, in one SVD: about 230 MB peak at this count), and
+# zeros-multiplicity the most time (about 0.4 ms, so 4 s here).
+# quartic-membership, which lifts all its samples at once, adds about
+# 8 MB here, and twistor-commute (about 66 us a sample) runs in under a
+# second (Python 3.11, one core).
+MAX_VERIFY_SAMPLES = 10_000
 
 
 def _read_json(load, text: str | bytes):
@@ -237,6 +245,11 @@ def _size_error(args) -> str | None:
     samples = getattr(args, "samples", None)  # verify and figure only
     if samples is not None and samples < 1:
         return f"--samples must be at least 1, got {samples}"
+    if args.command == "verify":
+        if samples is not None and samples > MAX_VERIFY_SAMPLES:
+            return f"--samples must be at most {MAX_VERIFY_SAMPLES}, got {samples}"
+        if args.seed < 0:  # numpy's generators take no negative seed
+            return f"--seed must be at least 0, got {args.seed}"
     if args.command == "figure":
         if samples is not None and samples > MAX_FIG1_SAMPLES:
             return f"--samples must be at most {MAX_FIG1_SAMPLES}, got {samples}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, zip_longest
+from itertools import accumulate, chain, zip_longest
 
 import numpy as np
 
@@ -423,13 +423,14 @@ def _slice_stack(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return state.reshape(state.shape[:2] + v.shape)
 
 
-def _derivative_rows(coeffs: list, count: int) -> np.ndarray:
+def _derivative_rows(coeffs, count: int) -> np.ndarray:
     """The coefficients of f and of its first count - 1 derivatives, as
     _slice_stack takes them: row k + 1 is n a_n of row k for n >= 1,
     each n a_n the float product of the scalar code, which overflows to
-    inf without a warning."""
+    inf without a warning.  coeffs is a list of 4-tuples or a (n, 4)
+    array."""
     out = np.zeros((count, len(coeffs), 4))
-    row = np.array(coeffs, dtype=float).reshape(-1, 4)
+    row = np.asarray(coeffs, dtype=float).reshape(-1, 4)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(count):
             out[k, :len(row)] = row
@@ -445,15 +446,15 @@ def _pair_mul(b, c, b2, c2):
     return b * b2 - c * c2.conjugate(), b * c2 + c * b2.conjugate()
 
 
-def _scaled_monic(coeffs: list) -> tuple[list, np.ndarray, int]:
-    """(e, w, k): the monic e_n = 2^(k(n-d)) a_n a_d^-1, whose zeros are
-    f's times 2^-k, and the 2d eigenvalues w of its complex block
-    companion, each coefficient entering as its adjoint [[b, c],
-    [-conj c, conj b]]: they are the roots of e^s (Seródio, Pereira &
-    Vitória, 2001).  2^k rounds M = max |a_n / a_d|^(1/(d-n)), with a_0 / 2
-    for a_0, to a power of two, so that the zeros are at most the
-    Fujiwara bound 2 M 2^-k <= 2 sqrt 2; exponents come first, so that
-    nothing overflows."""
+def _scaled_monic(coeffs: list) -> tuple[np.ndarray, np.ndarray, int]:
+    """(e, w, k): the monic e_n = 2^(k(n-d)) a_n a_d^-1 as a (d + 1, 4)
+    float array, whose zeros are f's times 2^-k, and the 2d eigenvalues
+    w of its complex block companion, each coefficient entering as its
+    adjoint [[b, c], [-conj c, conj b]]: they are the roots of e^s
+    (Seródio, Pereira & Vitória, 2001).  2^k rounds M = max |a_n /
+    a_d|^(1/(d-n)), with a_0 / 2 for a_0, to a power of two, so that the
+    zeros are at most the Fujiwara bound 2 M 2^-k <= 2 sqrt 2; exponents
+    come first, so that nothing overflows."""
     if not all(map(math.isfinite, chain.from_iterable(coeffs))):
         raise ValueError("the companion matrix of f overflows float64: "
                          "a coefficient is not finite")
@@ -465,15 +466,18 @@ def _scaled_monic(coeffs: list) -> tuple[list, np.ndarray, int]:
     k = round(max((logs[n] - logs[d]) / (d - n) for n in range(d)))
     # a_d^-1 2^exps[d]
     inv = Quaternion(*[math.ldexp(t, -exps[d]) for t in coeffs[d]]).inverse()
-    e = [hamilton([math.ldexp(t, k * (n - d) - exps[d]) for t in a], inv)
-         for n, a in enumerate(coeffs[:d])]
-    b = np.array([complex(w, x) for w, x, _, _ in e])
-    c = np.array([complex(y, z) for _, _, y, z in e])
+    e = np.array([hamilton([math.ldexp(t, k * (n - d) - exps[d]) for t in a], inv)
+                  for n, a in enumerate(coeffs[:d])] + [_ONE4])
+    b, c = e[:d].view(complex).T  # b_n = w + xi, c_n = y + zi
     m = np.zeros((2 * d, 2 * d), complex)
-    m[2:, :-2] = np.eye(2 * d - 2)
+    np.fill_diagonal(m[2:], 1.0)  # the identity block below the first two rows
     m[0::2, -2], m[0::2, -1] = -b, -c
     m[1::2, -2], m[1::2, -1] = c.conjugate(), -b.conjugate()
-    return e + [_ONE4], np.linalg.eigvals(m), k
+    return e, np.linalg.eigvals(m), k
+
+
+# GROUP_TOL^(2/k) for k = 0..6, the powers of _radii, 0 at k = 0
+_SPREAD = np.concatenate(([0.0], GROUP_TOL ** (2.0 / np.arange(1, 7))))
 
 
 def _radii(n: int, shrink: float) -> np.ndarray:
@@ -482,8 +486,7 @@ def _radii(n: int, shrink: float) -> np.ndarray:
     GROUP_TOL, spread by about 8 GROUP_TOL^(2/k).  Beyond a triple root
     r stays at r(6), so that a 34-fold root, spread by eps^(1/34) = 0.35,
     does not count."""
-    with np.errstate(divide="ignore"):
-        return shrink * 8.0 * GROUP_TOL ** (2.0 / np.minimum(np.arange(n + 1), 6))
+    return shrink * 8.0 * _SPREAD.take(np.arange(n + 1), mode="clip")
 
 
 def _tight(values: np.ndarray) -> bool:
@@ -497,16 +500,17 @@ def _tight(values: np.ndarray) -> bool:
                 and np.all(np.abs(np.poly(t)[2:]) <= bound))
 
 
-def _groups(w: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
-    """Indices of w in groups of even size, largest first.  A group of
-    k >= 4 is a value and its k - 1 nearest others, folded to the upper
-    half-plane, within r(k) |z| of it and _tight (unfolded, where its mean
-    is real to r(k)).  When none is left, the rest pair off as mutual
-    nearest neighbours, of which the closest two are always one."""
-    z = w.real + 1j * np.abs(w.imag)
-    left, out = np.arange(len(z)), []
+def _groups(w: np.ndarray, z: np.ndarray, left: np.ndarray, radii: np.ndarray) -> list[list]:
+    """The indices left of w in groups of even size, largest first, each
+    a list.  z is w folded to the upper half-plane.  A group of k >= 4 is
+    a value and its k - 1 nearest others, folded, within r(k) |z| of it
+    and _tight (unfolded, where its mean is real to r(k)).  When none is
+    left, the rest pair off as mutual nearest neighbours, of which the
+    closest two are always one.  The distances are taken once, and cut
+    down as groups leave."""
+    out = []
+    dist = np.abs(z[left, None] - z[left])
     while left.size >= 4:
-        dist = np.abs(z[left, None] - z[left])
         near = np.sort(dist, axis=1)[:, 3::2]  # the 4th, 6th, ... nearest
         ok = near <= radii[4:left.size + 1:2] * np.abs(z[left, None])
         for col in np.flatnonzero(ok.any(axis=0))[::-1]:
@@ -514,17 +518,18 @@ def _groups(w: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
             picked = np.argsort(dist[seed], kind="stable")[:2 * col + 4]
             c = z[left[picked]].mean()
             if _tight((w if c.imag <= radii[2 * col + 4] * abs(c) else z)[left[picked]]):
-                out.append(left[picked])
-                left = np.delete(left, picked)
+                out.append(left[picked].tolist())
+                keep = np.ones(left.size, bool)
+                keep[picked] = False
+                left, dist = left[keep], dist[keep][:, keep]
                 break
         else:
             break
-    dist = np.abs(z[left, None] - z[left])
     np.fill_diagonal(dist, np.inf)
     while left.size:
-        nn = dist.argmin(axis=1)
-        first = np.flatnonzero((nn[nn] == np.arange(left.size)) & (np.arange(left.size) < nn))
-        out += list(np.stack((left[first], left[nn[first]]), axis=1))
+        nn, at = dist.argmin(axis=1), np.arange(left.size)
+        first = np.flatnonzero((nn[nn] == at) & (at < nn))
+        out += map(list, zip(left[first].tolist(), left[nn[first]].tolist()))
         keep = np.ones(left.size, bool)
         keep[first] = keep[nn[first]] = False
         left, dist = left[keep], dist[keep][:, keep]
@@ -540,27 +545,30 @@ def _terms(coeffs: list, r, order: int = 0):
     return out
 
 
-def _slice_parts(coeffs: list, v):
-    """alpha and beta of f(x + yI) = alpha + I beta at v = x + yi, as
-    pairs, by the representation formula from f(v) and f(v-bar)."""
-    g, h, gc, hc = _slice_pair(coeffs, v)
-    return (0.5 * (g + gc), 0.5 * (h + hc)), (-0.5j * (g - gc), -0.5j * (h - hc))
+def _slice_parts(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta of f(x + yI) = alpha + I beta at v = x + yi, each
+    as the pair stacked in one array, by the representation formula
+    from f(v) and f(v-bar); e is f's coefficient array."""
+    parts = _slice_stack(e.reshape(1, -1, 4), v)[:, 0]  # g, h, g-bar, h-bar
+    return 0.5 * (parts[:2] + parts[2:]), -0.5j * (parts[:2] - parts[2:])
 
 
-def _newton(e: list, v: np.ndarray, order: np.ndarray, reach: np.ndarray) -> np.ndarray:
+def _newton(e, v: np.ndarray, order: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """v after a Newton step on the order-th derivative of e^s, each v at
     its own order, where the step is within reach.  On the slice e^s(v) =
     g(v) g^(v) + h(v) h^(v), g^(v) = conj g(conj v), so Leibniz's rule
     gives its derivatives from the split pairs of e's derivatives, all of
-    them at every v from one _slice_stack."""
+    them at every v from one _slice_stack.  The n + 1 terms of the n-th
+    derivative are one product, summed from 0 in the order of j."""
     parts = _slice_stack(_derivative_rows(e, int(order.max()) + 2), v)
     np.conjugate(parts[2:], out=parts[2:])  # the hats at v
     at = np.empty((2,) + v.shape, complex)
     for k in set(order.tolist()):  # not np.unique, which imports numpy.ma
         sub = order == k
         g, h, g_hat, h_hat = parts[:, :, sub]
-        at[:, sub] = [sum(math.comb(n, j) * (g[j] * g_hat[n - j] + h[j] * h_hat[n - j])
-                          for j in range(n + 1)) for n in (k, k + 1)]
+        for i, n in enumerate((k, k + 1)):
+            comb = np.array([math.comb(n, j) for j in range(n + 1)], float)
+            at[i, sub] = sum(comb[:, None] * (g[:n + 1] * g_hat[n::-1] + h[:n + 1] * h_hat[n::-1]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         step = at[0] / at[1]
     return np.where(np.abs(step) <= reach, v - step, v)
@@ -571,7 +579,7 @@ def _locate(v, alpha, beta, scale):
     whether each is an isolated zero: |alpha + u beta| is within
     RESIDUAL_TOL of the terms that cancel and |beta| is not, as it is
     where f vanishes on the whole sphere.  Values so small that their
-    products underflow fail."""
+    products underflow fail.  alpha and beta are stacked pairs."""
     (ab, ac), (bb, bc) = alpha, beta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cb, cc = _pair_mul(ab, ac, bb.conjugate(), -bc)  # -alpha conj(beta), up to sign
@@ -579,16 +587,18 @@ def _locate(v, alpha, beta, scale):
         ub, uc = -1j * (cb.imag / size), -cc / size
         rb, rc = _pair_mul(ub, uc, bb, bc)
     residual = np.hypot(np.abs(ab + rb), np.abs(ac + rc))
-    points = zip(v.real.tolist(), (v.imag * ub.imag).tolist(),
-                 (v.imag * uc.real).tolist(), (v.imag * uc.imag).tolist())
-    return list(points), ((residual <= RESIDUAL_TOL * scale)
-                          & (np.hypot(np.abs(bb), np.abs(bc)) > RESIDUAL_TOL * scale))
+    tol = RESIDUAL_TOL * scale
+    points = [(x, y * i, y * j, y * k) for x, y, i, j, k in zip(
+        v.real.tolist(), v.imag.tolist(), ub.imag.tolist(), uc.real.tolist(), uc.imag.tolist())]
+    return points, (residual <= tol) & (np.hypot(*np.abs(beta)) > tol)
 
 
-def _read(e: list, w: np.ndarray, groups: list, radii: np.ndarray):
+def _read(e: np.ndarray, rows: list, w: np.ndarray, z: np.ndarray,
+          groups: list, radii: np.ndarray):
     """(entries, failed): each group read as a real point, a sphere or an
     isolated point, an entry being (x, y), the point (None for the sphere
     x + yS) and the multiplicity; and the groups that do not check out.
+    rows are e's coefficients as 4-tuples, z is w folded.
 
     2 mu eigenvalues whose folded mean is real to r(k) are a real point
     of multiplicity mu; elsewhere a sphere carrying mu = 2m + n:
@@ -599,35 +609,38 @@ def _read(e: list, w: np.ndarray, groups: list, radii: np.ndarray):
     takes a Newton step as a simple root of the derivative of e^s one
     below its multiplicity there: mu off the real axis, 2 mu on it.
     """
-    z = w.real + 1j * np.abs(w.imag)
-    size = np.array([len(g) for g in groups])
-    label, start = np.repeat(np.arange(len(groups)), size), np.cumsum(size) - size
-    members = np.concatenate(groups)
+    sizes = [len(g) for g in groups]
+    members = list(chain.from_iterable(groups))
+    label = [n for n, m in enumerate(sizes) for _ in range(m)]
+    start = np.array(list(accumulate(sizes[:-1], initial=0)))
+    size = np.array(sizes)
     center = (np.bincount(label, z.real[members]) + 1j * np.bincount(label, z.imag[members])) / size
     real = center.imag <= radii[size] * np.abs(center)
     v = np.where(real, center.real, center)
+    modulus = np.abs(v)
     values = np.where(real[label], w[members], z[members])  # a real root spreads both ways
     tight = (size > 2) | (np.abs(values[start] - values[start + 1])
-                          <= 16.0 * math.sqrt(GROUP_TOL) * np.abs(v))
+                          <= 16.0 * math.sqrt(GROUP_TOL) * modulus)
     spread = np.maximum.reduceat(np.abs(values - v[label]), start)
-    order = np.where(real, size, size // 2) - 1
-    rough = spread > 0.01 * RESIDUAL_TOL * np.abs(v)
+    rough = spread > 0.01 * RESIDUAL_TOL * modulus
     if rough.any():
+        order = np.where(real, size, size // 2) - 1
         v[rough] = _newton(e, v[rough], order[rough],
-                           radii[size[rough]] * np.abs(v[rough]) + spread[rough])
-    v = np.where(real, v.real, v)
+                           radii[size[rough]] * modulus[rough] + spread[rough])
+        v = np.where(real, v.real, v)
     alpha, beta = _slice_parts(e, v)
-    scale = _terms(e, np.abs(v))
+    scale = np.array([_terms(rows, r) for r in np.abs(v).tolist()])
     points, located = _locate(v, alpha, beta, scale)
-    vanish = np.hypot(np.abs(alpha[0]), np.abs(alpha[1])) <= RESIDUAL_TOL * scale
+    vanish = np.hypot(*np.abs(alpha)) <= RESIDUAL_TOL * scale
     entries, failed = [], []
-    for n, group in enumerate(groups):
-        mu, key = int(size[n]) // 2, (v[n].real, v[n].imag)
-        if real[n]:
-            read = [(key, (key[0], 0.0, 0.0, 0.0), mu)] if vanish[n] else None
+    for group, m, c, on_axis, ok, zero, point, found in zip(
+            groups, sizes, v.tolist(), real.tolist(), tight.tolist(), vanish.tolist(),
+            points, located.tolist()):
+        if on_axis:
+            read = [((c.real, c.imag), (c.real, 0.0, 0.0, 0.0), m // 2)] if zero else None
         else:
-            read = _read_sphere(e, v[n], mu, points[n] if located[n] else None)
-        if tight[n] and read:
+            read = _read_sphere(rows, c, m // 2, point if found else None)
+        if ok and read:
             entries += read
         else:
             failed.append(group)
@@ -648,8 +661,8 @@ def _read_sphere(e: list, v: complex, mu: int, point) -> list | None:
             break
         e, m = quot, m + 1
     if m and mu > 2 * m:  # the quotient's own zero
-        found, located = _locate(np.array([v]), *_slice_parts(e, np.array([v])),
-                                 _terms(e, rho))
+        at = np.array([v])
+        found, located = _locate(at, *_slice_parts(np.array(e), at), _terms(e, rho))
         point = found[0] if located[0] else None
     if mu > 2 * m and point is None:
         return None
@@ -679,14 +692,16 @@ def zeros(f: RegularSeries) -> ZeroSet:
     entries, failed, k = [((0.0, 0.0), _ZERO4, low)] if low else [], [], 0
     if len(coeffs) > low + 1:
         e, w, k = _scaled_monic(coeffs[low:])
-        failed = [np.arange(len(w))]
+        rows = list(map(tuple, e.tolist()))
+        z = w.real + 1j * np.abs(w.imag)  # folded to the upper half-plane
+        left = np.arange(len(w))
         for shrink in (1.0, 1.0 / 64.0):
             radii = _radii(len(w), shrink)
-            left = np.concatenate(failed)
-            read, failed = _read(e, w, [left[g] for g in _groups(w[left], radii)], radii)
+            read, failed = _read(e, rows, w, z, _groups(w, z, left, radii), radii)
             entries += read
             if not failed:
                 break
+            left = np.array(list(chain.from_iterable(failed)))
     out = ZeroSet()
     try:
         for (x, y), p, mult in sorted(entries, key=lambda t: t[0]):

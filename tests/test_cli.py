@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sliceregular import cli
-from sliceregular.cli import MAX_FIG1_SAMPLES, MAX_GRID, _size_error, build_parser, main
+from sliceregular.cli import (MAX_FIG1_SAMPLES, MAX_GRID, MAX_VERIFY_SAMPLES, _size_error,
+                              build_parser, main)
 from sliceregular.parabola import quartic_K_affine
 from sliceregular.parsing import MAX_DEGREE, ParseError, _check_degree, parse_polynomial
 from sliceregular.quat_core import I, J, K, ONE, Quaternion
@@ -388,6 +389,8 @@ def test_zeros_point_case(tmp_path):
     ["verify", "jjjj", "--samples", "-2"],
     ["figure", "fig1", "--samples", "0"],
     ["figure", "fig1", "--samples", str(MAX_FIG1_SAMPLES + 1)],
+    ["verify", "twistor-commute", "--samples", str(MAX_VERIFY_SAMPLES + 1)],
+    ["verify", "jjjj", "--seed", "-1"],
     ["--out", os.path.join(__file__, "x.json"), "zeros", "q^2+1"],
     ["--out", os.curdir, "zeros", "q^2+1"],
     ["--out", os.curdir, "verify", "transform-spot", "--samples", "1"],
@@ -399,7 +402,8 @@ def test_zeros_point_case(tmp_path):
         "eval-deeply-nested-expression", "negative-grid", "zero-grid",
         "grid-above-max", "nan-extent", "infinite-extent", "zero-extent",
         "negative-extent", "zero-samples-verify", "negative-samples-verify",
-        "zero-samples-fig1", "samples-above-max-fig1", "out-under-a-file-zeros",
+        "zero-samples-fig1", "samples-above-max-fig1", "samples-above-max-verify",
+        "negative-seed-verify", "out-under-a-file-zeros",
         "out-a-directory-zeros", "out-a-directory-verify", "out-under-a-file-figure"])
 def test_malformed_input_exits_2(argv, capsys):
     assert main(argv) == 2
@@ -412,6 +416,13 @@ def test_malformed_input_exits_2(argv, capsys):
 def test_fig1_samples_cap_admits_the_cap():
     # checked without drawing the figure at the cap
     args = build_parser().parse_args(["figure", "fig1", "--samples", str(MAX_FIG1_SAMPLES)])
+    assert _size_error(args) is None
+
+
+def test_verify_samples_cap_admits_the_cap():
+    # checked without running a suite at the cap; seed 0 is the least
+    args = build_parser().parse_args(["verify", "nullstellensatz", "--seed", "0",
+                                      "--samples", str(MAX_VERIFY_SAMPLES)])
     assert _size_error(args) is None
 
 

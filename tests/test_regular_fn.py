@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from sliceregular import (ConditioningWarning, NotReal, OutsideRadius,
                           symmetrize, zeros)
 from sliceregular import regular_fn
 from sliceregular.parsing import parse_polynomial
-from sliceregular.quat_core import I, J, K, ONE, sphere_of
+from sliceregular.quat_core import I, J, K, ONE, hamilton, sphere_of
 
 RNG = np.random.default_rng(42)
 
@@ -589,6 +590,145 @@ def test_newton_step_matches_one_pass_per_order(e, vs, data):
                       [np.full(v.size, math.inf), np.zeros(v.size), size, np.nextafter(size, 0.0)])
     want = np.where(size <= reach, v - step, v)
     assert complex_bits(regular_fn._newton(e, v, order, reach)) == complex_bits(want)
+
+
+def test_newton_step_sums_from_zero():
+    # Python's sum adds the first Leibniz term to 0, which turns its -0.0
+    # components to +0.0; here that sign reaches the point the step gives
+    e = [(-0.0, -1.0, -1.0, -0.0), (2.0, -0.0, -0.0, -1.0)]
+    v = np.array([complex(-0.0, 1.0)])
+    want = v - oracle_step(e, v, 0)
+    got = regular_fn._newton(e, v, np.zeros(1, int), np.full(1, math.inf))
+    assert complex_bits(got) == complex_bits(want) == [("-0.0", "0.7")]
+
+
+# The companion and the grouping as they were before they shared one
+# fold, one distance matrix per grouping and one coefficient array,
+# kept as oracles.
+
+
+def oracle_scaled_monic(coeffs):
+    d = len(coeffs) - 1
+    exps = [math.frexp(max(map(abs, a)))[1] for a in coeffs]
+    logs = [math.log2(math.hypot(*[math.ldexp(t, -x) for t in a])) + x if any(a) else -math.inf
+            for a, x in zip(coeffs, exps)]
+    logs[0] -= 1.0
+    k = round(max((logs[n] - logs[d]) / (d - n) for n in range(d)))
+    inv = Quaternion(*[math.ldexp(t, -exps[d]) for t in coeffs[d]]).inverse()
+    e = [hamilton([math.ldexp(t, k * (n - d) - exps[d]) for t in a], inv)
+         for n, a in enumerate(coeffs[:d])]
+    b = np.array([complex(w, x) for w, x, _, _ in e])
+    c = np.array([complex(y, z) for _, _, y, z in e])
+    m = np.zeros((2 * d, 2 * d), complex)
+    m[2:, :-2] = np.eye(2 * d - 2)
+    m[0::2, -2], m[0::2, -1] = -b, -c
+    m[1::2, -2], m[1::2, -1] = c.conjugate(), -b.conjugate()
+    return e + [(1.0, 0.0, 0.0, 0.0)], np.linalg.eigvals(m), k
+
+
+def oracle_radii(n, shrink):
+    with np.errstate(divide="ignore"):
+        return shrink * 8.0 * regular_fn.GROUP_TOL ** (2.0 / np.minimum(np.arange(n + 1), 6))
+
+
+def oracle_groups(w, radii):
+    z = w.real + 1j * np.abs(w.imag)
+    left, out = np.arange(len(z)), []
+    while left.size >= 4:
+        dist = np.abs(z[left, None] - z[left])
+        near = np.sort(dist, axis=1)[:, 3::2]
+        ok = near <= radii[4:left.size + 1:2] * np.abs(z[left, None])
+        for col in np.flatnonzero(ok.any(axis=0))[::-1]:
+            seed = np.argmin(np.where(ok[:, col], near[:, col], np.inf))
+            picked = np.argsort(dist[seed], kind="stable")[:2 * col + 4]
+            c = z[left[picked]].mean()
+            if regular_fn._tight((w if c.imag <= radii[2 * col + 4] * abs(c) else z)[left[picked]]):
+                out.append(left[picked])
+                left = np.delete(left, picked)
+                break
+        else:
+            break
+    dist = np.abs(z[left, None] - z[left])
+    np.fill_diagonal(dist, np.inf)
+    while left.size:
+        nn = dist.argmin(axis=1)
+        first = np.flatnonzero((nn[nn] == np.arange(left.size)) & (np.arange(left.size) < nn))
+        out += list(np.stack((left[first], left[nn[first]]), axis=1))
+        keep = np.ones(left.size, bool)
+        keep[first] = keep[nn[first]] = False
+        left, dist = left[keep], dist[keep][:, keep]
+    return out
+
+
+@st.composite
+def planted(draw):
+    """The coefficients of a polynomial of degree 1-16 as zeros() takes
+    them, the constant term nonzero: random, or a product of clusters,
+    repeated linear factors (q - alpha)^n, repeated spherical factors
+    ((q - x)^2 + y^2)^n and same-sphere pairs (q - alpha)(q - beta),
+    beta on the sphere of alpha, times a lead coefficient."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(quaternions, min_size=2, max_size=17))
+    else:
+        f = RegularSeries.constant(draw(quaternions.filter(lambda c: not c.is_zero())))
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["linear", "spherical", "pair"]))
+            alpha = draw(quaternions)
+            n = draw(st.integers(1, 4))
+            if kind == "linear":
+                factor = star_power(RegularSeries.linear(alpha), n)
+            elif kind == "spherical":
+                x, y = alpha.w, math.hypot(alpha.x, alpha.y, alpha.z)
+                factor = star_power(RegularSeries.polynomial(
+                    Quaternion(x * x + y * y), Quaternion(-2.0 * x), ONE), n)
+            else:
+                y = math.hypot(alpha.x, alpha.y, alpha.z)
+                beta = Quaternion(alpha.w, 0.0, 0.6 * y, -0.8 * y)
+                factor = star_mul(RegularSeries.linear(alpha), RegularSeries.linear(beta))
+            f = star_mul(factor, f)
+        coeffs = list(f.coeffs)
+    coeffs = [tuple(c) for c in coeffs]
+    while coeffs and coeffs[0] == (0.0,) * 4:
+        coeffs.pop(0)
+    while coeffs and coeffs[-1] == (0.0,) * 4:
+        coeffs.pop()
+    assume(2 <= len(coeffs) <= 17 and all(map(math.isfinite, chain.from_iterable(coeffs))))
+    return coeffs
+
+
+@ORACLE
+@given(planted())
+@example([(-0.0, 0.0, -0.0, 1e-3), (1e3, -0.0, 0.0, -0.0), (0.0, 1.0, 0.0, -0.0)])
+def test_scaled_monic_matches_the_oracle(coeffs):
+    e, w, k = regular_fn._scaled_monic(coeffs)
+    want_e, want_w, want_k = oracle_scaled_monic(coeffs)
+    assert [bits(c) for c in e.tolist()] == [bits(c) for c in want_e]
+    assert complex_bits(w) == complex_bits(want_w)
+    assert k == want_k
+
+
+@ORACLE
+@given(planted())
+@example([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0),
+          (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)])  # (q^2 + 1)^2: a group of 4
+def test_groups_match_the_oracle(coeffs):
+    _, w, _ = regular_fn._scaled_monic(coeffs)
+    z = w.real + 1j * np.abs(w.imag)
+    for shrink in (1.0, 1.0 / 64.0):
+        radii = regular_fn._radii(len(w), shrink)
+        want = oracle_groups(w, radii)
+        assert regular_fn._groups(w, z, np.arange(len(w)), radii) == [g.tolist() for g in want]
+        # a second pass, over the groups that failed, here every other one
+        left = np.concatenate(want[::2])
+        assert (regular_fn._groups(w, z, left, radii)
+                == [left[g].tolist() for g in oracle_groups(w[left], radii)])
+
+
+def test_radii_match_the_oracle_to_the_largest_companion():
+    for n in range(2 * 256 + 1):
+        for shrink in (1.0, 1.0 / 64.0):
+            got, want = regular_fn._radii(n, shrink), oracle_radii(n, shrink)
+            assert list(map(repr, got.tolist())) == list(map(repr, want.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,18 @@ interpreter, and compares one JSON line per item as bytes.
   components.  The line of an item lists, text by text, the
   `ParseError` message or the first 16 hex digits of a sha256 of the
   parsed coefficients (a JSON-format item has no texts).
+- `adversarial`: a fixed list of polynomials, the same for every seed,
+  that reach the rare paths of `zeros`: the regrouping at radii 1/64
+  as large and the `ConditioningWarning`, which benchmark items reach
+  about 10 times in 10,000.  The list holds the named inputs of
+  ROADMAP item 1 (the four shrunk hypothesis draws of
+  `test_zeros_match_exact_factorization`, two triple zeros on spheres
+  0.5% apart, `(q^2+1.00002q+1)(q^2+0.99998q+1)` and `(q+i)^34`), then
+  300 products drawn from a fixed generator: a lead coefficient times
+  two or three repeated factors of multiplicity n = 2-4, linear
+  (q - a)^n or, a quarter of them, spherical ((q - x)^2 + y^2)^(n/2)
+  (n/2 rounded down), each on a sphere 0.5-5% from the one before it.  The line of an item is the `zeros` line.
+  Give one seed.
 - `paper`: the 14 verify suites at the acceptance seed and sample
   counts, and `figure fig1` and `figure fig2 --grid 60`, as
   `bench/inputs.py` lists them.  The line of a suite holds its
@@ -66,7 +78,7 @@ import sys
 import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COUNT = {"zeros": 1000, "geometry": 2000, "parse": 1000, "paper": 16}
+COUNT = {"zeros": 1000, "geometry": 2000, "parse": 1000, "paper": 16, "adversarial": 307}
 # Token ends as the expression grammar of sliceregular.parsing defines
 # them; kept here so that both trees cut the same prefixes.
 TOKEN = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?|[-+*^()qijk]|\S")
@@ -77,10 +89,24 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def _print_zeros(f) -> None:
+    """Print f's coefficients, zeros(f) or its exception, and its warnings."""
+    from sliceregular import zeros
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            answer = zeros(f).to_json()
+        except ValueError as exc:
+            answer = f"{type(exc).__name__}: {exc}"
+    print(json.dumps([[c.to_json() for c in f.coeffs], answer,
+                      [str(w.message) for w in caught]]))
+
+
 def _dump_zeros(seeds: list[int]) -> None:
     """Print one JSON line per item: coefficients and answer."""
     from inputs import zeros_items
-    from sliceregular import RegularSeries, parse_polynomial, zeros
+    from sliceregular import RegularSeries, parse_polynomial
 
     for seed in seeds:
         for item in zeros_items(seed, COUNT["zeros"]):
@@ -89,14 +115,65 @@ def _dump_zeros(seeds: list[int]) -> None:
                 f = RegularSeries.from_json(json.loads(req["text"]))
             else:
                 f = parse_polynomial(req["text"])
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    answer = zeros(f).to_json()
-                except ValueError as exc:
-                    answer = f"{type(exc).__name__}: {exc}"
-            print(json.dumps([[c.to_json() for c in f.coeffs], answer,
-                              [str(w.message) for w in caught]]))
+            _print_zeros(f)
+
+
+def _adversarial_items() -> list:
+    """The polynomials of the adversarial workload, as the module
+    docstring lists them."""
+    import numpy as np
+    from sliceregular import Quaternion, RegularSeries, parse_polynomial, star_mul, star_power
+
+    def product(lead, factors):
+        f = RegularSeries.constant(lead)
+        for a, n in factors:
+            f = star_mul(star_power(RegularSeries.linear(a), n), f)
+        return f
+
+    k = Quaternion(0.0, 0.0, 0.0, 1.0)
+    lead = 0.25 * k
+    a = Quaternion(0.75, 0.0, 0.25, 0.25)
+    items = [
+        product(lead, [(k, 1), (k, 3), (Quaternion(0.0, 0.0, 0.25, 1.0), 3)]),
+        product(lead, [(lead, 1), (Quaternion(0.25, 0.75, 0.25, 1.25), 3),
+                       (Quaternion(0.25, 0.0, 0.0, 1.5), 3)]),
+        product(lead, [(a, 3), (a, 3), (a, 2)]),
+        product(lead, [(Quaternion(0.0, 0.0, 0.75, -0.75), 2),
+                       (Quaternion(0.0, 0.0, -0.75, -0.75), 2),
+                       (Quaternion(0.0, 0.25, -0.75, 0.75), 3)]),
+        product(Quaternion(0.0, 1.75, 0.25, 1.75), [(Quaternion(0.0, 1.75, 0.25, 1.75), 3),
+                                                     (Quaternion(0.0, 1.75, 0.0, 1.75), 3)]),
+        parse_polynomial("(q^2+1.00002q+1)(q^2+0.99998q+1)"),
+        parse_polynomial("(q+i)^34"),
+    ]
+    rng = np.random.default_rng(20261020)
+    while len(items) < COUNT["adversarial"]:
+        lead = Quaternion(*rng.uniform(-2.0, 2.0, 4).tolist())
+        x, y = rng.uniform(-1.5, 1.5), rng.uniform(0.25, 1.5)
+        f = RegularSeries.constant(lead)
+        for _ in range(rng.integers(2, 4)):
+            # a sphere 0.5-5% from the last, then a point on it or the sphere
+            step = rng.uniform(0.005, 0.05) * np.hypot(x, y)
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            x, y = x + step * np.cos(angle), abs(y + step * np.sin(angle))
+            n = int(rng.integers(2, 5))
+            if rng.uniform() < 0.25:
+                quad = RegularSeries.polynomial(Quaternion(x * x + y * y), Quaternion(-2.0 * x),
+                                                Quaternion(1.0))
+                f = star_mul(star_power(quad, n // 2), f)
+            else:
+                u = rng.normal(size=3)
+                u = (y * u / np.linalg.norm(u)).tolist()
+                f = star_mul(star_power(RegularSeries.linear(Quaternion(x, *u)), n), f)
+        items.append(f)
+    return items
+
+
+def _dump_adversarial(seeds: list[int]) -> None:
+    """Print one JSON line per polynomial of the fixed list."""
+    for _ in seeds:
+        for f in _adversarial_items():
+            _print_zeros(f)
 
 
 def _dump_geometry(seeds: list[int]) -> None:
@@ -247,8 +324,8 @@ def main() -> int:
         if args.workload == "paper":
             _dump_paper(seeds, full=args.rtol is not None)
         else:
-            {"zeros": _dump_zeros, "geometry": _dump_geometry,
-             "parse": _dump_parse}[args.workload](seeds)
+            {"zeros": _dump_zeros, "geometry": _dump_geometry, "parse": _dump_parse,
+             "adversarial": _dump_adversarial}[args.workload](seeds)
         return 0
     if args.other_src is None:
         ap.error("OTHER_SRC is required")
