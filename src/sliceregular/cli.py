@@ -49,10 +49,11 @@ MAX_VERIFY_SAMPLES = 10_000
 
 
 def _read_json(load, text: str | bytes):
-    """load(json.loads(text)); malformed JSON or non-finite values raise ParseError."""
+    """load(json.loads(text)); malformed JSON, non-finite values or
+    integers beyond float64 raise ParseError."""
     try:
         return load(json.loads(text))
-    except (ValueError, TypeError, RecursionError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ParseError(f"malformed JSON input: {exc}") from None
 
 

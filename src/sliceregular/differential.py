@@ -157,7 +157,7 @@ def _classify(f: RegularSeries, p: Quaternion
               ) -> tuple[Rank, Quaternion | None, Quaternion, Quaternion, Quaternion]:
     """(rank, witness, A0, A1, A2) at a checked point p: the one decision
     behind rank_classify, is_singular and induced_ocs, remembered for
-    the last (f, p), f by identity and p by its float bits.
+    the very f and p of the last call.
 
     Below rank 4 the witness is the zero on the sphere of the linear
     part A1 + (q - p-bar) A2 of the quotient of f - f(p) by (q - p):
@@ -186,10 +186,8 @@ def rank_classify(f: RegularSeries, q0: Quaternion) -> RankClass:
     1e-10 of the terms that cancel in them (their Taylor coefficients on
     the real axis), at any scale of f and q0.
 
-    A repeat call with the f and q0 of the last call here, in
-    is_singular or in ocs.induced_ocs returns the remembered decision;
-    f is compared by identity and q0 by its float bits (0.0 and -0.0
-    differ).
+    A repeat call with the very f and q0 of the last call here, in
+    is_singular or in ocs.induced_ocs returns the remembered decision.
     """
     rank, _, _, a1, a2 = _classify(f, _point(q0))
     return RankClass(rank, a1, a2)
@@ -208,8 +206,7 @@ def is_singular(f: RegularSeries, q0: Quaternion) -> SingularityCertificate:
     The witness is the zero on that sphere of the quotient of f - f(q0)
     by (q - q0).  A constant is singular everywhere.  Raises ValueError
     for a series, or unless |q0|^2 is finite.  A repeat call with the
-    f (by identity) and q0 (by float bits) of the last decision returns
-    it remembered, as in rank_classify.
+    very f and q0 of the last decision returns it, as in rank_classify.
     """
     if not f.is_polynomial:
         raise ValueError("is_singular expects a polynomial")

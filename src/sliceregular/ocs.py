@@ -58,8 +58,8 @@ def induced_ocs(f: RegularSeries, q: Quaternion) -> tuple[Quaternion, OCSValue]:
     the differential of f is not invertible, as rank_classify decides
     it, and with ValueError unless |q|^2 is finite.  f(q) is the
     expansion coefficient A0 that decision computes on the way.  A
-    repeat call with the f (by identity) and q (by float bits) of the
-    last decision returns it remembered, as in rank_classify.
+    repeat call with the very f and q of the last decision returns it,
+    as in rank_classify.
     """
     p = _point(q)
     unit = imag_unit(p)  # RealArgument on the real axis
@@ -81,9 +81,6 @@ class MobiusCoeffs:
     def __post_init__(self):
         if not self.invertible():
             raise ValueError("coefficients fail the invertibility condition")
-
-    def determinant(self) -> float:
-        return _determinant(self.a, self.b, self.c, self.d)
 
     def invertible(self) -> bool:
         """|determinant| > 1e-12 (|a|^2 + |b|^2 + |c|^2 + |d|^2)^2.

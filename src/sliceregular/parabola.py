@@ -129,8 +129,8 @@ def preimages(c: Quaternion) -> list[Quaternion]:
     elsewhere one scalar equation for (2 Re q)^2 gives both points.
     Raises ValueError when c is not finite or |c|^2 overflows float64.
 
-    A repeat call on the c of the last call, the same float bits (so
-    0.0 and -0.0 differ), returns the remembered points in a new list.
+    A repeat call on the very c of the last call returns the remembered
+    points in a new list.
     """
     return list(_fibre(c))
 
@@ -179,7 +179,7 @@ def _fibre(c: Quaternion) -> tuple[Quaternion, ...]:
 
 @_last_call
 def _extended_pair(c: Quaternion) -> tuple[OCSValue, OCSValue]:
-    """(J+, J-) at c, remembered for the last c as preimages is."""
+    """(J+, J-) at c, remembered for the very c of the last call."""
     pts = _fibre(c)  # first, so a non-finite c raises the boundary error
     # a preimage that is_real at its own scale puts c on the parabola to
     # working precision, even where on_parabola's tolerance is tighter
@@ -203,8 +203,7 @@ def j_plus(c: Quaternion) -> OCSValue:
     Raises DomainError on the parabola and inside the solid paraboloid,
     where the structures are undefined, and ValueError when c is not
     finite or |c|^2 overflows float64.  J+ and J- come from one
-    computation, remembered for the last c of either, compared by its
-    float bits as in preimages.
+    computation, remembered for the very c of the last call of either.
     """
     return _extended_pair(c)[0]
 
@@ -293,14 +292,6 @@ class FiberKind(Enum):
 class FiberClass:
     kind: FiberKind
     ruling_parameters: tuple[complex, ...]
-
-
-def fiber_axis_points(c: Quaternion) -> tuple[ProjectivePoint3, ProjectivePoint3]:
-    """The two distinguished points of the fibre over c with Z0 = 0 and Z1 = 0."""
-    w1, w2 = c.complex_pair()
-    z0_pt = ProjectivePoint3.of(0.0, 1.0, -np.conj(w2), np.conj(w1))
-    z1_pt = ProjectivePoint3.of(1.0, 0.0, w1, w2)
-    return z0_pt, z1_pt
 
 
 def fiber_polynomial(c: Quaternion) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -172,45 +171,27 @@ def imag_unit(q: tuple) -> Quaternion:
     return Quaternion(0.0, x / n, y / n, z / n)
 
 
-_BITS = struct.Struct("<4d").pack
-
-
-def _key(a) -> bytes | int:
-    """A Quaternion of floats by its exact bits, anything else by identity.
-
-    Bits, not ==: 0.0 == -0.0, yet the branch cut of a square root can
-    order a fibre differently on each side of it.  A component of
-    another type (an int, a numpy scalar) computes and answers in that
-    type, so such a Quaternion is keyed by identity too.
-    """
-    if type(a) is Quaternion:
-        w, x, y, z = a
-        if type(w) is type(x) is type(y) is type(z) is float:
-            return _BITS(w, x, y, z)
-    return id(a)
-
-
 def _last_call(fn):
     """fn, returning the value of its last call again for a repeat call,
-    one whose arguments have the last call's keys (_key).
+    one whose arguments are the very objects of the last call.
 
-    The entry is one (key, args, value) tuple.  It holds the arguments,
-    so no id in its key is reused while it is kept, and it is read once
-    and replaced whole, so no thread pairs one call's key with another
+    The entry is one (ids, args, value) tuple.  It holds the arguments,
+    so no id in it is reused while it is kept, and it is read once and
+    replaced whole, so no thread pairs one call's ids with another
     call's value.  A call that raises is not remembered.  fn must
     return an immutable value.
     """
-    entry = (None, (), None)  # no key is None
+    entry = (None, (), None)  # no ids are None
 
     @functools.wraps(fn)
     def remembered(*args):
         nonlocal entry
-        key = tuple(map(_key, args))
+        ids = tuple(map(id, args))
         held = entry
-        if held[0] == key:
+        if held[0] == ids:
             return held[2]
         value = fn(*args)
-        entry = (key, args, value)
+        entry = (ids, args, value)
         return value
 
     return remembered

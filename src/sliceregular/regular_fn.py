@@ -579,7 +579,8 @@ def _locate(v, alpha, beta, scale):
     whether each is an isolated zero: |alpha + u beta| is within
     RESIDUAL_TOL of the terms that cancel and |beta| is not, as it is
     where f vanishes on the whole sphere.  Values so small that their
-    products underflow fail.  alpha and beta are stacked pairs."""
+    products underflow fail, and so does a zero tolerance, which vouches
+    for nothing.  alpha and beta are stacked pairs."""
     (ab, ac), (bb, bc) = alpha, beta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cb, cc = _pair_mul(ab, ac, bb.conjugate(), -bc)  # -alpha conj(beta), up to sign
@@ -590,7 +591,7 @@ def _locate(v, alpha, beta, scale):
     tol = RESIDUAL_TOL * scale
     points = [(x, y * i, y * j, y * k) for x, y, i, j, k in zip(
         v.real.tolist(), v.imag.tolist(), ub.imag.tolist(), uc.real.tolist(), uc.imag.tolist())]
-    return points, (residual <= tol) & (np.hypot(*np.abs(beta)) > tol)
+    return points, (residual <= tol) & (np.hypot(*np.abs(beta)) > tol) & (tol > 0.0)
 
 
 def _read(e: np.ndarray, rows: list, w: np.ndarray, z: np.ndarray,
@@ -631,7 +632,8 @@ def _read(e: np.ndarray, rows: list, w: np.ndarray, z: np.ndarray,
     alpha, beta = _slice_parts(e, v)
     scale = np.array([_terms(rows, r) for r in np.abs(v).tolist()])
     points, located = _locate(v, alpha, beta, scale)
-    vanish = np.hypot(*np.abs(alpha)) <= RESIDUAL_TOL * scale
+    # scale 0, where the scaled monic underflowed, vouches for nothing
+    vanish = (np.hypot(*np.abs(alpha)) <= RESIDUAL_TOL * scale) & (scale > 0.0)
     entries, failed = [], []
     for group, m, c, on_axis, ok, zero, point, found in zip(
             groups, sizes, v.tolist(), real.tolist(), tight.tolist(), vanish.tolist(),

@@ -364,6 +364,9 @@ def test_zeros_point_case(tmp_path):
     assert report["points"][0]["multiplicity"] == 2
 
 
+BIG_INT = "1" + "0" * 400  # a JSON integer beyond float64
+
+
 @pytest.mark.parametrize("argv", [
     ["zeros", '{"coeffs":[[1,2]]}'],
     ["zeros", '{"coeffs":5}'],
@@ -391,6 +394,9 @@ def test_zeros_point_case(tmp_path):
     ["figure", "fig1", "--samples", str(MAX_FIG1_SAMPLES + 1)],
     ["verify", "twistor-commute", "--samples", str(MAX_VERIFY_SAMPLES + 1)],
     ["verify", "jjjj", "--seed", "-1"],
+    ["eval", "q", "[" + BIG_INT + ",0,0,0]"],
+    ["zeros", '{"coeffs":[[' + BIG_INT + ',0,0,0],[1,0,0,0]]}'],
+    ["zeros", '{"coeffs":[[1,0,0,0],[1,0,0,0]],"radius":' + BIG_INT + "}"],
     ["--out", os.path.join(__file__, "x.json"), "zeros", "q^2+1"],
     ["--out", os.curdir, "zeros", "q^2+1"],
     ["--out", os.curdir, "verify", "transform-spot", "--samples", "1"],
@@ -403,7 +409,9 @@ def test_zeros_point_case(tmp_path):
         "grid-above-max", "nan-extent", "infinite-extent", "zero-extent",
         "negative-extent", "zero-samples-verify", "negative-samples-verify",
         "zero-samples-fig1", "samples-above-max-fig1", "samples-above-max-verify",
-        "negative-seed-verify", "out-under-a-file-zeros",
+        "negative-seed-verify", "int-beyond-float64-point",
+        "int-beyond-float64-coefficient", "int-beyond-float64-radius",
+        "out-under-a-file-zeros",
         "out-a-directory-zeros", "out-a-directory-verify", "out-under-a-file-figure"])
 def test_malformed_input_exits_2(argv, capsys):
     assert main(argv) == 2

@@ -350,16 +350,6 @@ def test_fiber_classification_cases():
         == FiberKind.AT_FOCUS
 
 
-def test_fiber_axis_points_lie_on_fiber():
-    from sliceregular.parabola import fiber_axis_points
-    from sliceregular import twistor_project
-    c = Quaternion(0.5, -0.3, 1.2, 0.4)
-    z0_pt, z1_pt = fiber_axis_points(c)
-    for Z in (z0_pt, z1_pt):
-        h = twistor_project(Z)
-        assert abs(h.affine_point() - c) <= 1e-9
-
-
 def test_discriminant_reduction_at_x1_zero():
     rng = np.random.default_rng(5)
     for _ in range(50):

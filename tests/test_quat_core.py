@@ -8,7 +8,7 @@ from sliceregular import (ChartPoint, Quaternion, RealArgument, Sphere,
                           conj_by_unit, imag_unit, is_real, phi, phi_inverse,
                           sphere_of)
 from sliceregular.errors import NotUnit
-from sliceregular.quat_core import I, J, K, ONE, ZERO
+from sliceregular.quat_core import I, J, K, ONE, ZERO, _last_call
 
 ints = st.integers(min_value=-20, max_value=20)
 quats = st.builds(Quaternion, ints, ints, ints, ints)
@@ -243,3 +243,21 @@ def test_complex_pair_split():
     w1, w2 = q.complex_pair()
     assert Quaternion.from_complex_pair(w1, w2) == q
     assert ZERO.complex_pair() == (0j, 0j)
+
+
+def test_last_call_hits_only_on_the_same_objects():
+    # an equal copy is another object, so it is computed again, and then
+    # so is the original after it
+    calls = []
+
+    def norm_sq(q):
+        calls.append(q)
+        return q.norm_sq()
+
+    remembered = _last_call(norm_sq)
+    a = Quaternion(0.3, -0.0, 1.5, 2.0)
+    copy = Quaternion(*a)
+    assert copy == a and copy is not a
+    for q in (a, a, copy, a):
+        assert remembered(q) == a.norm_sq()
+    assert [q is a for q in calls] == [True, False, True]

@@ -783,6 +783,28 @@ def test_zeros_of_an_unresolvable_root_warns():
     assert zs.total_multiplicity != 34
 
 
+@pytest.mark.parametrize("text", [
+    "q^2+1e308q+1", "q^2+1e200q+1", "(q-1e200)(q-1e-200)", "q^3+1e150q^2+q+1e-150"])
+def test_zeros_warn_where_the_scaled_monic_underflows(text):
+    # e_0 scales to exactly 0.0, so at 0 the value and the terms that
+    # cancel are both 0: a zero tolerance vouches for nothing, and 0,
+    # where f is a_0 != 0, must not be read as a zero
+    with pytest.warns(ConditioningWarning):
+        zs = zeros(parse_polynomial(text))
+    assert all(p != Quaternion() for p, _ in zs.points), zs
+
+
+def test_locate_takes_no_point_on_a_zero_tolerance():
+    # alpha = -i beta exactly, so the point x + yi checks out at any
+    # positive scale; at scale 0 nothing does
+    v = np.array([0.5 + 2.0j])
+    alpha, beta = np.array([[-1j], [0j]]), np.array([[1 + 0j], [0j]])
+    for scale, want in ((1.0, True), (1e-300, True), (0.0, False)):
+        points, located = regular_fn._locate(v, alpha, beta, np.array([scale]))
+        assert located.tolist() == [want]
+    assert points == [(0.5, 2.0, 0.0, 0.0)]
+
+
 def test_zeros_of_spheres_within_the_group_radius():
     # spheres of radius 0.997, 1 and 1.003 put twelve eigenvalues within
     # the group radius of a 6-fold root; (q^2 + 1) divides f once, and

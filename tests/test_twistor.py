@@ -120,6 +120,11 @@ def test_projection_formula():
     # an imaginary Z3 contributes through the k-component
     h2 = twistor_project(ProjectivePoint3.of(2.0, 0.0, 1.0, 1j))
     assert abs(h2.affine_point() - Quaternion(0.5, 0.0, 0.0, 0.5)) <= 1e-12
+    # Z0 = 0: [0, 1, -conj(w2), conj(w1)] -> [j, -conj(w2) + conj(w1) j],
+    # whose affine point is w1 + w2 j
+    w1, w2 = 0.5 - 0.3j, 1.2 + 0.4j
+    h3 = twistor_project(ProjectivePoint3.of(0.0, 1.0, -np.conj(w2), np.conj(w1)))
+    assert abs(h3.affine_point() - Quaternion(0.5, -0.3, 1.2, 0.4)) <= 1e-12
 
 
 def test_quadric_graph_membership():

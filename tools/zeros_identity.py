@@ -35,11 +35,15 @@ interpreter, and compares one JSON line per item as bytes.
   about 10 times in 10,000.  The list holds the named inputs of
   ROADMAP item 1 (the four shrunk hypothesis draws of
   `test_zeros_match_exact_factorization`, two triple zeros on spheres
-  0.5% apart, `(q^2+1.00002q+1)(q^2+0.99998q+1)` and `(q+i)^34`), then
-  300 products drawn from a fixed generator: a lead coefficient times
-  two or three repeated factors of multiplicity n = 2-4, linear
-  (q - a)^n or, a quarter of them, spherical ((q - x)^2 + y^2)^(n/2)
-  (n/2 rounded down), each on a sphere 0.5-5% from the one before it.  The line of an item is the `zeros` line.
+  0.5% apart, `(q^2+1.00002q+1)(q^2+0.99998q+1)` and `(q+i)^34`), four
+  on which the scaled monic's constant term underflows to 0
+  (`q^2+1e308q+1`, `q^2+1e200q+1`, `(q-1e200)(q-1e-200)` and
+  `q^3+1e150q^2+q+1e-150`), then 300 products drawn from a fixed
+  generator: a lead coefficient times two or three repeated factors of
+  multiplicity n = 2-4, linear (q - a)^n or, a quarter of them,
+  spherical ((q - x)^2 + y^2)^(n/2) (n/2 rounded down), each on a
+  sphere 0.5-5% from the one before it.  The line of an item is the
+  `zeros` line.
   Give one seed.
 - `paper`: the 14 verify suites at the acceptance seed and sample
   counts, and `figure fig1` and `figure fig2 --grid 60`, as
@@ -78,7 +82,7 @@ import sys
 import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COUNT = {"zeros": 1000, "geometry": 2000, "parse": 1000, "paper": 16, "adversarial": 307}
+COUNT = {"zeros": 1000, "geometry": 2000, "parse": 1000, "paper": 16, "adversarial": 311}
 # Token ends as the expression grammar of sliceregular.parsing defines
 # them; kept here so that both trees cut the same prefixes.
 TOKEN = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?|[-+*^()qijk]|\S")
@@ -145,7 +149,8 @@ def _adversarial_items() -> list:
                                                      (Quaternion(0.0, 1.75, 0.0, 1.75), 3)]),
         parse_polynomial("(q^2+1.00002q+1)(q^2+0.99998q+1)"),
         parse_polynomial("(q+i)^34"),
-    ]
+    ] + [parse_polynomial(text) for text in (
+        "q^2+1e308q+1", "q^2+1e200q+1", "(q-1e200)(q-1e-200)", "q^3+1e150q^2+q+1e-150")]
     rng = np.random.default_rng(20261020)
     while len(items) < COUNT["adversarial"]:
         lead = Quaternion(*rng.uniform(-2.0, 2.0, 4).tolist())
