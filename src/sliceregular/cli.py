@@ -34,10 +34,6 @@ EXIT_DEGENERATE = 4
 # The largest `figure --grid`: fig2 holds several (grid+1)^3 float64
 # arrays at once, each under 70 MB at 200 (the benchmark draws at 60).
 MAX_GRID = 200
-# The largest `figure fig1 --samples`: fig1 builds about three rows, each
-# a Python tuple and a CSV line, per sample; at this count about 300,000
-# rows, 100 MB and a second (Python 3.11, one core).
-MAX_FIG1_SAMPLES = 100_000
 # The largest `verify --samples`, for any suite.  Per sample,
 # nullstellensatz costs the most memory (six chart points, each a row of
 # 35 complex monomials, in one SVD: about 230 MB peak at this count), and
@@ -49,11 +45,11 @@ MAX_VERIFY_SAMPLES = 10_000
 
 
 def _read_json(load, text: str | bytes):
-    """load(json.loads(text)); malformed JSON, non-finite values or
-    integers beyond float64 raise ParseError."""
+    """load(json.loads(text)); malformed JSON and values that load
+    rejects raise ParseError."""
     try:
         return load(json.loads(text))
-    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed JSON input: {exc}") from None
 
 
@@ -184,11 +180,11 @@ def cmd_verify(args) -> int:
 
 def cmd_figure(args) -> int:
     if args.name == "fig1":
-        rows = figure1_rows(200 if args.samples is None else args.samples)
+        rows = figure1_rows()
         lines = ["x,y,z,label"] + [f"{x:.9g},{y:.9g},{z:.9g},{label}"
                                    for x, y, z, label in rows]
     elif args.name == "fig2":
-        centers, cells = figure2_cells(args.grid, args.extent)
+        centers, cells = figure2_cells(args.grid)
         label = [f"{c:.9g}" for c in centers.tolist()]  # each centre once
         lines = ["x,y,z"] + [f"{label[i]},{label[j]},{label[k]}"
                              for i, j, k in cells.tolist()]
@@ -233,31 +229,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="emit figure data as CSV")
     p.add_argument("name", help="fig1 or fig2")
-    p.add_argument("--samples", type=int, default=None, help="fig1's sample count")
-    p.add_argument("--grid", type=int, default=60)
-    p.add_argument("--extent", type=float, default=2.0)
+    p.add_argument("--grid", type=int, default=60, help="fig2's cells along an axis")
     p.set_defaults(fn=cmd_figure)
     return parser
 
 
 def _size_error(args) -> str | None:
-    """Why a count or an extent is out of range, checked before anything
-    is allocated; None when all are in range."""
-    samples = getattr(args, "samples", None)  # verify and figure only
-    if samples is not None and samples < 1:
-        return f"--samples must be at least 1, got {samples}"
+    """Why a count is out of range, checked before anything is
+    allocated; None when all are in range."""
     if args.command == "verify":
-        if samples is not None and samples > MAX_VERIFY_SAMPLES:
-            return f"--samples must be at most {MAX_VERIFY_SAMPLES}, got {samples}"
+        if args.samples is not None and not 1 <= args.samples <= MAX_VERIFY_SAMPLES:
+            return f"--samples must be from 1 to {MAX_VERIFY_SAMPLES}, got {args.samples}"
         if args.seed < 0:  # numpy's generators take no negative seed
             return f"--seed must be at least 0, got {args.seed}"
-    if args.command == "figure":
-        if samples is not None and samples > MAX_FIG1_SAMPLES:
-            return f"--samples must be at most {MAX_FIG1_SAMPLES}, got {samples}"
-        if not 1 <= args.grid <= MAX_GRID:
-            return f"--grid must be from 1 to {MAX_GRID}, got {args.grid}"
-        if not (math.isfinite(args.extent) and args.extent > 0.0):
-            return f"--extent must be finite and positive, got {args.extent}"
+    if args.command == "figure" and not 1 <= args.grid <= MAX_GRID:
+        return f"--grid must be from 1 to {MAX_GRID}, got {args.grid}"
     return None
 
 

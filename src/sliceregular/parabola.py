@@ -363,14 +363,15 @@ def osculating_sphere_point(u: complex | None) -> Quaternion:
 # figure data
 
 
-def figure1_rows(samples: int = 200) -> list[tuple[float, float, float, str]]:
-    """Labeled point clouds: the parabola, the paraboloid and the osculating
-    sphere, projected to the 3-space spanned by x0, x2, x3 (the parabola is
-    drawn in its own plane as (x0, x1, 0))."""
+def figure1_rows() -> list[tuple[float, float, float, str]]:
+    """Labeled point clouds: the parabola (200 samples), the paraboloid
+    and the osculating sphere (14 by 14 each), projected to the 3-space
+    spanned by x0, x2, x3 (the parabola is drawn in its own plane as
+    (x0, x1, 0))."""
     rows = []
-    for t in np.linspace(-1.5, 1.5, samples):
+    for t in np.linspace(-1.5, 1.5, 200):
         rows.append((float(t * t), float(t), 0.0, "parabola"))
-    n = max(int(math.isqrt(samples)), 2)
+    n = 14
     for r in np.linspace(0.0, 1.0, n):
         for a in np.linspace(0.0, 2.0 * math.pi, n, endpoint=False):
             x2, x3 = r * math.cos(a), r * math.sin(a)
@@ -383,13 +384,12 @@ def figure1_rows(samples: int = 200) -> list[tuple[float, float, float, str]]:
     return rows
 
 
-def figure2_cells(grid: int = 60, extent: float = 2.0
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Grid cells where K(x, y, z, 1/4) changes sign: the centres of the
-    cells along an axis, and the (ix, iy, iz) index of each cell with a
-    corner value <= 0 and one >= 0 (NaN corners, where K overflows,
-    count for neither)."""
-    axis = np.linspace(-extent, extent, grid + 1)
+def figure2_cells(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid cells of [-2, 2]^3 where K(x, y, z, 1/4) changes sign: the
+    centres of the cells along an axis, and the (ix, iy, iz) index of
+    each cell with a corner value <= 0 and one >= 0 (NaN corners, where
+    K overflows, count for neither)."""
+    axis = np.linspace(-2.0, 2.0, grid + 1)
     lo = hi = quartic_K_affine(axis[:, None, None], axis[:, None], axis, 0.25)
     for ax in range(3):  # the least and greatest corner, one axis at a time
         a, b = ((slice(None),) * ax + (s,) for s in (slice(1, None), slice(-1)))

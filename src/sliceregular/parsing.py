@@ -3,6 +3,8 @@
 Accepted atoms are numbers, the variable q and the units i, j, k;
 operators are +, -, * (the star product), ^ and parentheses.  Products
 associate left-to-right and juxtaposition ("qi") is shorthand for *.
+A run of signs takes the factor after it, power included: -q^2 and
+q*-q^2 negate q^2, and q*+q is q^2.
 A number is ASCII digits with an optional decimal point and an
 optional exponent, as in 2, 0.5, .5, 1e-3 or 2.5E+4; it must be finite.
 No exponent after ^ and no degree of a product may exceed MAX_DEGREE.
@@ -84,13 +86,7 @@ class _Parser:
         return out
 
     def expr(self) -> list:
-        sign = 1.0
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
         out = self.term()
-        if sign < 0:
-            out = _neg(out)
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
@@ -111,6 +107,9 @@ class _Parser:
             out = _star_mul(out, rhs)
 
     def factor(self) -> list:
+        negate = False  # a loop, so a long run of signs needs no recursion
+        while self.peek() in ("+", "-"):
+            negate ^= self.take() == "-"
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -125,7 +124,7 @@ class _Parser:
             # q^n from n star products from 1 sums only +0.0 and 1.0
             # products to +0.0 accumulators: the monomial, exactly
             base = [_ZERO4] * n + [_ONE4] if base is _ATOMS["q"] else _star_power(base, n)
-        return base
+        return _neg(base) if negate else base
 
     def atom(self) -> list:
         tok = self.take()
@@ -134,8 +133,6 @@ class _Parser:
             if self.take() != ")":
                 raise ParseError("missing closing parenthesis")
             return inner
-        if tok == "-":
-            return _neg(self.atom())
         if tok in _ATOMS:
             return _ATOMS[tok]
         try:

@@ -24,6 +24,17 @@ REAL_EPS = 1e-10
 _new = tuple.__new__  # operators skip the NamedTuple's Python-level __new__
 
 
+def json_float(t) -> float:
+    """A JSON number (an int or a float, not a bool) as a float; raises
+    ValueError for any other value and for an int beyond float64."""
+    if isinstance(t, bool) or not isinstance(t, (int, float)):
+        raise ValueError(f"{t!r} is not a number")
+    try:
+        return float(t)
+    except OverflowError:
+        raise ValueError("an integer beyond float64") from None
+
+
 class Quaternion(NamedTuple):
     """q = w + xi + yj + zk with real components."""
 
@@ -47,10 +58,11 @@ class Quaternion(NamedTuple):
 
     @staticmethod
     def from_json(data) -> "Quaternion":
-        """[w, x, y, z]; raises ValueError unless these are four finite numbers."""
+        """[w, x, y, z]; raises ValueError unless these are four finite
+        JSON numbers (see json_float)."""
         if len(data) != 4:
             raise ValueError(f"a quaternion has four components, got {data!r}")
-        w, x, y, z = (float(t) for t in data)
+        w, x, y, z = map(json_float, data)
         if not all(map(math.isfinite, (w, x, y, z))):
             raise ValueError(f"non-finite quaternion component in {data!r}")
         return Quaternion(w, x, y, z)
@@ -130,8 +142,8 @@ class Quaternion(NamedTuple):
         return (self.w * other.w + self.x * other.x
                 + self.y * other.y + self.z * other.z)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return abs(self) <= tol
+    def is_zero(self) -> bool:
+        return not any(self)
 
 
 ZERO = Quaternion()

@@ -17,7 +17,7 @@ from itertools import accumulate, chain, zip_longest
 import numpy as np
 
 from .errors import ConditioningWarning, NotReal, OutsideRadius, ZeroPolynomial
-from .quat_core import I, ONE, Quaternion, Sphere, hamilton
+from .quat_core import I, ONE, Quaternion, Sphere, hamilton, json_float
 
 # Tolerances of the zero finder, both relative backward errors, chosen
 # on the 10,000 polynomials of the benchmark's zeros-stream seeds 1-10:
@@ -69,11 +69,12 @@ class RegularSeries:
     @staticmethod
     def from_json(data) -> "RegularSeries":
         """{"coeffs": [[w, x, y, z], ...], "radius": r}; raises ValueError or
-        TypeError unless every coefficient is four finite numbers and r > 0."""
+        TypeError unless every coefficient is four finite JSON numbers and
+        r is "inf", null or a JSON number above 0 (see quat_core.json_float)."""
         if not isinstance(data, dict) or "coeffs" not in data:
             raise ValueError(f'a series is an object with "coeffs", got {data!r}')
         radius = data.get("radius", "inf")
-        r = math.inf if radius in ("inf", None) else float(radius)
+        r = math.inf if radius in ("inf", None) else json_float(radius)
         if not r > 0.0:
             raise ValueError(f"radius must be positive, got {radius!r}")
         return RegularSeries(tuple(Quaternion.from_json(c) for c in data["coeffs"]), r)

@@ -144,10 +144,10 @@ class KleinPoint(ProjectivePoint):
         z = self.coords.T
         return z[0] * z[5] - z[1] * z[4] + z[2] * z[3]
 
-    def on_klein_quadric(self, tol: float = 1e-10):
+    def on_klein_quadric(self):
         z = self.coords.T
         scale = np.maximum(1.0, abs(z[0] * z[5]) + abs(z[1] * z[4]) + abs(z[2] * z[3]))
-        return abs(self.klein_form()) <= tol * scale
+        return abs(self.klein_form()) <= 1e-10 * scale
 
 
 def twistor_project(Z: ProjectivePoint3) -> HP1Point:
@@ -218,19 +218,13 @@ class SplitPair:
 def lift(f: RegularSeries, u, v) -> ProjectivePoint3:
     """Twistor lift of f at chart point (u, v); u = None marks u at infinity.
 
-    For a 1-d array v, u is a number, None, or a sequence with one entry
-    per v, None marking the rows at infinity.
+    For a 1-d array v, u is a number, None, or an array with one entry
+    per v.
     """
     gv, hv, ghv, hhv = SplitPair(f).values(v)
     if u is None:
         return ProjectivePoint3.of(0.0, 1.0, -hhv, ghv)
-    at_inf = None if np.isscalar(u) else np.array([w is None for w in u], dtype=bool)
-    if at_inf is not None:
-        u = np.where(at_inf, 0j, u).astype(complex)
-    Z = _stack(1.0, u, gv - u * hhv, hv + u * ghv)
-    if at_inf is not None:
-        Z[at_inf] = _stack(0.0, 1.0, -hhv, ghv)[at_inf]
-    return ProjectivePoint3(Z)
+    return ProjectivePoint3(_stack(1.0, u, gv - u * hhv, hv + u * ghv))
 
 
 @_on_points

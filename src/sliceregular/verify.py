@@ -83,7 +83,7 @@ def random_polynomial(rng, max_degree: int = 6, min_degree: int = 1
     deg = int(rng.integers(min_degree, max_degree + 1))
     t = rng.uniform(-1.0, 1.0, 4 * (deg + 1)).tolist()
     coeffs = [Quaternion(*t[k:k + 4]) for k in range(0, len(t), 4)]
-    while coeffs[-1].is_zero(1e-3):
+    while abs(coeffs[-1]) <= 1e-3:
         coeffs[-1] = random_quaternion(rng)
     return RegularSeries(tuple(coeffs))
 
@@ -140,7 +140,7 @@ def suite_klein_reality(res: SuiteResult, rng, samples: int = 1000) -> None:
         real = sigma(zeta).equals(twistor_transform(f, vs.conj()), 1e-10)
         for n, kf, on, ok in zip(range(start, samples),
                                  np.abs(zeta.klein_form()).tolist(),
-                                 zeta.on_klein_quadric(1e-10).tolist(),
+                                 zeta.on_klein_quadric().tolist(),
                                  real.tolist()):
             res.check(on, f"Klein relation, sample {n}", kf)
             res.check(ok, f"reality condition, sample {n}")

@@ -404,11 +404,13 @@ def test_ruling_lines_meet_on_m02():
 
 
 def test_figure_data():
-    rows = figure1_rows(36)
-    labels = {r[3] for r in rows}
-    assert labels == {"parabola", "paraboloid", "sphere"}
-    centers, cells = figure2_cells(grid=12, extent=1.0)
-    assert centers.shape == (12,) and np.all(np.abs(centers) <= 1.0)
+    rows = figure1_rows()
+    labels = [r[3] for r in rows]
+    assert set(labels) == {"parabola", "paraboloid", "sphere"}
+    assert [labels.count(name) for name in ("parabola", "paraboloid", "sphere")] \
+        == [200, 14 * 14, 14 * 14]
+    centers, cells = figure2_cells(grid=12)
+    assert centers.shape == (12,) and np.all(np.abs(centers) <= 2.0)
     assert len(cells)  # the slice surface crosses the sampled box
     assert cells.shape[1] == 3 and 0 <= cells.min() and cells.max() < 12
 

@@ -236,6 +236,24 @@ def test_conj_by_unit():
 def test_json_roundtrip():
     q = Quaternion(1.5, -2.0, 0.25, 3.0)
     assert Quaternion.from_json(q.to_json()) == q
+    assert Quaternion.from_json([1, -2, 0, 3]) == Quaternion(1.0, -2.0, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("data", [
+    ["1.5", 0, 0, 0], [True, 0, 0, 0], [0, 0, False, 0], [None, 0, 0, 0],
+    [[1], 0, 0, 0], [10 ** 400, 0, 0, 0], [0, 0, 0, -10 ** 400],
+], ids=["string", "true", "false", "null", "list", "int-beyond-float64",
+        "negative-int-beyond-float64"])
+def test_from_json_takes_json_numbers_only(data):
+    with pytest.raises(ValueError):
+        Quaternion.from_json(data)
+
+
+def test_is_zero_is_exact():
+    # |q|^2 of 1e-200 underflows to 0, but q is not zero
+    assert not Quaternion(1e-200).is_zero()
+    assert not Quaternion(0.0, 0.0, 0.0, 5e-324).is_zero()
+    assert Quaternion().is_zero() and (-Quaternion()).is_zero()
 
 
 def test_complex_pair_split():

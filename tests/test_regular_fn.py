@@ -55,6 +55,18 @@ def test_eval_horner_right_coefficients():
     assert eval_series(f, I) == K
 
 
+def test_series_json_takes_json_numbers_only():
+    f = RegularSeries.from_json({"coeffs": [[1, 0, 0, 0], [0.5, 0, 0, 0]], "radius": 2})
+    assert f.coeffs == (ONE, 0.5 * ONE) and f.radius == 2.0
+    for radius in ("inf", None):
+        assert RegularSeries.from_json({"coeffs": [], "radius": radius}).radius == math.inf
+    for data in ({"coeffs": [["1", 0, 0, 0]]}, {"coeffs": [[1, 0, True, 0]]},
+                 {"coeffs": [[10 ** 400, 0, 0, 0]]}, {"coeffs": [], "radius": "5"},
+                 {"coeffs": [], "radius": True}, {"coeffs": [], "radius": 10 ** 400}):
+        with pytest.raises(ValueError):
+            RegularSeries.from_json(data)
+
+
 def test_series_radius_enforced():
     f = RegularSeries((ONE, ONE), radius=1.0)
     eval_series(f, Quaternion(0.5))

@@ -28,7 +28,10 @@ interpreter, and compares one JSON line per item as bytes.
   `-(e)-1`, which subtracts a shorter series from one with -0.0
   components.  The line of an item lists, text by text, the
   `ParseError` message or the first 16 hex digits of a sha256 of the
-  parsed coefficients (a JSON-format item has no texts).
+  parsed coefficients (a JSON-format item has no texts).  After the
+  1000 items of a seed come the 11 texts of `SIGN_TEXTS`, the same for
+  every seed, one line each: signs before a factor, after `*` and in
+  runs, up to 3000 long.
 - `adversarial`: a fixed list of polynomials, the same for every seed,
   that reach the rare paths of `zeros`: the regrouping at radii 1/64
   as large and the `ConditioningWarning`, which benchmark items reach
@@ -82,7 +85,11 @@ import sys
 import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COUNT = {"zeros": 1000, "geometry": 2000, "parse": 1000, "paper": 16, "adversarial": 311}
+# Texts where signs stand before a factor, for the parse workload.
+SIGN_TEXTS = ["q*-q^2", "2*-q^2", "q*-i^2", "q*+q", "q^2*-(q-i)^2", "-2q",
+              "-(q-i)*(q-j)", "--q", "+-+q", "-" * 3000 + "q", "q*" + "-" * 3000 + "q"]
+COUNT = {"zeros": 1000, "geometry": 2000, "parse": 1000 + len(SIGN_TEXTS), "paper": 16,
+         "adversarial": 311}
 # Token ends as the expression grammar of sliceregular.parsing defines
 # them; kept here so that both trees cut the same prefixes.
 TOKEN = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?|[-+*^()qijk]|\S")
@@ -226,27 +233,30 @@ def _dump_geometry(seeds: list[int]) -> None:
             print(json.dumps(line))
 
 
+def _parse_outcome(text: str) -> str:
+    """The ParseError message of text, or a digest of its coefficients."""
+    from sliceregular import ParseError, parse_polynomial
+
+    try:
+        coeffs = [c.to_json() for c in parse_polynomial(text).coeffs]
+    except ParseError as exc:
+        return str(exc)
+    return hashlib.sha256(json.dumps(coeffs).encode()).hexdigest()[:16]
+
+
 def _dump_parse(seeds: list[int]) -> None:
     """Print one JSON line per item: the outcome of each text."""
     from inputs import zeros_items
-    from sliceregular import ParseError, parse_polynomial
 
     for seed in seeds:
-        for item in zeros_items(seed, COUNT["parse"]):
+        for item in zeros_items(seed, COUNT["parse"] - len(SIGN_TEXTS)):
             req = item["request"]
             e = req["text"]
             texts = ([] if req["format"] == "json" else
                      [e[:m.end()] for m in TOKEN.finditer(e)] + [f"-({e})-1"])
-            line = []
-            for text in texts:
-                try:
-                    coeffs = [c.to_json() for c in parse_polynomial(text).coeffs]
-                except ParseError as exc:
-                    line.append(str(exc))
-                    continue
-                digest = hashlib.sha256(json.dumps(coeffs).encode()).hexdigest()
-                line.append(digest[:16])
-            print(json.dumps(line))
+            print(json.dumps([_parse_outcome(text) for text in texts]))
+        for text in SIGN_TEXTS:
+            print(json.dumps([_parse_outcome(text)]))
 
 
 def _dump_paper(seeds: list[int], full: bool = False) -> None:
