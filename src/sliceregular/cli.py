@@ -238,8 +238,10 @@ def _size_error(args) -> str | None:
     """Why a count is out of range, checked before anything is
     allocated; None when all are in range."""
     if args.command == "verify":
-        if args.samples is not None and not 1 <= args.samples <= MAX_VERIFY_SAMPLES:
-            return f"--samples must be from 1 to {MAX_VERIFY_SAMPLES}, got {args.samples}"
+        least = SUITES[args.suite][1] if args.suite in SUITES else 1
+        if args.samples is not None and not least <= args.samples <= MAX_VERIFY_SAMPLES:
+            return (f"--samples of {args.suite} must be from {least} to "
+                    f"{MAX_VERIFY_SAMPLES}, got {args.samples}")
         if args.seed < 0:  # numpy's generators take no negative seed
             return f"--seed must be at least 0, got {args.seed}"
     if args.command == "figure" and not 1 <= args.grid <= MAX_GRID:

@@ -41,9 +41,6 @@ class OCSValue:
         """Whether the two units are within 1e-9 of each other."""
         return abs(self.unit - other.unit) <= 1e-9
 
-    def __neg__(self) -> "OCSValue":
-        return OCSValue(-self.unit)
-
 
 def j_standard(q: Quaternion) -> OCSValue:
     """The standard structure at q, left multiplication by I_q."""

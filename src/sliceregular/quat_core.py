@@ -142,11 +142,7 @@ class Quaternion(NamedTuple):
         return (self.w * other.w + self.x * other.x
                 + self.y * other.y + self.z * other.z)
 
-    def is_zero(self) -> bool:
-        return not any(self)
 
-
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
@@ -227,17 +223,6 @@ class Sphere:
         bound = max(tol * math.hypot(*q), math.hypot(tol * self.x, tol * self.y))
         return (abs(q.w - self.x) <= bound
                 and abs(math.hypot(q.x, q.y, q.z) - self.y) <= bound)
-
-    def sample(self, count: int) -> list[Quaternion]:
-        """Points of the sphere at evenly rotated imaginary units."""
-        pts = []
-        for n in range(count):
-            a = 2.0 * math.pi * n / count
-            b = math.pi * (2.0 * n + 1.0) / (2.0 * count)
-            u = Quaternion(0.0, math.cos(a) * math.sin(b),
-                           math.sin(a) * math.sin(b), math.cos(b))
-            pts.append(Quaternion(self.x) + self.y * u)
-        return pts
 
 
 def sphere_of(q: Quaternion) -> Sphere:

@@ -317,14 +317,6 @@ def _curve_columns(samples: list[CurveSample]) -> tuple[np.ndarray, np.ndarray]:
     return vs, np.stack([-z[:, 2], z[:, 1], z[:, 3], z[:, 4]], axis=1)
 
 
-def normalized_curve_values(samples: list[CurveSample]
-                            ) -> list[tuple[complex, complex, complex, complex, complex]]:
-    """(v, g, h, g^, h^) pointwise, after normalizing zeta_6 to 1; raises
-    PoleDetected where zeta_6 vanishes."""
-    vs, cols = _curve_columns(samples)
-    return [(v, *row) for v, row in zip(vs.tolist(), cols.tolist())]
-
-
 def _fit_columns(vs: np.ndarray, cols: np.ndarray, max_degree: int,
                  tol: float) -> list[np.ndarray]:
     """Fit each column by the polynomial of least degree whose residual is

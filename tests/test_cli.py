@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sliceregular import cli
+from sliceregular import cli, verify
 from sliceregular.cli import MAX_GRID, MAX_VERIFY_SAMPLES, _size_error, build_parser, main
 from sliceregular.parabola import quartic_K_affine
 from sliceregular.parsing import MAX_DEGREE, ParseError, _check_degree, parse_polynomial
@@ -404,6 +404,7 @@ BIG_INT = "1" + "0" * 400  # a JSON integer beyond float64
     ["verify", "jjjj", "--samples", "-2"],
     ["verify", "twistor-commute", "--samples", str(MAX_VERIFY_SAMPLES + 1)],
     ["verify", "jjjj", "--seed", "-1"],
+    ["verify", "nullstellensatz", "--samples", "8"],
     ["eval", "q", "[" + BIG_INT + ",0,0,0]"],
     ["zeros", '{"coeffs":[[' + BIG_INT + ',0,0,0],[1,0,0,0]]}'],
     ["zeros", '{"coeffs":[[1,0,0,0],[1,0,0,0]],"radius":' + BIG_INT + "}"],
@@ -419,7 +420,7 @@ BIG_INT = "1" + "0" * 400  # a JSON integer beyond float64
         "eval-deeply-nested-expression", "negative-grid", "zero-grid",
         "grid-above-max", "zero-samples-verify", "negative-samples-verify",
         "samples-above-max-verify",
-        "negative-seed-verify", "int-beyond-float64-point",
+        "negative-seed-verify", "samples-below-least-verify", "int-beyond-float64-point",
         "int-beyond-float64-coefficient", "int-beyond-float64-radius",
         "out-under-a-file-zeros",
         "out-a-directory-zeros", "out-a-directory-verify", "out-under-a-file-figure"])
@@ -474,6 +475,18 @@ def test_verify_command(tmp_path):
 
 def test_verify_unknown_suite_exits_2():
     assert main(["verify", "no-such-suite"]) == 2
+
+
+def test_verify_failing_suite_exits_1(monkeypatch, capsys):
+    def failing(res, rng, samples=3):
+        for n in range(samples):
+            res.within(2e-9, 1e-9, f"sample {n}")
+
+    monkeypatch.setitem(verify.SUITES, "failing", (failing, 1))
+    assert main(["verify", "failing"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL failing: 3 checks, max residual 2.000e-09; first failures: ")
+    assert "sample 2: residual 2.000e-09 > tol 1.000e-09" in out
 
 
 def test_figure_commands(tmp_path):
@@ -725,6 +738,9 @@ def test_grid_and_samples_at_their_bounds(tmp_path):
     assert main(["--out", str(out), "figure", "fig2", "--grid", "1"]) == 0
     assert out.read_text().splitlines()[0] == "x,y,z"
     assert main(["--out", str(out), "verify", "jjjj", "--samples", "1"]) == 0
+    # below 9 fibres nullstellensatz's matrix cannot have nullity 1
+    assert main(["--out", str(out), "verify", "nullstellensatz", "--samples", "9"]) == 0
+    assert out.read_text().startswith("PASS nullstellensatz")
 
 
 @pytest.mark.parametrize("argv", [

@@ -139,7 +139,10 @@ def test_spherical_expansion_reconstructs():
     f = RegularSeries(tuple(rand_q() for _ in range(6)))
     q0 = Quaternion(0.3, 0.2, 0.9, -0.4)
     exp = spherical_expansion(f, Sphere(q0.re(), q0.im_norm()), q0, 12)
-    for q in Sphere(0.35, 0.95).sample(4):
+    for n in range(4):  # points of Sphere(0.35, 0.95) at evenly rotated imaginary units
+        a, b = 2.0 * math.pi * n / 4, math.pi * (2.0 * n + 1.0) / 8
+        u = Quaternion(0.0, math.cos(a) * math.sin(b), math.sin(a) * math.sin(b), math.cos(b))
+        q = Quaternion(0.35) + 0.95 * u
         assert abs(exp.reconstruct(q) - eval_series(f, q)) <= 1e-9
 
 
@@ -682,7 +685,7 @@ def planted(draw):
     if draw(st.booleans()):
         coeffs = draw(st.lists(quaternions, min_size=2, max_size=17))
     else:
-        f = RegularSeries.constant(draw(quaternions.filter(lambda c: not c.is_zero())))
+        f = RegularSeries.constant(draw(quaternions.filter(any)))
         for _ in range(draw(st.integers(1, 3))):
             kind = draw(st.sampled_from(["linear", "spherical", "pair"]))
             alpha = draw(quaternions)
@@ -935,7 +938,7 @@ rational_quaternions = st.builds(Quaternion, quarter, quarter, quarter, quarter)
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(rational_quaternions, st.integers(1, 3)),
                 min_size=1, max_size=3),
-       rational_quaternions.filter(lambda c: not c.is_zero()))
+       rational_quaternions.filter(any))
 @example([(Quaternion(0.0, 1.0), 2), (Quaternion(0.0, 0.0, 1.0), 1)], ONE)
 @example([(Quaternion(0.5, 1.0), 2), (Quaternion(0.5, -1.0), 2)], ONE)
 @example([(Quaternion(1.0), 3), (Quaternion(0.0, 1.0), 1)], ONE)

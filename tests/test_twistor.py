@@ -14,8 +14,7 @@ from sliceregular import (ChartPoint, CurveSample, FitError, HP1Point, KleinPoin
                           twistor_project, twistor_transform)
 from sliceregular.parsing import parse_polynomial
 from sliceregular.quat_core import I, J, ONE
-from sliceregular.twistor import (SplitPair, _curve_columns, _fit_columns,
-                                  normalized_curve_values)
+from sliceregular.twistor import SplitPair, _curve_columns, _fit_columns
 
 F = parse_polynomial("q^2+qi")
 
@@ -487,19 +486,19 @@ def test_reconstruct_flags_pole():
     def rational(v):
         return CurveSample(v, KleinPoint.of(1, 0, -(v - 1j), v + 1j, 0,
                                             v * v + 1))
-    values = normalized_curve_values([rational(0.5 + 0j)])
-    _, g, h, _, _ = values[0]
+    values = _curve_columns([rational(0.5 + 0j)])
+    g, h = values[1][0, :2].tolist()
     assert abs(g - 1.0 / (0.5 + 1j)) <= 1e-12
     assert abs(h) <= 1e-12
     with pytest.raises(PoleDetected):
-        normalized_curve_values([rational(1j)])
+        _curve_columns([rational(1j)])
     # a batch is flagged as its worst point is
     vs = np.array([0.5 + 0j, 1j])
     batch = CurveSample(vs, KleinPoint.of(1, 0, -(vs - 1j), vs + 1j, 0, vs * vs + 1))
     with pytest.raises(PoleDetected, match="1j"):
-        normalized_curve_values([batch])
-    assert normalized_curve_values([CurveSample(vs[:1], KleinPoint(
-        batch.zeta.coords[:1]))]) == values
+        _curve_columns([batch])
+    one = _curve_columns([CurveSample(vs[:1], KleinPoint(batch.zeta.coords[:1]))])
+    assert [a.tolist() for a in one] == [a.tolist() for a in values]
 
 
 def test_klein_point_json():
