@@ -8,7 +8,7 @@ from .quat_core import (ChartPoint, Quaternion, Sphere, conj_by_unit,
 from .regular_fn import (RegularSeries, SphericalExpansion, ZeroSet, conjugate,
                          divide_linear, divide_real_quadratic, eval_series,
                          slice_values, spherical_expansion, star_mul,
-                         star_power, symmetrize, zeros)
+                         star_power, symmetrize, zeros, zeros_many)
 from .differential import (Rank, RankClass, RealLinearMap4,
                            SingularityCertificate, differential_at,
                            directional_derivative, is_degenerate_sphere,

@@ -37,7 +37,8 @@ MAX_GRID = 200
 # The largest `verify --samples`, for any suite.  Per sample,
 # nullstellensatz costs the most memory (six chart points, each a row of
 # 35 complex monomials, in one SVD: about 230 MB peak at this count), and
-# zeros-multiplicity the most time (about 0.4 ms, so 4 s here).
+# zeros-multiplicity the most time (about 3 s here, and about 103 MB
+# peak, since its one zeros_many call holds all its polynomials' zeros).
 # quartic-membership, which lifts all its samples at once, adds about
 # 8 MB here, and twistor-commute (about 66 us a sample) runs in under a
 # second (Python 3.11, one core).

@@ -392,7 +392,7 @@ def _slice_pair(coeffs, v):
     -0.0 component.
     """
     if isinstance(v, np.ndarray):
-        return tuple(_slice_stack(np.array(coeffs, dtype=float).reshape(1, -1, 4), v)[:, 0])
+        return tuple(_slice_stack(np.array(coeffs, dtype=float).reshape(1, -1, 4), v[None])[:, 0])
     vc = v.conjugate()
     g = h = gc = hc = 0j
     for w, x, y, z in reversed(coeffs):
@@ -402,9 +402,11 @@ def _slice_pair(coeffs, v):
 
 
 def _slice_stack(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The split pair's Horner loop for every row of a at every point of
-    v at once: (g(v), h(v), g(v-bar), h(v-bar)) as one complex array of
-    shape (4, rows) + v.shape.
+    """The split pair's Horner loop for the rows of a at the points of v
+    at once: (g(v), h(v), g(v-bar), h(v-bar)) as one complex array of
+    shape (4,) + the broadcast of (rows, 1, ...) and v.shape.  So a row
+    runs at every point of v[None], and the rows of a at the points of
+    a 1-d v, row n at v[n] (one row for all of them if a has one).
 
     a holds each row's coefficients a_n = b_n + c_n j as floats (rows,
     n, 4), constant term first, a shorter row padded at the top with
@@ -413,15 +415,14 @@ def _slice_stack(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     level the state stays at +0, as b_n + v 0 with b_n = +0.0 is for a
     finite v, so every row gets the floats of a loop of its own.
     """
-    pairs = a.view(complex)  # (rows, n, 2): b_n, c_n
-    levels = np.concatenate((pairs, pairs), axis=2).transpose(1, 2, 0)[::-1, :, :, None]
-    flat = v.reshape(-1)
-    at = np.array([flat, flat, flat.conjugate(), flat.conjugate()])[:, None]
-    state = np.zeros((4, len(a), flat.size), complex)
+    levels = a.view(complex).transpose(1, 2, 0)[::-1]  # (n, 2, rows): b_n, c_n
+    levels = levels.reshape(levels.shape + (1,) * (v.ndim - 1))
+    at = np.array([v, v.conjugate()])[:, None]
+    state = np.zeros((2, 2, max(len(a), len(v))) + v.shape[1:], complex)
     for b in levels:
         np.multiply(at, state, out=state)
         state += b
-    return state.reshape(state.shape[:2] + v.shape)
+    return state.reshape((4,) + state.shape[2:])
 
 
 def _derivative_rows(coeffs, count: int) -> np.ndarray:
@@ -447,12 +448,9 @@ def _pair_mul(b, c, b2, c2):
     return b * b2 - c * c2.conjugate(), b * c2 + c * b2.conjugate()
 
 
-def _scaled_monic(coeffs: list) -> tuple[np.ndarray, np.ndarray, int]:
-    """(e, w, k): the monic e_n = 2^(k(n-d)) a_n a_d^-1 as a (d + 1, 4)
-    float array, whose zeros are f's times 2^-k, and the 2d eigenvalues
-    w of its complex block companion, each coefficient entering as its
-    adjoint [[b, c], [-conj c, conj b]]: they are the roots of e^s
-    (Seródio, Pereira & Vitória, 2001).  2^k rounds M = max |a_n /
+def _scaled_monic(coeffs: list) -> tuple[list, int]:
+    """(e, k): the monic e_n = 2^(k(n-d)) a_n a_d^-1 as d + 1 4-tuples,
+    whose zeros are f's times 2^-k.  2^k rounds M = max |a_n /
     a_d|^(1/(d-n)), with a_0 / 2 for a_0, to a power of two, so that the
     zeros are at most the Fujiwara bound 2 M 2^-k <= 2 sqrt 2; exponents
     come first, so that nothing overflows."""
@@ -467,47 +465,68 @@ def _scaled_monic(coeffs: list) -> tuple[np.ndarray, np.ndarray, int]:
     k = round(max((logs[n] - logs[d]) / (d - n) for n in range(d)))
     # a_d^-1 2^exps[d]
     inv = Quaternion(*[math.ldexp(t, -exps[d]) for t in coeffs[d]]).inverse()
-    e = np.array([hamilton([math.ldexp(t, k * (n - d) - exps[d]) for t in a], inv)
-                  for n, a in enumerate(coeffs[:d])] + [_ONE4])
-    b, c = e[:d].view(complex).T  # b_n = w + xi, c_n = y + zi
-    m = np.zeros((2 * d, 2 * d), complex)
-    np.fill_diagonal(m[2:], 1.0)  # the identity block below the first two rows
-    m[0::2, -2], m[0::2, -1] = -b, -c
-    m[1::2, -2], m[1::2, -1] = c.conjugate(), -b.conjugate()
-    return e, np.linalg.eigvals(m), k
+    return [hamilton([math.ldexp(t, k * (n - d) - exps[d]) for t in a], inv)
+            for n, a in enumerate(coeffs[:d])] + [_ONE4], k
 
 
-# GROUP_TOL^(2/k) for k = 0..6, the powers of _radii, 0 at k = 0
-_SPREAD = np.concatenate(([0.0], GROUP_TOL ** (2.0 / np.arange(1, 7))))
+def _eigenvalues(a: np.ndarray, degrees: list) -> list[np.ndarray]:
+    """The 2d eigenvalues of the complex block companion of each row of
+    a, a monic of degree d = degrees[n] padded as _slice_stack takes it,
+    each coefficient entering as its adjoint [[b, c], [-conj c, conj
+    b]]: they are the roots of e^s (Seródio, Pereira & Vitória, 2001).
+    The companions of one degree are stacked into one eigvals call,
+    which solves each as a call of its own would, bit for bit."""
+    out = [None] * len(degrees)
+    for d in set(degrees):
+        rows = [n for n, m in enumerate(degrees) if m == d]
+        pairs = (a if len(rows) == len(a) else a[rows])[:, :d].view(complex)  # b_n, c_n
+        m = np.zeros((len(rows), 2 * d, 2 * d), complex)
+        m.reshape(len(rows), -1)[:, 4 * d::2 * d + 1] = 1.0  # the identity block below row 2
+        np.negative(pairs, out=m[:, 0::2, -2:])
+        np.conjugate(pairs[..., ::-1], out=m[:, 1::2, -2:])
+        np.negative(m[:, 1::2, -1], out=m[:, 1::2, -1])
+        for n, w in zip(rows, np.linalg.eigvals(m)):
+            out[n] = w
+    return out
 
 
-def _radii(n: int, shrink: float) -> np.ndarray:
-    """r(k) for k = 0..n, relative to a group's modulus: k folded
-    eigenvalues of a root of multiplicity k/2 of e^s, perturbed by
-    GROUP_TOL, spread by about 8 GROUP_TOL^(2/k).  Beyond a triple root
-    r stays at r(6), so that a 34-fold root, spread by eps^(1/34) = 0.35,
-    does not count."""
-    return shrink * 8.0 * _SPREAD.take(np.arange(n + 1), mode="clip")
+# The grouping passes, each (shrink, tol) over the eigenvalues the pass
+# before left in groups that do not check out: radii shrink r(k) at tol.
+# The second parts groups too wide at the first, the third reads
+# clusters that neighbours a few percent away spread beyond GROUP_TOL.
+_PASSES = ((1.0, GROUP_TOL), (1.0 / 64.0, GROUP_TOL), (1.0, 16.0 * GROUP_TOL))
+# tol^(2/k) for k = 0..6 at each tol of _PASSES, the powers of _radii, 0 at k = 0
+_SPREAD = {tol: np.concatenate(([0.0], tol ** (2.0 / np.arange(1, 7)))) for _, tol in _PASSES}
 
 
-def _tight(values: np.ndarray) -> bool:
+def _radii(n: int, shrink: float, tol: float) -> np.ndarray:
+    """shrink r(k) for k = 0..n, relative to a group's modulus: k folded
+    eigenvalues of a root of multiplicity k/2 of e^s, perturbed by tol,
+    spread by about r(k) = 8 tol^(2/k), and r(0) = 0.  Beyond a triple
+    root r stays at r(6), so that a 34-fold root, spread by eps^(1/34) =
+    0.35, does not count."""
+    return shrink * 8.0 * _SPREAD[tol].take(np.arange(n + 1), mode="clip")
+
+
+def _tight(values: np.ndarray, tol: float) -> bool:
     """Whether k values are the roots of t^k + s_2 t^(k-2) + ... + s_k in
-    t = z - c, c their mean, with every |s_j| <= GROUP_TOL (8 |c|)^j: one
+    t = z - c, c their mean, with every |s_j| <= tol (8 |c|)^j: one
     k-fold root perturbed as r(k) assumes, whatever the shape of the
     spread, where distinct roots in a row fail at s_2 = -sum(t^2) / 2."""
     t = values - values.mean()
-    bound = GROUP_TOL * (8.0 * abs(values.mean())) ** np.arange(2, len(t) + 1)
+    bound = tol * (8.0 * abs(values.mean())) ** np.arange(2, len(t) + 1)
     return bool(abs(np.sum(t * t)) <= 2.0 * bound[0]
                 and np.all(np.abs(np.poly(t)[2:]) <= bound))
 
 
-def _groups(w: np.ndarray, z: np.ndarray, left: np.ndarray, radii: np.ndarray) -> list[list]:
+def _groups(w: np.ndarray, z: np.ndarray, left: np.ndarray, radii: np.ndarray,
+            tol: float) -> list[list]:
     """The indices left of w in groups of even size, largest first, each
     a list.  z is w folded to the upper half-plane.  A group of k >= 4 is
-    a value and its k - 1 nearest others, folded, within r(k) |z| of it
-    and _tight (unfolded, where its mean is real to r(k)).  When none is
-    left, the rest pair off as mutual nearest neighbours, of which the
-    closest two are always one.  The distances are taken once, and cut
+    a value and its k - 1 nearest others, folded, within radii[k] |z| of
+    it and _tight to tol (unfolded, where its mean is real to radii[k]).
+    When none is left, the rest pair off as mutual nearest neighbours, of
+    which the closest two are always one.  The distances are taken once, and cut
     down as groups leave."""
     out = []
     dist = np.abs(z[left, None] - z[left])
@@ -518,7 +537,7 @@ def _groups(w: np.ndarray, z: np.ndarray, left: np.ndarray, radii: np.ndarray) -
             seed = np.argmin(np.where(ok[:, col], near[:, col], np.inf))
             picked = np.argsort(dist[seed], kind="stable")[:2 * col + 4]
             c = z[left[picked]].mean()
-            if _tight((w if c.imag <= radii[2 * col + 4] * abs(c) else z)[left[picked]]):
+            if _tight((w if c.imag <= radii[2 * col + 4] * abs(c) else z)[left[picked]], tol):
                 out.append(left[picked].tolist())
                 keep = np.ones(left.size, bool)
                 keep[picked] = False
@@ -527,13 +546,15 @@ def _groups(w: np.ndarray, z: np.ndarray, left: np.ndarray, radii: np.ndarray) -
         else:
             break
     np.fill_diagonal(dist, np.inf)
-    while left.size:
+    while left.size > 2:
         nn, at = dist.argmin(axis=1), np.arange(left.size)
         first = np.flatnonzero((nn[nn] == at) & (at < nn))
         out += map(list, zip(left[first].tolist(), left[nn[first]].tolist()))
         keep = np.ones(left.size, bool)
         keep[first] = keep[nn[first]] = False
         left, dist = left[keep], dist[keep][:, keep]
+    if left.size:  # two, each the other's nearest
+        out.append(left.tolist())
     return out
 
 
@@ -546,22 +567,34 @@ def _terms(coeffs: list, r, order: int = 0):
     return out
 
 
-def _slice_parts(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and beta of f(x + yI) = alpha + I beta at v = x + yi, each
-    as the pair stacked in one array, by the representation formula
-    from f(v) and f(v-bar); e is f's coefficient array."""
-    parts = _slice_stack(e.reshape(1, -1, 4), v)[:, 0]  # g, h, g-bar, h-bar
+def _horner(norms: list, r: float) -> float:
+    """_terms(coeffs, r) from the norms of coeffs, taken once: the same
+    floats, since C(n, 0) |a_n| is |a_n|."""
+    out = 0.0
+    for t in reversed(norms):
+        out = out * r + t
+    return out
+
+
+def _slice_parts(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta of f(x + yI) = alpha + I beta at each v = x + yi,
+    each as the pair stacked in one array, by the representation formula
+    from f(v) and f(v-bar); row n of a holds the coefficients of the f
+    of v[n], as _slice_stack takes them."""
+    parts = _slice_stack(a, v)  # g, h, g-bar, h-bar
     return 0.5 * (parts[:2] + parts[2:]), -0.5j * (parts[:2] - parts[2:])
 
 
-def _newton(e, v: np.ndarray, order: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """v after a Newton step on the order-th derivative of e^s, each v at
-    its own order, where the step is within reach.  On the slice e^s(v) =
+def _newton(e, v: np.ndarray, order: np.ndarray,
+            reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v after a Newton step on the order-th derivative of e^s, each v at
+    its own order, where the step is within reach; the length of every
+    step, taken or not, NaN where it is 0/0).  On the slice e^s(v) =
     g(v) g^(v) + h(v) h^(v), g^(v) = conj g(conj v), so Leibniz's rule
     gives its derivatives from the split pairs of e's derivatives, all of
     them at every v from one _slice_stack.  The n + 1 terms of the n-th
     derivative are one product, summed from 0 in the order of j."""
-    parts = _slice_stack(_derivative_rows(e, int(order.max()) + 2), v)
+    parts = _slice_stack(_derivative_rows(e, int(order.max()) + 2), v[None])
     np.conjugate(parts[2:], out=parts[2:])  # the hats at v
     at = np.empty((2,) + v.shape, complex)
     for k in set(order.tolist()):  # not np.unique, which imports numpy.ma
@@ -572,7 +605,8 @@ def _newton(e, v: np.ndarray, order: np.ndarray, reach: np.ndarray) -> np.ndarra
             at[i, sub] = sum(comb[:, None] * (g[:n + 1] * g_hat[n::-1] + h[:n + 1] * h_hat[n::-1]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         step = at[0] / at[1]
-    return np.where(np.abs(step) <= reach, v - step, v)
+    size = np.abs(step)
+    return np.where(size <= reach, v - step, v), size
 
 
 def _locate(v, alpha, beta, scale):
@@ -595,12 +629,18 @@ def _locate(v, alpha, beta, scale):
     return points, (residual <= tol) & (np.hypot(*np.abs(beta)) > tol) & (tol > 0.0)
 
 
-def _read(e: np.ndarray, rows: list, w: np.ndarray, z: np.ndarray,
-          groups: list, radii: np.ndarray):
-    """(entries, failed): each group read as a real point, a sphere or an
-    isolated point, an entry being (x, y), the point (None for the sphere
-    x + yS) and the multiplicity; and the groups that do not check out.
-    rows are e's coefficients as 4-tuples, z is w folded.
+def _read(a: np.ndarray, rows: list, norms: list, w: np.ndarray, z: np.ndarray,
+          groups: list, owner: list, radii: np.ndarray, tol: float, entries: list) -> list:
+    """Each group read as a real point, a sphere or an isolated point,
+    appended to entries[n] for its member n, an entry being (x, y), the
+    point (None for the sphere x + yS) and the multiplicity; returns the
+    groups that do not check out, as one list per member.  The groups
+    of all members are read at once: group g belongs to member
+    owner[g], whose coefficients are row owner[g] of a, as _slice_stack
+    takes them, and of rows, as 4-tuples, and norms[owner[g]] their
+    norms; w holds the eigenvalues of all members, z them folded, those
+    of member n after those of members 0..n-1.  radii and tol are the
+    pass's, as _groups took them.
 
     2 mu eigenvalues whose folded mean is real to r(k) are a real point
     of multiplicity mu; elsewhere a sphere carrying mu = 2m + n:
@@ -609,45 +649,61 @@ def _read(e: np.ndarray, rows: list, w: np.ndarray, z: np.ndarray,
     (Gentili & Stoppato, 2008).  A pair is _tight where s_2 =
     -(z_1 - z_2)^2 / 4 is.  A mean that spreads beyond RESIDUAL_TOL / 100
     takes a Newton step as a simple root of the derivative of e^s one
-    below its multiplicity there: mu off the real axis, 2 mu on it.
+    below its multiplicity there: mu off the real axis, 2 mu on it.  A
+    root of its own is at most the spread away, while a group cut out of
+    a larger cluster steps towards the cluster's centre, about 1/5 (a
+    pair of a triple root) to 1/4 (of a double root) of the way to the
+    nearest eigenvalue outside it: a step beyond 1/8 of that fails the
+    group, taken or not.
     """
     sizes = [len(g) for g in groups]
-    members = list(chain.from_iterable(groups))
-    label = [n for n, m in enumerate(sizes) for _ in range(m)]
-    start = np.array(list(accumulate(sizes[:-1], initial=0)))
     size = np.array(sizes)
-    center = (np.bincount(label, z.real[members]) + 1j * np.bincount(label, z.imag[members])) / size
+    members = np.array(list(chain.from_iterable(groups)))
+    label = np.repeat(np.arange(len(sizes)), size)
+    start = np.array(list(accumulate(sizes[:-1], initial=0)))
+    folded = z[members]
+    center = (np.bincount(label, folded.real) + 1j * np.bincount(label, folded.imag)) / size
     real = center.imag <= radii[size] * np.abs(center)
     v = np.where(real, center.real, center)
     modulus = np.abs(v)
-    values = np.where(real[label], w[members], z[members])  # a real root spreads both ways
+    values = np.where(real[label], w[members], folded)  # a real root spreads both ways
     tight = (size > 2) | (np.abs(values[start] - values[start + 1])
-                          <= 16.0 * math.sqrt(GROUP_TOL) * modulus)
+                          <= 16.0 * math.sqrt(tol) * modulus)
     spread = np.maximum.reduceat(np.abs(values - v[label]), start)
     rough = spread > 0.01 * RESIDUAL_TOL * modulus
     if rough.any():
         order = np.where(real, size, size // 2) - 1
-        v[rough] = _newton(e, v[rough], order[rough],
-                           radii[size[rough]] * modulus[rough] + spread[rough])
+        reach = radii[size] * modulus + spread
+        own = np.array(owner)
+        ends = list(accumulate(2 * len(e) - 2 for e in rows))
+        for n in set(own[rough].tolist()):
+            at = np.flatnonzero(rough & (own == n))
+            v[at], step = _newton(a[n, :len(rows[n])], v[at], order[at], reach[at])
+            # from each centre to the nearest eigenvalue of e outside its group
+            lo = ends[n] - 2 * len(rows[n]) + 2
+            near = np.abs(z[lo:ends[n]] - center[at, None])
+            cells = [(i, m - lo) for i, g in enumerate(at.tolist()) for m in groups[g]]
+            near[tuple(zip(*cells))] = np.inf
+            tight[at[step > near.min(axis=1) / 8.0]] = False
         v = np.where(real, v.real, v)
-    alpha, beta = _slice_parts(e, v)
-    scale = np.array([_terms(rows, r) for r in np.abs(v).tolist()])
+    alpha, beta = _slice_parts(a if len(a) == 1 else a[owner], v)
+    scale = np.array([_horner(norms[n], r) for n, r in zip(owner, np.abs(v).tolist())])
     points, located = _locate(v, alpha, beta, scale)
     # scale 0, where the scaled monic underflowed, vouches for nothing
     vanish = (np.hypot(*np.abs(alpha)) <= RESIDUAL_TOL * scale) & (scale > 0.0)
-    entries, failed = [], []
-    for group, m, c, on_axis, ok, zero, point, found in zip(
-            groups, sizes, v.tolist(), real.tolist(), tight.tolist(), vanish.tolist(),
+    failed = [[] for _ in rows]
+    for n, group, m, c, on_axis, ok, zero, point, found in zip(
+            owner, groups, sizes, v.tolist(), real.tolist(), tight.tolist(), vanish.tolist(),
             points, located.tolist()):
         if on_axis:
             read = [((c.real, c.imag), (c.real, 0.0, 0.0, 0.0), m // 2)] if zero else None
         else:
-            read = _read_sphere(rows, c, m // 2, point if found else None)
+            read = _read_sphere(rows[n], c, m // 2, point if found else None)
         if ok and read:
-            entries += read
+            entries[n] += read
         else:
-            failed.append(group)
-    return entries, failed
+            failed[n].append(group)
+    return failed
 
 
 def _read_sphere(e: list, v: complex, mu: int, point) -> list | None:
@@ -665,11 +721,84 @@ def _read_sphere(e: list, v: complex, mu: int, point) -> list | None:
         e, m = quot, m + 1
     if m and mu > 2 * m:  # the quotient's own zero
         at = np.array([v])
-        found, located = _locate(at, *_slice_parts(np.array(e), at), _terms(e, rho))
+        found, located = _locate(at, *_slice_parts(np.array([e]), at), _terms(e, rho))
         point = found[0] if located[0] else None
     if mu > 2 * m and point is None:
         return None
     return [((x, y), None, 2 * m)] * bool(m) + [((x, y), point, mu - 2 * m)] * (mu > 2 * m)
+
+
+def _solve(es: list) -> tuple[list, list]:
+    """(entries, failed), one list of each per scaled monic of es: the
+    entries _read gave it, and its groups that did not check out in the
+    last pass.  The companions are solved stacked by degree, then
+    _groups runs per polynomial and one _read over the groups of all;
+    the polynomials with groups that do not check out are grouped again
+    at the next of _PASSES, and read again at once."""
+    degrees = [len(e) - 1 for e in es]
+    width = max(degrees) + 1
+    a = np.array([e + [_ZERO4] * (width - len(e)) for e in es])
+    norms = [list(map(_norm, e)) for e in es]
+    w = np.concatenate(_eigenvalues(a, degrees))
+    z = w.real + 1j * np.abs(w.imag)  # folded to the upper half-plane
+    entries = [[] for _ in es]
+    todo = [(n, np.arange(s - 2 * d, s)) for n, (d, s) in enumerate(
+        zip(degrees, accumulate(2 * d for d in degrees)))]
+    for shrink, tol in _PASSES:
+        radii = _radii(2 * width - 2, shrink, tol)
+        groups, owner = [], []
+        for n, left in todo:
+            found = _groups(w, z, left, radii, tol)
+            groups += found
+            owner += [n] * len(found)
+        failed = _read(a, es, norms, w, z, groups, owner, radii, tol, entries)
+        todo = [(n, np.array(list(chain.from_iterable(failed[n])))) for n, _ in todo if failed[n]]
+        if not todo:
+            break
+    return entries, failed
+
+
+def _zero_sets(fs) -> list[ZeroSet]:
+    """zeros_many(fs); a ConditioningWarning names the caller of zeros or
+    zeros_many."""
+    members, es = [], []
+    for f in fs:
+        if f.is_zero:
+            raise ZeroPolynomial("the zero polynomial vanishes identically")
+        if not f.is_polynomial:
+            raise ValueError("zeros is defined for polynomials only")
+        coeffs = f.coeffs
+        low = 0
+        while coeffs[low] == _ZERO4:  # f = q^low g: the real point 0, exactly
+            low += 1
+        n, k = None, 0
+        if len(coeffs) > low + 1:
+            e, k = _scaled_monic(coeffs[low:])
+            n = len(es)
+            es.append(e)
+        members.append((f.degree, low, k, n))
+    entries, failed = _solve(es) if es else ([], [])
+    out = []
+    for d, low, k, n in members:
+        found = [((0.0, 0.0), _ZERO4, low)] if low else []
+        if n is not None:
+            found += entries[n]
+        zs = ZeroSet()
+        try:
+            for (x, y), p, mult in sorted(found, key=lambda t: t[0]):
+                if p is None:
+                    zs.spheres.append((Sphere(math.ldexp(x, k), math.ldexp(y, k)), mult))
+                else:
+                    zs.points.append((Quaternion(*[math.ldexp(t, k) for t in p]), mult))
+        except OverflowError:
+            raise ValueError("a zero of f overflows float64") from None
+        if n is not None and failed[n]:
+            warnings.warn(ConditioningWarning(
+                f"{sum(map(len, failed[n]))} companion eigenvalues form no group that "
+                f"checks out: the multiplicities sum to {zs.total_multiplicity}, "
+                f"not the degree {d}"), stacklevel=3)
+        out.append(zs)
+    return out
 
 
 def zeros(f: RegularSeries) -> ZeroSet:
@@ -679,44 +808,21 @@ def zeros(f: RegularSeries) -> ZeroSet:
     eigenvalues of the block companion are the roots of f^s; they are
     grouped (_groups), and each group is read as a real point, a sphere
     or an isolated point and checked against f (_read).  The groups that
-    do not check out are grouped again at radii 1/64 as large; if some
-    still do not, a ConditioningWarning says so, and the multiplicities
-    sum to less than the degree.  Raises ValueError for a coefficient or
-    a zero beyond float64.
+    do not check out are grouped again at radii 1/64 as large, then at
+    16 GROUP_TOL; if some still do not, a ConditioningWarning says so,
+    and the multiplicities sum to less than the degree.  Raises
+    ValueError for a coefficient or a zero beyond float64.  This is
+    zeros_many([f])[0]; a batch raises for its first bad member.
     """
-    if f.is_zero:
-        raise ZeroPolynomial("the zero polynomial vanishes identically")
-    if not f.is_polynomial:
-        raise ValueError("zeros is defined for polynomials only")
-    coeffs = list(map(tuple, f.coeffs))
-    low = 0
-    while coeffs[low] == _ZERO4:  # f = q^low g: the real point 0, exactly
-        low += 1
-    entries, failed, k = [((0.0, 0.0), _ZERO4, low)] if low else [], [], 0
-    if len(coeffs) > low + 1:
-        e, w, k = _scaled_monic(coeffs[low:])
-        rows = list(map(tuple, e.tolist()))
-        z = w.real + 1j * np.abs(w.imag)  # folded to the upper half-plane
-        left = np.arange(len(w))
-        for shrink in (1.0, 1.0 / 64.0):
-            radii = _radii(len(w), shrink)
-            read, failed = _read(e, rows, w, z, _groups(w, z, left, radii), radii)
-            entries += read
-            if not failed:
-                break
-            left = np.array(list(chain.from_iterable(failed)))
-    out = ZeroSet()
-    try:
-        for (x, y), p, mult in sorted(entries, key=lambda t: t[0]):
-            if p is None:
-                out.spheres.append((Sphere(math.ldexp(x, k), math.ldexp(y, k)), mult))
-            else:
-                out.points.append((Quaternion(*[math.ldexp(t, k) for t in p]), mult))
-    except OverflowError:
-        raise ValueError("a zero of f overflows float64") from None
-    if failed:
-        warnings.warn(ConditioningWarning(
-            f"{sum(map(len, failed))} companion eigenvalues form no group that "
-            f"checks out: the multiplicities sum to {out.total_multiplicity}, "
-            f"not the degree {f.degree}"), stacklevel=2)
-    return out
+    return _zero_sets([f])[0]
+
+
+def zeros_many(fs) -> list[ZeroSet]:
+    """[zeros(f) for f in fs], bit for bit and with the same warnings,
+    one per polynomial whose multiplicities fall short, in order, but
+    with the fixed cost of zeros paid once: the companions of one
+    degree are solved in one call, and the groups of all polynomials
+    read at once.  Every member is checked before any is solved, so a
+    batch raises what zeros raises for its first bad member (a zero
+    that overflows float64 shows only once the zeros are read)."""
+    return _zero_sets(fs)

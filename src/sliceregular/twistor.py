@@ -144,11 +144,6 @@ class KleinPoint(ProjectivePoint):
         z = self.coords.T
         return z[0] * z[5] - z[1] * z[4] + z[2] * z[3]
 
-    def on_klein_quadric(self):
-        z = self.coords.T
-        scale = np.maximum(1.0, abs(z[0] * z[5]) + abs(z[1] * z[4]) + abs(z[2] * z[3]))
-        return abs(self.klein_form()) <= 1e-10 * scale
-
 
 def twistor_project(Z: ProjectivePoint3) -> HP1Point:
     """[Z0, Z1, Z2, Z3] -> [Z0 + Z1 j, Z2 + Z3 j]; raises ValueError for

@@ -24,7 +24,7 @@ from .ocs import OCSValue
 from .quat_core import (I as QI, J, K, ONE, ChartPoint, Quaternion, imag_unit,
                         phi, sphere_of)
 from .regular_fn import (RegularSeries, _terms, divide_linear, eval_series,
-                         star_mul, zeros)
+                         star_mul, zeros, zeros_many)
 from .twistor import (CurveSample, KleinPoint, ProjectivePoint3, _curve_columns,
                       lift, reconstruct, sigma, twistor_project,
                       twistor_transform)
@@ -145,7 +145,7 @@ def suite_klein_reality(res: SuiteResult, rng, samples: int = 1000) -> None:
         vs = _random_complex(rng, -2.0, 2.0, min(100, samples - start))
         zeta = twistor_transform(f, vs)
         real = sigma(zeta).equals(twistor_transform(f, vs.conj()), 1e-10)
-        # coordinates of largest modulus 1: as strict as on_klein_quadric or more
+        # coordinates of largest modulus 1, so 1e-10 is relative to them
         for n, kf, ok in zip(range(start, samples),
                              np.abs(zeta.klein_form()).tolist(), real.tolist()):
             res.within(kf, 1e-10, f"Klein relation, sample {n}")
@@ -260,14 +260,15 @@ def suite_rank_equivalence(res: SuiteResult, rng, samples: int = 500) -> None:
 def suite_zeros_multiplicity(res: SuiteResult, rng, samples: int = 500) -> None:
     """zeros() accounts for the full degree of random split polynomials,
     and reproduces the three canonical quadratic cases."""
-    for n in range(samples):
-        deg = int(rng.integers(1, 7))
+    fs = []
+    for _ in range(samples):
         f = RegularSeries.constant(Quaternion(1.0))
-        for _ in range(deg):
+        for _ in range(int(rng.integers(1, 7))):
             f = star_mul(f, RegularSeries.linear(random_quaternion(rng, 1.5)))
-        zs = zeros(f)
-        res.check(zs.total_multiplicity == deg,
-                  f"sample {n}: degree {deg} vs multiplicity "
+        fs.append(f)  # monic, so of the drawn degree
+    for n, (f, zs) in enumerate(zip(fs, zeros_many(fs))):
+        res.check(zs.total_multiplicity == f.degree,
+                  f"sample {n}: degree {f.degree} vs multiplicity "
                   f"{zs.total_multiplicity}")
 
     alpha = QI

@@ -33,9 +33,10 @@ interpreter, and compares one JSON line per item as bytes.
   every seed, one line each: signs before a factor, after `*` and in
   runs, up to 3000 long.
 - `adversarial`: a fixed list of polynomials, the same for every seed,
-  that reach the rare paths of `zeros`: the regrouping at radii 1/64
-  as large and the `ConditioningWarning`, which benchmark items reach
-  about 10 times in 10,000.  The list holds the named inputs of
+  that reach the rare paths of `zeros`: the regroupings at radii 1/64
+  as large and at 16 GROUP_TOL, the Newton-step gate and the
+  `ConditioningWarning`, which benchmark items reach about 10 times in
+  10,000.  The list holds the named inputs of
   ROADMAP item 1 (the four shrunk hypothesis draws of
   `test_zeros_match_exact_factorization`, two triple zeros on spheres
   0.5% apart, `(q^2+1.00002q+1)(q^2+0.99998q+1)` and `(q+i)^34`), four
@@ -60,6 +61,12 @@ interpreter, and compares one JSON line per item as bytes.
   and that list of pairs itself instead, so that residuals that moved
   in the last bits can agree within R.  The line of a figure holds the exit code and the sha256
   of its CSV.  The items do not depend on the seed, so give one seed.
+
+`zeros(f)` is `zeros_many([f])[0]`, so the workloads exercise the zero
+finder at two batch sizes: `paper` solves 500 members in one call (the
+`zeros-multiplicity` suite's `zeros_many` call), while `zeros` and
+`adversarial` solve one member per call.  `tests/test_regular_fn.py`
+holds a batch of many members to the answers of one call each.
 
     python3 tools/zeros_identity.py OTHER_SRC [--workload zeros] [--seeds 1-10]
                                     [--rtol R]
