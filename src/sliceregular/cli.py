@@ -1,10 +1,11 @@
 """Command-line front end: evaluate, find zeros, classify, verify, plot data.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(malformed or non-finite input, and an --out that cannot be written,
-included), 3 domain error (an answer that
-overflows float64, and a zero set that float64 cannot resolve, included),
-4 degenerate input.
+Exit codes: 0 success, 1 verification failure.  An error type in _ERRORS
+prints one line on stderr and exits with its code: 2 `usage error:`
+(UsageError) or `parse error:` (ParseError, OSError: malformed or
+non-finite input), 3 `domain error:` (DomainError, OutsideRadius: an
+answer beyond float64 included) or `ill-conditioned:` (ConditioningWarning),
+4 `degenerate input:` (ZeroPolynomial).  Any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -25,24 +26,33 @@ from .quat_core import Quaternion
 from .regular_fn import RegularSeries, eval_series, zeros
 from .verify import SUITES, run_suite
 
-EXIT_OK = 0
-EXIT_VERIFY_FAIL = 1
-EXIT_USAGE = 2
-EXIT_DOMAIN = 3
-EXIT_DEGENERATE = 4
-
 # The largest `figure --grid`: fig2 holds several (grid+1)^3 float64
 # arrays at once, each under 70 MB at 200 (the benchmark draws at 60).
 MAX_GRID = 200
 # The largest `verify --samples`, for any suite.  Per sample,
 # nullstellensatz costs the most memory (six chart points, each a row of
 # 35 complex monomials, in one SVD: about 230 MB peak at this count), and
-# zeros-multiplicity the most time (about 3 s here, and about 103 MB
-# peak, since its one zeros_many call holds all its polynomials' zeros).
-# quartic-membership, which lifts all its samples at once, adds about
-# 8 MB here, and twistor-commute (about 66 us a sample) runs in under a
-# second (Python 3.11, one core).
+# zeros-multiplicity the most time (about 2 s, and 41 MB peak, as it
+# solves 500 polynomials at a time).  quartic-membership, which lifts all
+# its samples at once, adds about 8 MB here, and twistor-commute (about
+# 66 us a sample) runs in under a second (Python 3.11, one core).
 MAX_VERIFY_SAMPLES = 10_000
+
+
+class UsageError(Exception):
+    """An unknown name, a count out of range, or an --out that cannot be written."""
+
+
+# The stderr prefix and exit code of each documented error type
+_ERRORS = {
+    UsageError: ("usage error", 2),
+    ParseError: ("parse error", 2),
+    OSError: ("parse error", 2),
+    DomainError: ("domain error", 3),
+    OutsideRadius: ("domain error", 3),
+    ConditioningWarning: ("ill-conditioned", 3),
+    ZeroPolynomial: ("degenerate input", 4),
+}
 
 
 def _read_json(load, text: str | bytes):
@@ -83,100 +93,69 @@ def _emit(args, text: str) -> int:
             with open(args.out, "w", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    return EXIT_OK
+    return 0
 
 
 def _emit_json(args, obj) -> int:
-    """Emit obj as JSON; an answer with a non-finite number exits 3 instead."""
+    """Emit obj as JSON; an answer with a non-finite number is a DomainError."""
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
-        print("domain error: the answer overflows float64", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise DomainError("the answer overflows float64") from None
     return _emit(args, text)
 
 
 def cmd_eval(args) -> int:
-    try:
-        f = _load_polynomial(args.poly)
-        q = _load_quaternion(args.point)
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        value = eval_series(f, q)
-    except OutsideRadius as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    value = eval_series(_load_polynomial(args.poly), _load_quaternion(args.point))
     return _emit_json(args, value.to_json())
 
 
 def cmd_zeros(args) -> int:
-    try:
-        f = _load_polynomial(args.poly)
-        # the expression grammar caps degrees as it parses; a JSON series
-        # meets the same cap here, since zeros() grows as degree^3
-        _check_degree(f.degree, "degree")
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ConditioningWarning)
-            zs = zeros(f)
-    except ZeroPolynomial as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ValueError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ConditioningWarning as exc:
-        print(f"ill-conditioned: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    f = _load_polynomial(args.poly)
+    # the expression grammar caps degrees as it parses; a JSON series
+    # meets the same cap here, since zeros() grows as degree^3
+    _check_degree(f.degree, "degree")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        zs = zeros(f)
     return _emit_json(args, zs.to_json())
+
+
+def _structures(c: Quaternion) -> tuple[list | None, list | None]:
+    """The units of J+ and J- at c, or (None, None) where they are undefined."""
+    try:
+        return j_plus(c).unit.to_json(), j_minus(c).unit.to_json()
+    except DomainError:
+        return None, None
 
 
 def cmd_classify(args) -> int:
     coords = (args.x0, args.x1, args.x2, args.x3)
     if not all(map(math.isfinite, coords)):
-        print(f"parse error: coordinates must be finite, got {coords}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ParseError(f"coordinates must be finite, got {coords}")
     c = Quaternion(*coords)
     n = c.norm_sq()
     if not math.isfinite(n * n * n):
-        print(f"domain error: |c|^6 overflows float64 at c = {coords}",
-              file=sys.stderr)
-        return EXIT_DOMAIN
+        raise DomainError(f"|c|^6 overflows float64 at c = {coords}")
     fc = fiber_intersections(c)
     report = {
         "class": fc.kind.value,
         "D": discriminant_D(c),
         "ruling_parameters": [[v.real, v.imag] for v in fc.ruling_parameters],
-        "j_plus": None,
-        "j_minus": None,
     }
-    try:
-        report["j_plus"] = j_plus(c).unit.to_json()
-        report["j_minus"] = j_minus(c).unit.to_json()
-    except DomainError:
-        pass
+    report["j_plus"], report["j_minus"] = _structures(c)
     return _emit_json(args, report)
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; available: "
-              + ", ".join(sorted(SUITES)), file=sys.stderr)
-        return EXIT_USAGE
     result = run_suite(args.suite, seed=args.seed, samples=args.samples)
-    return _emit(args, result.summary()) or (EXIT_OK if result.passed else EXIT_VERIFY_FAIL)
+    _emit(args, result.summary())
+    return 0 if result.passed else 1
 
 
 def cmd_figure(args) -> int:
@@ -184,14 +163,11 @@ def cmd_figure(args) -> int:
         rows = figure1_rows()
         lines = ["x,y,z,label"] + [f"{x:.9g},{y:.9g},{z:.9g},{label}"
                                    for x, y, z, label in rows]
-    elif args.name == "fig2":
+    else:
         centers, cells = figure2_cells(args.grid)
         label = [f"{c:.9g}" for c in centers.tolist()]  # each centre once
         lines = ["x,y,z"] + [f"{label[i]},{label[j]},{label[k]}"
                              for i, j, k in cells.tolist()]
-    else:
-        print(f"unknown figure {args.name!r}", file=sys.stderr)
-        return EXIT_USAGE
     return _emit(args, "\n".join(lines) + "\n")
 
 
@@ -236,27 +212,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _size_error(args) -> str | None:
-    """Why a count is out of range, checked before anything is
-    allocated; None when all are in range."""
+    """Why a name is unknown or a count out of range, checked before
+    anything is allocated; None when all are in range."""
     if args.command == "verify":
-        least = SUITES[args.suite][1] if args.suite in SUITES else 1
+        if args.suite not in SUITES:
+            return f"unknown suite {args.suite!r}; available: " + ", ".join(sorted(SUITES))
+        least = SUITES[args.suite][1]
         if args.samples is not None and not least <= args.samples <= MAX_VERIFY_SAMPLES:
             return (f"--samples of {args.suite} must be from {least} to "
                     f"{MAX_VERIFY_SAMPLES}, got {args.samples}")
         if args.seed < 0:  # numpy's generators take no negative seed
             return f"--seed must be at least 0, got {args.seed}"
-    if args.command == "figure" and not 1 <= args.grid <= MAX_GRID:
-        return f"--grid must be from 1 to {MAX_GRID}, got {args.grid}"
+    if args.command == "figure":
+        if args.name not in ("fig1", "fig2"):
+            return f"unknown figure {args.name!r}"
+        if not 1 <= args.grid <= MAX_GRID:
+            return f"--grid must be from 1 to {MAX_GRID}, got {args.grid}"
     return None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    problem = _size_error(args)
-    if problem is not None:
-        print(f"usage error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
-    return args.fn(args)
+    try:
+        problem = _size_error(args)
+        if problem is not None:
+            raise UsageError(problem)
+        return args.fn(args)
+    except tuple(_ERRORS) as exc:
+        prefix, code = next(_ERRORS[t] for t in type(exc).__mro__ if t in _ERRORS)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from itertools import accumulate, chain, zip_longest
 
 import numpy as np
 
-from .errors import ConditioningWarning, NotReal, OutsideRadius, ZeroPolynomial
+from .errors import ConditioningWarning, DomainError, NotReal, OutsideRadius, ZeroPolynomial
 from .quat_core import I, ONE, Quaternion, Sphere, hamilton, json_float
 
 # Tolerances of the zero finder, both relative backward errors, chosen
@@ -119,12 +119,12 @@ class RegularSeries:
 # The kernels below work on plain floats: a quaternion is any 4-tuple
 # (w, x, y, z), a Quaternion included, and a polynomial a sequence of
 # them, constant term first.  What they build are exact tuples, which
-# CPython unpacks on a faster path than a tuple subclass, so zeros()
-# copies f's coefficients to exact tuples once.  Each kernel does its
-# float operations in the order, and on the operands, of the Quaternion
-# arithmetic it stands for, so its answers are bit for bit those of
-# the object code (tests/test_regular_fn.py keeps the object versions
-# as oracles).
+# CPython unpacks on a faster path than a tuple subclass; zeros() reads
+# f's coefficients as they are and builds only its scaled monic as exact
+# tuples.  Each kernel does its float operations in the order, and on
+# the operands, of the Quaternion arithmetic it stands for, so its
+# answers are bit for bit those of the object code
+# (tests/test_regular_fn.py keeps the object versions as oracles).
 
 Q4 = tuple[float, float, float, float]
 _ZERO4: Q4 = (0.0, 0.0, 0.0, 0.0)
@@ -455,8 +455,8 @@ def _scaled_monic(coeffs: list) -> tuple[list, int]:
     zeros are at most the Fujiwara bound 2 M 2^-k <= 2 sqrt 2; exponents
     come first, so that nothing overflows."""
     if not all(map(math.isfinite, chain.from_iterable(coeffs))):
-        raise ValueError("the companion matrix of f overflows float64: "
-                         "a coefficient is not finite")
+        raise DomainError("the companion matrix of f overflows float64: "
+                          "a coefficient is not finite")
     d = len(coeffs) - 1
     exps = [math.frexp(max(map(abs, a)))[1] for a in coeffs]
     logs = [math.log2(math.hypot(*[math.ldexp(t, -x) for t in a])) + x if any(a) else -math.inf
@@ -766,7 +766,7 @@ def _zero_sets(fs) -> list[ZeroSet]:
         if f.is_zero:
             raise ZeroPolynomial("the zero polynomial vanishes identically")
         if not f.is_polynomial:
-            raise ValueError("zeros is defined for polynomials only")
+            raise DomainError("zeros is defined for polynomials only")
         coeffs = f.coeffs
         low = 0
         while coeffs[low] == _ZERO4:  # f = q^low g: the real point 0, exactly
@@ -791,7 +791,7 @@ def _zero_sets(fs) -> list[ZeroSet]:
                 else:
                     zs.points.append((Quaternion(*[math.ldexp(t, k) for t in p]), mult))
         except OverflowError:
-            raise ValueError("a zero of f overflows float64") from None
+            raise DomainError("a zero of f overflows float64") from None
         if n is not None and failed[n]:
             warnings.warn(ConditioningWarning(
                 f"{sum(map(len, failed[n]))} companion eigenvalues form no group that "
@@ -811,7 +811,8 @@ def zeros(f: RegularSeries) -> ZeroSet:
     do not check out are grouped again at radii 1/64 as large, then at
     16 GROUP_TOL; if some still do not, a ConditioningWarning says so,
     and the multiplicities sum to less than the degree.  Raises
-    ValueError for a coefficient or a zero beyond float64.  This is
+    ZeroPolynomial for f = 0, and DomainError for a series, a
+    coefficient that is not finite or a zero beyond float64.  This is
     zeros_many([f])[0]; a batch raises for its first bad member.
     """
     return _zero_sets([f])[0]

@@ -260,16 +260,18 @@ def suite_rank_equivalence(res: SuiteResult, rng, samples: int = 500) -> None:
 def suite_zeros_multiplicity(res: SuiteResult, rng, samples: int = 500) -> None:
     """zeros() accounts for the full degree of random split polynomials,
     and reproduces the three canonical quadratic cases."""
-    fs = []
-    for _ in range(samples):
-        f = RegularSeries.constant(Quaternion(1.0))
-        for _ in range(int(rng.integers(1, 7))):
-            f = star_mul(f, RegularSeries.linear(random_quaternion(rng, 1.5)))
-        fs.append(f)  # monic, so of the drawn degree
-    for n, (f, zs) in enumerate(zip(fs, zeros_many(fs))):
-        res.check(zs.total_multiplicity == f.degree,
-                  f"sample {n}: degree {f.degree} vs multiplicity "
-                  f"{zs.total_multiplicity}")
+    # 500 at a time: one batch at the acceptance count, bounded memory above it
+    for start in range(0, samples, 500):
+        fs = []
+        for _ in range(min(500, samples - start)):
+            f = RegularSeries.constant(Quaternion(1.0))
+            for _ in range(int(rng.integers(1, 7))):
+                f = star_mul(f, RegularSeries.linear(random_quaternion(rng, 1.5)))
+            fs.append(f)  # monic, so of the drawn degree
+        for n, (f, zs) in enumerate(zip(fs, zeros_many(fs)), start):
+            res.check(zs.total_multiplicity == f.degree,
+                      f"sample {n}: degree {f.degree} vs multiplicity "
+                      f"{zs.total_multiplicity}")
 
     alpha = QI
     # distinct spheres: second root (alpha - beta-bar) beta (alpha - beta-bar)^-1

@@ -432,6 +432,50 @@ def test_malformed_input_exits_2(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+VANISHED = "vanished.json"  # a file that isfile sees, but that is gone when read
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["verify", "no-such-suite"], 2, "usage error: unknown suite 'no-such-suite'"),
+    (["figure", "fig3"], 2, "usage error: unknown figure 'fig3'"),
+    (["--out", os.curdir, "zeros", "q"], 2, "usage error: cannot write --out: "),
+    (["eval", "q+$", "[0,0,0,0]"], 2, "parse error: unexpected character '$'"),
+    (["zeros", VANISHED], 2, "parse error: [Errno 2] "),
+    (["classify", "1e100", "0", "0", "0"], 3, "domain error: |c|^6 overflows float64"),
+    (["zeros", '{"coeffs":[[1,0,0,0],[1,0,0,0]],"radius":1}'], 3,
+     "domain error: zeros is defined for polynomials only"),
+    (["eval", '{"coeffs":[[1,0,0,0],[1,0,0,0]],"radius":1}', "[2,0,0,0]"], 3,
+     "domain error: |q| = 2.0 >= radius 1.0"),
+    (["zeros", "(q+i)^34"], 3, "ill-conditioned: 68 companion eigenvalues"),
+    (["zeros", "0"], 4, "degenerate input: the zero polynomial"),
+], ids=["UsageError-suite", "UsageError-figure", "UsageError-out", "ParseError",
+        "OSError", "DomainError", "DomainError-zeros-of-a-series", "OutsideRadius",
+        "ConditioningWarning", "ZeroPolynomial"])
+def test_each_documented_error_has_its_line_and_exit_code(argv, code, prefix,
+                                                         monkeypatch, capsys):
+    isfile = os.path.isfile
+    monkeypatch.setattr(cli.os.path, "isfile", lambda p: p == VANISHED or isfile(p))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_an_error_outside_the_table_propagates(error, monkeypatch, capsys):
+    # a bug ends in a traceback; it does not pose as a documented error,
+    # not even as a ValueError from inside zeros
+    def broken(f):
+        raise error("a bug")
+
+    monkeypatch.setattr(cli, "zeros", broken)
+    with pytest.raises(error, match="a bug"):
+        main(["zeros", "q"])
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_samples_cap_admits_the_cap():
     # checked without running a suite at the cap; seed 0 is the least
     args = build_parser().parse_args(["verify", "nullstellensatz", "--seed", "0",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from sliceregular import (ConditioningWarning, NotReal, OutsideRadius,
+from sliceregular import (ConditioningWarning, DomainError, NotReal, OutsideRadius,
                           Quaternion, RegularSeries, Sphere, ZeroPolynomial,
                           ZeroSet, conjugate, divide_linear,
                           divide_real_quadratic, eval_series, slice_values,
@@ -1124,6 +1124,17 @@ def test_zeros_many_of_edge_members():
     assert caught[0].filename == __file__
     assert [zs.total_multiplicity for zs in (got[0], got[2])] == [2, 2]
     assert_batch_matches_calls(fs)
+
+
+@pytest.mark.parametrize("f, message", [
+    (RegularSeries((ONE, ONE), radius=1.0), "polynomials only"),
+    (RegularSeries((ONE, Quaternion(math.inf))), "not finite"),
+    (RegularSeries((Quaternion(1e300), Quaternion(1e-300))), "a zero of f overflows"),
+], ids=["series", "non-finite-coefficient", "zero-beyond-float64"])
+def test_zeros_refusals_are_domain_errors(f, message):
+    # a DomainError is a ValueError, so callers that catch ValueError still do
+    with pytest.raises(DomainError, match=message):
+        zeros(f)
 
 
 def test_zeros_many_raises_for_its_first_bad_member_before_solving(monkeypatch):

@@ -55,9 +55,8 @@ interpreter, and compares one JSON line per item as bytes.
   summary and the sha256 of every check it made, in order, as the
   pair (verdict, residual): whether the residual was within its
   tolerance and the residual for `SuiteResult.within`, the verdict and
-  0.0 for `SuiteResult.check` (a tree from before `within` passed
-  `check` the pair itself), so a residual that moves below the maximum
-  shows too.  Under --rtol it holds the verdict, the failure labels
+  0.0 for `SuiteResult.check`, so a residual that moves below the
+  maximum shows too.  Under --rtol it holds the verdict, the failure labels
   and that list of pairs itself instead, so that residuals that moved
   in the last bits can agree within R.  The line of a figure holds the exit code and the sha256
   of its CSV.  The items do not depend on the seed, so give one seed.
@@ -276,19 +275,18 @@ def _dump_paper(seeds: list[int], full: bool = False) -> None:
     from sliceregular.verify import SuiteResult, run_suite
 
     checks = []
-    check, within = SuiteResult.check, getattr(SuiteResult, "within", None)
+    check, within = SuiteResult.check, SuiteResult.within
 
-    def recorded(self, ok, label, *residual):  # a tree before `within` passes a residual
-        checks.append([bool(ok), float(*residual or [0.0])])
-        check(self, ok, label, *residual)
+    def recorded(self, ok, label):
+        checks.append([bool(ok), 0.0])
+        check(self, ok, label)
 
     def recorded_within(self, residual, tol, label):
         within(self, residual, tol, label)  # counts itself through check
         checks[-1][1] = float(residual)
 
     SuiteResult.check = recorded
-    if within is not None:
-        SuiteResult.within = recorded_within
+    SuiteResult.within = recorded_within
     for _ in seeds:
         for name, samples in PAPER_SUITES:
             checks.clear()
