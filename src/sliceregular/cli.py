@@ -34,8 +34,10 @@ MAX_GRID = 200
 # 35 complex monomials, in one SVD: about 230 MB peak at this count), and
 # zeros-multiplicity the most time (about 2 s, and 41 MB peak, as it
 # solves 500 polynomials at a time).  quartic-membership, which lifts all
-# its samples at once, adds about 8 MB here, and twistor-commute (about
-# 66 us a sample) runs in under a second (Python 3.11, one core).
+# its samples at once, adds about 8 MB here.  twistor-commute lifts 500
+# samples at a time and transform-roundtrip fits 200 curves at a time:
+# each peaks at about 40 MB, in under a second and about 2 s (Python
+# 3.11, one core).
 MAX_VERIFY_SAMPLES = 10_000
 
 

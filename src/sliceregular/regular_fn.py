@@ -392,7 +392,7 @@ def _slice_pair(coeffs, v):
     -0.0 component.
     """
     if isinstance(v, np.ndarray):
-        return tuple(_slice_stack(np.array(coeffs, dtype=float).reshape(1, -1, 4), v[None])[:, 0])
+        return tuple(_slice_stack(_coeff_rows([coeffs]), v[None])[:, 0])
     vc = v.conjugate()
     g = h = gc = hc = 0j
     for w, x, y, z in reversed(coeffs):
@@ -423,6 +423,15 @@ def _slice_stack(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         np.multiply(at, state, out=state)
         state += b
     return state.reshape((4,) + state.shape[2:])
+
+
+def _coeff_rows(rows) -> np.ndarray:
+    """The coefficient sequences of rows (4-tuples, constant term first)
+    as the float array (len(rows), width, 4) that _slice_stack takes,
+    each padded at the top with +0.0 to the longest, so that row n runs
+    at v[n] of a 1-d v, or at the points of row n of a 2-d one."""
+    width = max(map(len, rows))
+    return np.array([[*r] + [_ZERO4] * (width - len(r)) for r in rows], dtype=float)
 
 
 def _derivative_rows(coeffs, count: int) -> np.ndarray:
@@ -737,7 +746,7 @@ def _solve(es: list) -> tuple[list, list]:
     at the next of _PASSES, and read again at once."""
     degrees = [len(e) - 1 for e in es]
     width = max(degrees) + 1
-    a = np.array([e + [_ZERO4] * (width - len(e)) for e in es])
+    a = _coeff_rows(es)
     norms = [list(map(_norm, e)) for e in es]
     w = np.concatenate(_eigenvalues(a, degrees))
     z = w.real + 1j * np.abs(w.imag)  # folded to the upper half-plane

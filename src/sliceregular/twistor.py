@@ -9,7 +9,11 @@ which f can be reconstructed.
 The lift, the transform and the image line take v as one complex number
 or as a 1-d array of them.  A batch is one point object whose coords
 hold a row per v, and the point methods act on the last axis, so each
-formula serves a point and a batch alike.
+formula serves a point and a batch alike.  The lift and the transform
+also take a list of series, one per row of v, all evaluated by one
+stacked Horner loop: lift(fs, u, v) lifts fs[n] at v[n], and
+twistor_transform(fs, v) maps fs[n] at the m points of row n of v, of
+shape (n, m).  reconstruct_many fits many sampled curves at once.
 """
 
 from __future__ import annotations
@@ -23,17 +27,17 @@ import numpy as np
 
 from .errors import FitError, OutsideRadius, PoleDetected
 from .quat_core import Quaternion
-from .regular_fn import RegularSeries, _slice_pair
+from .regular_fn import RegularSeries, _coeff_rows, _slice_pair, _slice_stack
 
 PROJ_TOL = 1e-9
 
 
 def _stack(*z) -> np.ndarray:
     """The coordinates z as the last axis of one complex array: numbers,
-    or 1-d arrays of one length with a number repeating down its column."""
-    if any(isinstance(t, np.ndarray) for t in z):  # numbers skip broadcasting
-        z = np.broadcast_arrays(*z)
-    return np.array(z, dtype=complex).T
+    or arrays of one shape with a number repeating through its column."""
+    if not any(isinstance(t, np.ndarray) for t in z):  # numbers skip broadcasting
+        return np.array(z, dtype=complex)
+    return np.moveaxis(np.array(np.broadcast_arrays(*z), dtype=complex), 0, -1)
 
 
 def _every(ok) -> bool:
@@ -64,7 +68,8 @@ def _on_points(fn):
 class ProjectivePoint:
     """Homogeneous coordinates, stored with the largest coordinate at 1.
 
-    coords of shape (n, k) hold a batch of n points, each row normalized.
+    coords of shape (n, k) hold a batch of n points, each row normalized;
+    a batch may have more leading axes, as (n, m, k).
     """
 
     coords: np.ndarray
@@ -76,7 +81,7 @@ class ProjectivePoint:
         largest = (*np.indices(k.shape, sparse=True), k)
         if not _every((0.0 < mags[largest]) & (mags[largest] < math.inf)):
             raise ValueError("projective coordinates must be finite, not all zero")
-        object.__setattr__(self, "coords", (coords.T / coords[largest]).T)
+        object.__setattr__(self, "coords", (coords.T / coords[largest].T).T)
 
     @classmethod
     def of(cls, *z):
@@ -91,6 +96,16 @@ class ProjectivePoint:
         ab = a[..., :, None] * b[..., None, :]  # minor (i, j) is ab_ij - ab_ji
         minors = np.abs(ab - np.swapaxes(ab, -1, -2))
         return (minors <= bound[..., None, None]).all(axis=(-2, -1))
+
+    def rows(self) -> list:
+        """The points of a batch along its first axis, whose coordinates
+        are normalized already and so are not divided again."""
+        out = []
+        for z in self.coords:
+            point = object.__new__(type(self))
+            object.__setattr__(point, "coords", z)
+            out.append(point)
+        return out
 
     def to_json(self) -> list:
         return [[z.real, z.imag] for z in self.coords]
@@ -141,7 +156,7 @@ class KleinPoint(ProjectivePoint):
     """A point of CP^5 in the basis e01, e02, e03, e12, e13, e23."""
 
     def klein_form(self):
-        z = self.coords.T
+        z = np.moveaxis(self.coords, -1, 0)
         return z[0] * z[5] - z[1] * z[4] + z[2] * z[3]
 
 
@@ -151,9 +166,8 @@ def twistor_project(Z: ProjectivePoint3) -> HP1Point:
     if Z.coords.ndim != 1:
         raise ValueError(f"twistor_project takes one point, got a batch of "
                          f"shape {Z.coords.shape}")
-    q1 = Quaternion.from_complex_pair(Z[0], Z[1])
-    q2 = Quaternion.from_complex_pair(Z[2], Z[3])
-    return HP1Point(q1, q2)
+    z0, z1, z2, z3 = Z.coords.tolist()
+    return HP1Point(Quaternion.from_complex_pair(z0, z1), Quaternion.from_complex_pair(z2, z3))
 
 
 def _verdicts(Z: ProjectivePoint3, ok):
@@ -179,6 +193,23 @@ def in_q_plus(Z: ProjectivePoint3):
     return _verdicts(Z, on_quadric(Z) & (first | second))
 
 
+def _split_values(f, v):
+    """_slice_pair of the series f at v, or of a list f of series, row n
+    of the array v at f[n], from one stacked loop; raises OutsideRadius
+    if any |v| >= the radius of its series."""
+    if isinstance(f, RegularSeries):
+        if not f.is_polynomial and np.any(np.abs(v) >= f.radius):
+            raise OutsideRadius(f"|v| >= radius {f.radius}")
+        return _slice_pair(f.coeffs, v)
+    if np.ndim(v) == 0 or len(f) != len(v):
+        raise ValueError(f"{len(f)} series take an array of points with one row "
+                         f"each, got shape {np.shape(v)}")
+    for n, s in enumerate(f):
+        if not s.is_polynomial and np.any(np.abs(v[n]) >= s.radius):
+            raise OutsideRadius(f"|v| >= radius {s.radius} in row {n}")
+    return tuple(_slice_stack(_coeff_rows([s.coeffs for s in f]), v))
+
+
 @dataclass(frozen=True)
 class SplitPair:
     """The splitting f = g + hj on L_i, read off the series f itself.
@@ -186,11 +217,12 @@ class SplitPair:
     On the slice f(v) = g(v) + h(v)j, and the hats are the Schwarz
     reflections g^(v) = conj g(conj v), h^(v) = conj h(conj v) of the
     splitting of `reflected`.  None stands for f itself, the symmetric
-    case; a non-symmetric curve supplies its reflected series.
+    case; a non-symmetric curve supplies its reflected series.  Either
+    may be a list of series instead, one per row of an array v.
     """
 
-    series: RegularSeries
-    reflected: RegularSeries | None = None
+    series: RegularSeries | list[RegularSeries]
+    reflected: RegularSeries | list[RegularSeries] | None = None
 
     @property
     def symmetric(self) -> bool:
@@ -200,12 +232,11 @@ class SplitPair:
     @_on_points
     def values(self, v):
         """(g(v), h(v), g^(v), h^(v)), as arrays for an array of v; raises
-        OutsideRadius if any |v| >= radius."""
-        if not self.series.is_polynomial and np.any(np.abs(v) >= self.series.radius):
-            raise OutsideRadius(f"|v| >= radius {self.series.radius}")
-        g, h, gr, hr = _slice_pair(self.series.coeffs, v)
+        OutsideRadius if any |v| >= radius, and ValueError if a list of
+        series does not have one per row of v."""
+        g, h, gr, hr = _split_values(self.series, v)
         if self.reflected is not None:
-            _, _, gr, hr = _slice_pair(self.reflected.coeffs, v)
+            _, _, gr, hr = _split_values(self.reflected, v)
         return g, h, gr.conjugate(), hr.conjugate()
 
 
@@ -214,7 +245,7 @@ def lift(f: RegularSeries, u, v) -> ProjectivePoint3:
     """Twistor lift of f at chart point (u, v); u = None marks u at infinity.
 
     For a 1-d array v, u is a number, None, or an array with one entry
-    per v.
+    per v, and f may be a list of series, one per v.
     """
     gv, hv, ghv, hhv = SplitPair(f).values(v)
     if u is None:
@@ -226,19 +257,22 @@ def lift(f: RegularSeries, u, v) -> ProjectivePoint3:
 def twistor_transform(f: RegularSeries, v) -> KleinPoint:
     """The curve [g g^ + h^ h, h, -g, g^, h^, 1] at v, one row per v of an
     array; where g g^ + h^ h overflows, the row, quadratic in
-    (g, h, g^, h^, 1), takes all five scaled by 2^-e."""
+    (g, h, g^, h^, 1), takes all five scaled by 2^-e, and the other rows
+    keep the floats of a call of their own.  f may be a list of
+    series, one per row of v of shape (n, m), whose curve rows are
+    coords[n]."""
     gv, hv, ghv, hhv = SplitPair(f).values(v)
-    zeta1 = gv * ghv + hhv * hv
-    finite = np.isfinite(zeta1)
+    zeta = _stack(gv * ghv + hhv * hv, hv, -gv, ghv, hhv, 1.0)
+    finite = np.isfinite(zeta[..., 0])
     if _every(finite):
-        return KleinPoint.of(zeta1, hv, -gv, ghv, hhv, 1.0)
+        return KleinPoint(zeta)
     parts = np.array([gv, hv, ghv, hhv])
     m = np.maximum(abs(parts.real), abs(parts.imag)).max(axis=0)
-    s = np.where(finite, 1.0, np.ldexp(1.0, -np.frexp(m)[1]))
+    s = np.ldexp(1.0, -np.frexp(m)[1])
     with np.errstate(over="ignore", invalid="ignore"):  # g itself may be inf
         gv, hv, ghv, hhv = gv * s, hv * s, ghv * s, hhv * s
-        return KleinPoint.of(gv * ghv + hhv * hv, hv * s, -gv * s, ghv * s,
-                             hhv * s, s * s)
+        scaled = _stack(gv * ghv + hhv * hv, hv * s, -gv * s, ghv * s, hhv * s, s * s)
+    return KleinPoint(np.where(finite[..., None], zeta, scaled))
 
 
 _SIGMA_ORDER = np.array([0, 4, 3, 2, 1, 5])
@@ -312,33 +346,52 @@ def _curve_columns(samples: list[CurveSample]) -> tuple[np.ndarray, np.ndarray]:
     return vs, np.stack([-z[:, 2], z[:, 1], z[:, 3], z[:, 4]], axis=1)
 
 
-def _fit_columns(vs: np.ndarray, cols: np.ndarray, max_degree: int,
-                 tol: float) -> list[np.ndarray]:
-    """Fit each column by the polynomial of least degree whose residual is
-    within tol of the column's largest value; an exactly zero column fits
-    at degree 0.
+def _vander(vs: np.ndarray, width: int) -> np.ndarray:
+    """np.vander(v, width, increasing=True) for each row v of vs, with its
+    floats: each column past the first is the one before times v."""
+    out = np.empty(vs.shape + (width,), complex)
+    out[..., 0] = 1.0
+    out[..., 1:] = vs[..., None]
+    np.multiply.accumulate(out[..., 1:], axis=-1, out=out[..., 1:])
+    return out
 
-    One QR of the largest Vandermonde matrix serves every degree: the fit
-    of degree d is the projection onto the first d + 1 columns of Q, so
-    cumulative sums of the projections give the residual at each degree.
-    R is upper triangular, so one solve gives every column its fit, with
-    the projections past the column's degree set to zero.
+
+def _fit_columns(vs: np.ndarray, cols: np.ndarray, top: int,
+                 tol: float) -> list[list[np.ndarray] | None]:
+    """Fit each column of c curves of m samples each, stacked as vs of
+    shape (c, m) and cols (c, m, 4), by the polynomial of least degree
+    <= top whose residual is within tol of the column's largest value; an
+    exactly zero column fits at degree 0.  A curve's four coefficient
+    arrays, or None where a column fits at no degree.
+
+    One QR of each curve's Vandermonde matrix serves every degree: the
+    fit of degree d is the projection onto the first d + 1 columns of Q,
+    so adding one projection at a time gives the residual at each
+    degree, up to the first at which every column fits.  R is upper
+    triangular, so one solve gives every column its fit, with the
+    projections past the column's degree set to zero.  The curves share
+    one stacked qr, product and running sum, and the curves of one fit
+    size one solve, each curve's floats those of a call of its own.
     """
-    top = min(max_degree, len(vs) - 1)
-    if top < 0:
-        raise FitError("no samples to fit")
-    q, r = np.linalg.qr(np.vander(vs, top + 1, increasing=True))
-    proj = q.conj().T @ cols
-    fits = np.cumsum(q.T[:, :, None] * proj[:, None, :], axis=0)
-    resid = np.abs(fits - cols).max(axis=1)
-    passed = resid <= tol * np.abs(cols).max(axis=0, initial=0.0)
-    if not passed.any(axis=0).all():
-        raise FitError(f"no polynomial of degree <= {max_degree} fits the samples")
-    degrees = passed.argmax(axis=0)
-    d = degrees.max()
-    rhs = np.where(np.arange(d + 1)[:, None] <= degrees, proj[:d + 1], 0.0)
-    coeffs = np.linalg.solve(r[:d + 1, :d + 1], rhs)
-    return [coeffs[:n + 1, k] for k, n in enumerate(degrees)]
+    q, r = np.linalg.qr(_vander(vs, top + 1))
+    proj = np.conj(q).swapaxes(-1, -2) @ cols
+    gate = tol * np.abs(cols).max(axis=-2, initial=0.0)
+    degrees = np.full(gate.shape, -1)
+    fit = np.zeros_like(cols)
+    for d in range(top + 1):
+        fit += q[..., d, None] * proj[..., d, None, :]
+        degrees[(degrees < 0) & (np.abs(fit - cols).max(axis=-2) <= gate)] = d
+        if degrees.min() >= 0:
+            break
+    fitted = (degrees >= 0).all(axis=1)
+    out = [None] * len(vs)
+    for d in set(degrees[fitted].max(axis=1).tolist()):
+        at = np.flatnonzero(fitted & (degrees.max(axis=1) == d))
+        rhs = np.where(np.arange(d + 1)[:, None] <= degrees[at, None], proj[at, :d + 1], 0.0)
+        coeffs = np.linalg.solve(r[at, :d + 1, :d + 1], rhs)
+        for n, c, ds in zip(at.tolist(), coeffs, degrees[at].tolist()):
+            out[n] = [c[:k + 1, col] for col, k in enumerate(ds)]
+    return out
 
 
 def _pair_series(g: np.ndarray, h: np.ndarray) -> RegularSeries:
@@ -347,22 +400,63 @@ def _pair_series(g: np.ndarray, h: np.ndarray) -> RegularSeries:
     return RegularSeries(tuple([Quaternion.from_complex_pair(b, c) for b, c in pairs]))
 
 
-def reconstruct(samples: list[CurveSample]) -> SplitPair:
-    """Recover the split pair of the regular map behind a sampled curve.
-
-    After normalizing zeta_6 = 1, g = -zeta_3, h = zeta_2, g^ = zeta_4 and
-    h^ = zeta_5 are fitted by increasing-degree interpolation, up to
-    degree 24, each to 1e-9 of its column's largest value.  A curve
-    whose reflected series (with coefficients conj g^_n + conj h^_n j)
-    differs from the series of g, h beyond 1e-8 of their coefficient
-    scale does not extend symmetrically; it keeps its reflected series,
-    so that its symmetric is False.
-    """
-    vs, cols = _curve_columns(samples)
-    g, h, ghat, hhat = _fit_columns(vs, cols, 24, 1e-9)
+def _split_pair(g, h, ghat, hhat) -> SplitPair:
+    """The pair of the fitted columns, symmetric where the reflected
+    series agrees with the series to 1e-8 of their coefficient scale."""
     series = _pair_series(g, h)
     reflected = _pair_series(np.conj(ghat), np.conj(hhat))
     scale = max(series.coefficient_scale(), reflected.coefficient_scale())
     if (series - reflected).coefficient_scale() <= 1e-8 * scale:
         return SplitPair(series)
     return SplitPair(series, reflected)
+
+
+def reconstruct_many(curves) -> list[SplitPair]:
+    """[reconstruct(c) for c in curves], bit for bit, with the fixed cost
+    of a fit paid once: the curves of one sample count and degree cap
+    share one stacked QR, projection and running sum, and among them the
+    fits of one size one stacked solve.  Every curve is checked for poles
+    and for two distinct points before any is fitted, so a batch raises
+    what reconstruct raises for its first bad member (a curve that no
+    degree fits shows only once all are fitted)."""
+    columns = []
+    for samples in curves:
+        vs, cols = _curve_columns(samples)
+        points = len(set(vs.tolist()))
+        if points < 2:
+            raise FitError(f"{points} distinct sample points check no fit; "
+                           "a fit of degree d takes d + 2")
+        columns.append((vs, cols, min(24, points - 2)))
+    groups = {}
+    for n, (vs, _, top) in enumerate(columns):
+        groups.setdefault((len(vs), top), []).append(n)
+    fits = [None] * len(columns)
+    for (_, top), members in groups.items():
+        vs = np.array([columns[n][0] for n in members])
+        cols = np.array([columns[n][1] for n in members])
+        for n, fit in zip(members, _fit_columns(vs, cols, top, 1e-9)):
+            fits[n] = fit
+    for (_, _, top), fit in zip(columns, fits):
+        if fit is None:
+            raise FitError(f"no polynomial of degree <= {top} fits the samples"
+                           + (f", the most that {top + 2} distinct points check"
+                              if top < 24 else ""))
+    return [_split_pair(*fit) for fit in fits]
+
+
+def reconstruct(samples: list[CurveSample]) -> SplitPair:
+    """Recover the split pair of the regular map behind a sampled curve.
+
+    After normalizing zeta_6 = 1, g = -zeta_3, h = zeta_2, g^ = zeta_4 and
+    h^ = zeta_5 are fitted by increasing-degree interpolation, up to
+    degree 24, each to 1e-9 of its column's largest value.  A fit of
+    degree d counts only where at least d + 2 distinct sample points
+    check it, since d + 1 of them interpolate any values: k distinct
+    points fit up to degree k - 2, and fewer than two raise FitError, as
+    a curve that no degree fits does.  A curve whose reflected series
+    (with coefficients conj g^_n + conj h^_n j) differs from the series
+    of g, h beyond 1e-8 of their coefficient scale does not extend
+    symmetrically; it keeps its reflected series, so that its symmetric
+    is False.  This is reconstruct_many([samples])[0].
+    """
+    return reconstruct_many([samples])[0]

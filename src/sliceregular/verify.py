@@ -26,7 +26,7 @@ from .quat_core import (I as QI, J, K, ONE, ChartPoint, Quaternion, imag_unit,
 from .regular_fn import (RegularSeries, _terms, divide_linear, eval_series,
                          star_mul, zeros, zeros_many)
 from .twistor import (CurveSample, KleinPoint, ProjectivePoint3, _curve_columns,
-                      lift, reconstruct, sigma, twistor_project,
+                      lift, reconstruct_many, sigma, twistor_project,
                       twistor_transform)
 
 
@@ -106,23 +106,36 @@ def _random_complex(rng, lo: float, hi: float, count: int) -> np.ndarray:
     return rng.uniform(lo, hi, 2 * count).view(complex)
 
 
+_CHART_LO = np.array([-2.0, -2.0, -2.0, 0.1])
+_CHART_SPAN = np.array([2.0, 2.0, 2.0, 2.0]) - _CHART_LO
+
+
 def _random_charts(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     """count chart points (u, v): u in [-2, 2]^2 and v in [-2, 2] x [0.1, 2],
-    drawn in the order u.real, u.imag, v.real, v.imag of each point."""
-    lo, hi = [-2.0, -2.0, -2.0, 0.1], [2.0, 2.0, 2.0, 2.0]
-    uv = rng.uniform(lo, hi, (count, 4)).view(complex)
+    drawn in the order u.real, u.imag, v.real, v.imag of each point.  These
+    are the floats of rng.uniform(lo, hi, (count, 4)), lo + (hi - lo) r,
+    without its broadcasting of list bounds."""
+    uv = (_CHART_LO + _CHART_SPAN * rng.random((count, 4))).view(complex)
     return uv[:, 0], uv[:, 1]
 
 
 @_suite("twistor-commute")
 def suite_twistor_commute(res: SuiteResult, rng, samples: int = 1000) -> None:
     """Projecting the lift agrees with mapping the chart point."""
-    for n in range(samples):
-        f = random_polynomial(rng)
-        u, v = (complex(z[0]) for z in _random_charts(rng, 1))
-        fq = eval_series(f, phi(ChartPoint(u, v)))
-        gap = abs(twistor_project(lift(f, u, v)).affine_point() - fq)
-        res.within(gap / (1.0 + abs(fq)), 1e-9, f"sample {n}")
+    # 500 at a time, each batch lifted in one stacked call
+    for start in range(0, samples, 500):
+        fs, us, vs = [], [], []
+        for _ in range(min(500, samples - start)):
+            fs.append(random_polynomial(rng))
+            u, v = _random_charts(rng, 1)
+            us.append(u)
+            vs.append(v)
+        us, vs = np.concatenate(us), np.concatenate(vs)
+        lifts = lift(fs, us, vs).rows()
+        for n, f, u, v, Z in zip(range(start, samples), fs, us.tolist(), vs.tolist(), lifts):
+            fq = eval_series(f, phi(ChartPoint(u, v)))
+            gap = abs(twistor_project(Z).affine_point() - fq)
+            res.within(gap / (1.0 + abs(fq)), 1e-9, f"sample {n}")
 
 
 @_suite("quartic-membership")
@@ -170,12 +183,22 @@ def suite_transform_spot(res: SuiteResult, rng, samples: int = 20) -> None:
 @_suite("transform-roundtrip")
 def suite_transform_roundtrip(res: SuiteResult, rng, samples: int = 200) -> None:
     """Reconstruction from curve samples inverts the transform."""
-    for n in range(samples):
-        f = random_polynomial(rng)
-        vs = _random_complex(rng, -1.5, 1.5, 2 * f.degree + 6)
-        pair = reconstruct([CurveSample(vs, twistor_transform(f, vs))])
-        gap = (f - pair.series).coefficient_scale()
-        res.within(gap / (1.0 + f.coefficient_scale()), 1e-10, f"poly {n}: coeff gap")
+    # 200 at a time: one transform per sample count, one reconstruct_many
+    for start in range(0, samples, 200):
+        fs, vs = [], []
+        for _ in range(min(200, samples - start)):
+            fs.append(random_polynomial(rng))
+            vs.append(_random_complex(rng, -1.5, 1.5, 2 * fs[-1].degree + 6))
+        curves = [None] * len(fs)
+        for count in {len(v) for v in vs}:
+            rows = [n for n, v in enumerate(vs) if len(v) == count]
+            batch = np.array([vs[n] for n in rows])
+            zetas = twistor_transform([fs[n] for n in rows], batch).rows()
+            for n, zeta in zip(rows, zetas):
+                curves[n] = [CurveSample(vs[n], zeta)]
+        for n, f, pair in zip(range(start, samples), fs, reconstruct_many(curves)):
+            gap = (f - pair.series).coefficient_scale()
+            res.within(gap / (1.0 + f.coefficient_scale()), 1e-10, f"poly {n}: coeff gap")
 
     # rational curve: zeta = [1, 0, -(v-i), v+i, 0, v^2+1], i.e. g = 1/(v+i)
     def rational_sample(v: complex) -> CurveSample:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,9 +13,11 @@ from sliceregular import (ChartPoint, CurveSample, FitError, HP1Point, KleinPoin
                           in_q_plus, j_involution, lift, line_plucker,
                           on_quadric, phi, reconstruct, sigma, star_mul,
                           twistor_project, twistor_transform)
+from sliceregular import twistor
 from sliceregular.parsing import parse_polynomial
 from sliceregular.quat_core import I, J, ONE
-from sliceregular.twistor import SplitPair, _curve_columns, _fit_columns
+from sliceregular.twistor import SplitPair, _curve_columns, _fit_columns, reconstruct_many
+from sliceregular.verify import F_PAR, _random_charts, random_polynomial
 
 F = parse_polynomial("q^2+qi")
 
@@ -443,10 +446,10 @@ def test_reconstruct_is_scale_invariant(s):
 
 def oracle_fit_columns(vs, cols, max_degree, tol):
     """The fit by one least-squares problem per degree, which the one-QR
-    fit replaced."""
+    fit replaced, at the degrees d that d + 2 distinct points check."""
     gates = tol * np.max(np.abs(cols), axis=0, initial=0.0)
     fits = [None] * cols.shape[1]
-    for d in range(0, min(max_degree, len(vs) - 1) + 1):
+    for d in range(0, min(max_degree, len(set(vs.tolist())) - 2) + 1):
         vand = np.vander(vs, d + 1, increasing=True)
         coeffs, *_ = np.linalg.lstsq(vand, cols, rcond=None)
         resid = np.max(np.abs(vand @ coeffs - cols), axis=0)
@@ -470,16 +473,151 @@ def test_fit_columns_picks_the_oracle_degree(seed):
     f = g + h
     vs = rng.uniform(-1.5, 1.5, 2 * (2 * deg + 6)).view(complex)
     vs, cols = _curve_columns([CurveSample(vs, twistor_transform(f, vs))])
-    got = _fit_columns(vs, cols, 24, 1e-9)
+    got = _fit_columns(vs[None], cols[None], min(24, len(vs) - 2), 1e-9)[0]
     want = oracle_fit_columns(vs, cols, 24, 1e-9)
     assert [len(c) for c in got] == [len(c) for c in want]
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
     # too low a degree cap fails both ways
     if deg > 1:
-        for fit in (_fit_columns, oracle_fit_columns):
-            with pytest.raises(FitError):
-                fit(vs, cols, deg - 1, 1e-9)
+        assert _fit_columns(vs[None], cols[None], deg - 1, 1e-9) == [None]
+        with pytest.raises(FitError):
+            oracle_fit_columns(vs, cols, deg - 1, 1e-9)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# a constant, a series with -0.0 components, and series of mixed degrees
+STACK_SERIES = [RegularSeries((Quaternion(0.5, -1.0, 2.0, 0.25),)),
+                RegularSeries((Quaternion(-0.0, 1.0, -0.0, 0.5), Quaternion(0.0, -0.0, 1.0, -0.0),
+                               Quaternion(-0.0, 2.0, -0.0, -1.0))),
+                F,
+                rand_poly(np.random.default_rng(8), 6),
+                rand_poly(np.random.default_rng(9), 1)]
+
+
+def test_stacked_rows_are_single_series_calls():
+    vs = np.array([0.3 - 0.2j, complex(-0.0, 0.5), 1e80, -1.1 + 0.4j, complex(0.7, -0.0)])
+    us = np.array([1j, -0.5 + 0.0j, 2.0 - 1.0j, complex(-0.0, -0.0), 0.25j])
+    parts = SplitPair(STACK_SERIES).values(vs)
+    for n, f in enumerate(STACK_SERIES):
+        for got, want in zip(parts, SplitPair(f).values(vs[n:n + 1])):
+            assert_same_bits(got[n:n + 1], want)
+    lifts = [lift(STACK_SERIES, us, vs), lift(STACK_SERIES, 0.5 - 1j, vs),
+             lift(STACK_SERIES, None, vs)]
+    for n, f in enumerate(STACK_SERIES):
+        for u, Z in zip((us[n:n + 1], 0.5 - 1j, None), lifts):
+            assert_same_bits(Z.coords[n], lift(f, u, vs[n:n + 1]).coords[0])
+    # row n maps its m points, each as a call of its own would; g g^ + h^ h
+    # of q^2 + qi overflows at 1e80, and only those points are rescaled
+    grid = np.add.outer(vs, [0.0, 0.5j, -0.25, complex(-0.0, -0.0)])
+    grid[2, 1] = 2.0
+    zeta = twistor_transform(STACK_SERIES, grid)
+    assert zeta.coords.shape == (5, 4, 6)
+    for n, f in enumerate(STACK_SERIES):
+        assert_same_bits(zeta.coords[n], twistor_transform(f, grid[n]).coords)
+        assert [z.coords.tobytes() for z in zeta.rows()[n].rows()] == \
+            [twistor_transform(f, np.array([v])).coords[0].tobytes() for v in grid[n]]
+    np.testing.assert_allclose(np.abs(zeta.klein_form()), 0.0, atol=1e-10)
+
+
+def test_series_list_takes_one_row_each():
+    f = STACK_SERIES[3]
+    with pytest.raises(ValueError, match="2 series"):
+        lift([f, f], 0j, np.array([1j]))
+    with pytest.raises(ValueError, match="1 series"):
+        twistor_transform([f], np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"shape \(\)"):
+        SplitPair([f]).values(0.5j)
+    with pytest.raises(OutsideRadius, match="row 1"):
+        lift([f, RegularSeries((ONE, ONE), radius=1.0)], 0j, np.array([2.0, 2.0]))
+
+
+def test_chart_draws_are_uniform_draws():
+    lo, hi = [-2.0, -2.0, -2.0, 0.1], [2.0, 2.0, 2.0, 2.0]
+    for seed, count in ((0, 1), (1, 7), (2024, 1000)):
+        u, v = _random_charts(np.random.default_rng(seed), count)
+        want = np.random.default_rng(seed).uniform(lo, hi, (count, 4)).view(complex)
+        assert_same_bits(u, want[:, 0])
+        assert_same_bits(v, want[:, 1])
+
+
+def same_pair(a, b):
+    return (repr(a.series) == repr(b.series) and repr(a.reflected) == repr(b.reflected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.sampled_from([0, 1, 4, 9]),
+                          st.integers(0, 2 ** 32 - 1), st.booleans()),
+                min_size=1, max_size=6))
+def test_reconstruct_many_is_reconstruct_per_curve(draws):
+    curves = []
+    for degree, extra, seed, symmetric in draws:
+        rng = np.random.default_rng(seed)
+        vs = rng.uniform(-1.5, 1.5, 2 * (degree + 2 + extra)).view(complex)
+        pair = SplitPair(rand_poly(rng, degree),
+                         None if symmetric else rand_poly(rng, degree))
+        curves.append([CurveSample(vs, line_plucker(pair, vs))])
+    try:
+        want = [reconstruct(c) for c in curves]
+    except FitError as e:
+        with pytest.raises(FitError, match=re.escape(str(e))):
+            reconstruct_many(curves)
+        return
+    got = reconstruct_many(curves)
+    assert all(same_pair(a, b) for a, b in zip(got, want)) and len(got) == len(want)
+
+
+def test_reconstruct_many_keeps_a_reflected_series():
+    rng = np.random.default_rng(10)
+    f, r = rand_poly(rng, 3), rand_poly(rng, 2)
+    vs = rng.uniform(-1.5, 1.5, 20).view(complex)
+    curves = [[CurveSample(vs, line_plucker(SplitPair(f, r), vs))],
+              [CurveSample(vs, twistor_transform(f, vs))]]
+    asym, sym = reconstruct_many(curves)
+    assert not asym.symmetric and sym.symmetric
+    assert (asym.reflected - r).coefficient_scale() <= 1e-9
+    assert same_pair(asym, reconstruct(curves[0])) and same_pair(sym, reconstruct(curves[1]))
+    assert reconstruct_many([]) == []
+
+
+def test_reconstruct_many_checks_every_curve_before_any_fit(monkeypatch):
+    vs = np.linspace(-1.0, 1.0, 8) + 0.5j
+    good = [CurveSample(vs, twistor_transform(F, vs))]
+    pole = [CurveSample(1j, KleinPoint.of(1, 0, -0.0, 2j, 0, 0))]
+    few = [CurveSample(np.full(9, 0.5j), twistor_transform(F, np.full(9, 0.5j)))]
+
+    def no_fit(*args):
+        raise AssertionError("fitted before every curve was checked")
+    monkeypatch.setattr(twistor, "_fit_columns", no_fit)
+    for curves, error in (([good, pole], PoleDetected), ([good, few], FitError),
+                          ([few, pole], FitError), ([good, pole, few], PoleDetected)):
+        with pytest.raises(error):
+            reconstruct_many(curves)
+
+
+def test_reconstruct_needs_two_more_points_than_the_degree():
+    # d + 1 points interpolate any values, so a fit of degree d counts only
+    # where d + 2 distinct points check it
+    rng = np.random.default_rng(3)
+    f = random_polynomial(rng, 6, 5)
+    assert f.degree == 6
+    for count in (3, 5, 6, 7):
+        vs = rng.uniform(-1.5, 1.5, 2 * count).view(complex)
+        with pytest.raises(FitError, match=f"the most that {count} distinct points check"):
+            reconstruct([CurveSample(vs, twistor_transform(f, vs))])
+    vs = rng.uniform(-1.5, 1.5, 16).view(complex)
+    pair = reconstruct([CurveSample(vs, twistor_transform(f, vs))])
+    assert (f - pair.series).coefficient_scale() <= 1e-9
+    # every sample at one point checks nothing: no constant comes back
+    at_i = [CurveSample(1j, twistor_transform(F_PAR, 1j))] * 5
+    with pytest.raises(FitError, match="1 distinct sample points"):
+        reconstruct(at_i)
+    same = np.full(7, 0.25 + 0.5j)
+    with pytest.raises(FitError, match="1 distinct"):
+        reconstruct([CurveSample(same, twistor_transform(F_PAR, same))])
 
 
 def test_reconstruct_flags_pole():

@@ -67,6 +67,16 @@ finder at two batch sizes: `paper` solves 500 members in one call (the
 `adversarial` solve one member per call.  `tests/test_regular_fn.py`
 holds a batch of many members to the answers of one call each.
 
+The twistor layer runs at batch sizes of its own.  In `paper`,
+`twistor-commute` lifts its 1000 samples in two `lift` calls of 500
+series each, one per row, and `transform-roundtrip` transforms its 200
+curves in one `twistor_transform` call per sample count (2d + 6 points
+for degree d = 1-6, so six calls of about 33 series) and reconstructs
+them in one `reconstruct_many` call, which stacks the fits of each
+sample count.  `geometry` lifts and transforms one point of one series
+per call.  `tests/test_twistor.py` holds stacked rows to the calls of
+one series each, and `reconstruct_many` to `reconstruct` per curve.
+
     python3 tools/zeros_identity.py OTHER_SRC [--workload zeros] [--seeds 1-10]
                                     [--rtol R]
 
